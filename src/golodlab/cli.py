@@ -7,20 +7,22 @@
 One subcommand per analysis; `--ideal` takes a fixture path or an inline
 generator list (ring inferred from the variable names).  Plain text by
 default, `--json` for machine output with sorted keys.  `--batch dir/`
-runs the same job over every .txt file in the directory, one output file
-per input named by the input's hash; GOLODLAB_THREADS caps the pool.
+runs the same job over every .txt file in the directory, one after the
+other, writing one output file per input named by the input's hash; the
+batch exits with the worst code of its jobs.
 
 Exit codes: 0 success, 1 input error, 2 caps exceeded, 3 internal
-inconsistency (a bug, not a property of the input).
+inconsistency or any other unexpected error (a bug, not a property of the
+input).
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +36,7 @@ from .analyzer import (
 )
 from .betti import BettiTable
 from .determinantal import LadderMatrix, verify_sparse_theorems
-from .errors import CapExceededError, GolodlabError, InconsistencyError, InputError
+from .errors import CapExceededError, InconsistencyError, InputError
 from .groebner import GroebnerBasis, QuotientRing
 from .koszul import koszul_betti
 from .massey import build_trivial_table
@@ -347,16 +349,6 @@ def _exit_code_of(exc: BaseException) -> int:
     return 3  # InconsistencyError and anything unexpected: a bug
 
 
-def _threads() -> int:
-    env = os.environ.get("GOLODLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError("GOLODLAB_THREADS must be an integer")
-    return min(8, os.cpu_count() or 1)
-
-
 def _run_batch(args) -> int:
     indir = args.batch
     if not os.path.isdir(indir):
@@ -372,9 +364,8 @@ def _run_batch(args) -> int:
     if not files:
         print("error: no .txt fixtures in %r" % indir, file=sys.stderr)
         return 1
-
-    def one(path):
-        # each job parses its own input and catches its own failures
+    worst = 0
+    for path in files:
         with open(path, "rb") as fh:
             raw = fh.read()
         tag = hashlib.sha256(raw).hexdigest()[:16]
@@ -384,7 +375,7 @@ def _run_batch(args) -> int:
             rep = run_job(_spec_from_args(args, ideal=path))
             body = rep.render(args.json)
             code = rep.exit_code
-        except Exception as e:
+        except Exception as e:  # one bad input must not stop the batch
             code = _exit_code_of(e)
             body = (
                 json.dumps({"error": str(e), "exit_code": code}, indent=2, sort_keys=True)
@@ -393,13 +384,8 @@ def _run_batch(args) -> int:
             )
         with open(dest, "w") as fh:
             fh.write(body + "\n")
-        return path, dest, code
-
-    worst = 0
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_threads()) as pool:
-        for path, dest, code in pool.map(one, files):
-            print("%s -> %s (exit %d)" % (os.path.basename(path), os.path.basename(dest), code))
-            worst = max(worst, code)
+        print("%s -> %s (exit %d)" % (os.path.basename(path), os.path.basename(dest), code))
+        worst = max(worst, code)
     return worst
 
 
@@ -425,8 +411,9 @@ def main(argv=None) -> int:
     except InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except GolodlabError as e:
-        print("internal error: %s" % e, file=sys.stderr)
+    except Exception as e:
+        traceback.print_exc()
+        print("internal error (this is a bug): %s" % e, file=sys.stderr)
         return 3
 
 

@@ -1,8 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Coefficients are plain values, not wrapped objects: Fraction over QQ, ints in
-[0, p) over F_p.  Every arithmetic step goes through the Field instance so the
-same code paths serve both characteristics.
+Coefficients are plain values, not wrapped objects.  Over QQ a value is an
+`int` when it is integral and a `Fraction` otherwise, so the common integral
+case runs on machine-level int arithmetic; never a float.  Over F_p values
+are ints in [0, p).  Every arithmetic step goes through the Field instance so
+the same code paths serve both characteristics.
 """
 from __future__ import annotations
 
@@ -20,10 +22,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _qq_normal(x):
+    """An integral Fraction as an int; anything else unchanged."""
+    if x.__class__ is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 class Field:
     """QQ when char == 0, otherwise F_p for a prime p <= 2**31."""
 
     __slots__ = ("char",)
+
+    zero = 0
+    one = 1
 
     def __init__(self, char: int = 0):
         if char != 0:
@@ -36,7 +48,7 @@ class Field:
     def of(self, a):
         """Canonicalize an int / Fraction / string into this field."""
         if self.char == 0:
-            return Fraction(a)
+            return a if a.__class__ is int else _qq_normal(Fraction(a))
         if isinstance(a, str):
             a = Fraction(a)
         if isinstance(a, Fraction):
@@ -45,22 +57,14 @@ class Field:
             return a.numerator * pow(a.denominator, -1, self.char) % self.char
         return int(a) % self.char
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
-
     def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        return _qq_normal(a + b) if self.char == 0 else (a + b) % self.char
 
     def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        return _qq_normal(a - b) if self.char == 0 else (a - b) % self.char
 
     def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        return _qq_normal(a * b) if self.char == 0 else (a * b) % self.char
 
     def neg(self, a):
         return -a if self.char == 0 else (-a) % self.char
@@ -68,7 +72,10 @@ class Field:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.char == 0 else pow(a, -1, self.char)
+        if self.char:
+            return pow(a, -1, self.char)
+        # ints carry numerator/denominator too; Fraction normalizes the sign
+        return _qq_normal(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

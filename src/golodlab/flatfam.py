@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, InputError
+from .linalg import axpy
 from .monomial import MonomialIdeal
 from .orders import TermOrder
 from .rings import PolyRing, Polynomial
@@ -51,13 +52,10 @@ def homogenize_poly(f: Polynomial, ext: PolyRing, w) -> Polynomial:
 def specialize_t(fh: Polynomial, base: PolyRing, value: int) -> Polynomial:
     """Set t (the last variable) to 0 or 1 and land back in the base ring."""
     terms = {}
-    fld = base.field
     for m, c in fh.terms.items():
         if value == 0 and m[-1] > 0:
             continue
-        key = m[:-1]
-        prev = terms.get(key)
-        terms[key] = c if prev is None else fld.add(prev, c)
+        axpy(terms, 1, {m[:-1]: c}, base.field)
     return Polynomial(base, terms)
 
 

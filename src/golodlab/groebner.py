@@ -9,6 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InputError
+from .linalg import axpy
 from .monomial import MonomialIdeal
 from .orders import TermOrder
 from .rings import (
@@ -30,19 +31,19 @@ def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
     F = ring.field
     lts = [(order.leading_mono(g), order.leading_coeff(g), g) for g in basis if not g.is_zero()]
     rem = {}
-    p = f
-    while not p.is_zero():
-        m = order.leading_mono(p)
-        c = p.terms[m]
+    p = dict(f.terms)
+    while p:
+        m = max(p, key=order.key)
+        c = p[m]
         for ltm, ltc, g in lts:
             if mono_divides(ltm, m):
                 q = mono_div(m, ltm)
-                factor = F.div(c, ltc)
-                p = p - g.mono_shift(q).scale(factor)
+                shifted = {mono_mul(t, q): v for t, v in g.terms.items()}
+                axpy(p, F.neg(F.div(c, ltc)), shifted, F)
                 break
         else:
             rem[m] = c
-            p = Polynomial(ring, {k: v for k, v in p.terms.items() if k != m})
+            del p[m]
     return Polynomial(ring, rem)
 
 
@@ -249,17 +250,13 @@ class QuotientRing:
 
     def mult_mono(self, a: Mono, m: Mono) -> dict:
         """a * m in the quotient, a an arbitrary monomial."""
-        cur = {m: self.field.one}
+        F = self.field
+        cur = {m: F.one}
         for i, e in enumerate(a):
             for _ in range(e):
                 nxt = {}
                 for mm, c in cur.items():
-                    for m2, c2 in self.mult_var(i, mm).items():
-                        s = self.field.add(nxt.get(m2, self.field.zero), self.field.mul(c, c2))
-                        if s:
-                            nxt[m2] = s
-                        else:
-                            nxt.pop(m2, None)
+                    axpy(nxt, c, self.mult_var(i, mm), F)
                 cur = nxt
         return cur
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .betti import BettiTable
 from .errors import CapExceededError, InconsistencyError, InputError
-from .linalg import Eliminator, kernel_basis, solve_columns
+from .linalg import Eliminator, axpy, kernel_basis, solve_columns
 from .rings import mono_deg, mono_lcm
 
 Pair = tuple  # (S, m)
@@ -79,15 +79,7 @@ class KoszulElement:
         return isinstance(other, KoszulElement) and self.terms == other.terms
 
     def __add__(self, other) -> "KoszulElement":
-        fld = self.quot.field
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = fld.add(out.get(k, fld.zero), c)
-            if s == fld.zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return KoszulElement(self.quot, out)
+        return KoszulElement(self.quot, axpy(dict(self.terms), 1, other.terms, self.quot.field))
 
     def __sub__(self, other) -> "KoszulElement":
         return self + other.neg()
@@ -141,13 +133,7 @@ class KoszulElement:
                 c = fld.mul(c1, c2)
                 if sgn < 0:
                     c = fld.neg(c)
-                for m, cm in quot.mult_mono(m1, m2).items():
-                    k = (S, m)
-                    s = fld.add(out.get(k, fld.zero), fld.mul(c, cm))
-                    if s == fld.zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                axpy(out, c, {(S, m): cm for m, cm in quot.mult_mono(m1, m2).items()}, fld)
         return KoszulElement(quot, out)
 
     def differential(self) -> "KoszulElement":
@@ -157,13 +143,7 @@ class KoszulElement:
             for pos, l in enumerate(S):
                 cc = c if pos % 2 == 0 else fld.neg(c)
                 rest = S[:pos] + S[pos + 1:]
-                for m2, c2 in quot.mult_var(l, m).items():
-                    k = (rest, m2)
-                    s = fld.add(out.get(k, fld.zero), fld.mul(cc, c2))
-                    if s == fld.zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                axpy(out, cc, {(rest, m2): c2 for m2, c2 in quot.mult_var(l, m).items()}, fld)
         return KoszulElement(quot, out)
 
     def is_cycle(self) -> bool:
@@ -290,13 +270,7 @@ class KoszulComplex:
         for pos, l in enumerate(S):
             c = fld.one if pos % 2 == 0 else fld.neg(fld.one)
             rest = S[:pos] + S[pos + 1:]
-            for m2, c2 in self.quot.mult_var(l, m).items():
-                k = (rest, m2)
-                s = fld.add(out.get(k, fld.zero), fld.mul(c, c2))
-                if s == fld.zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+            axpy(out, c, {(rest, m2): c2 for m2, c2 in self.quot.mult_var(l, m).items()}, fld)
         return out
 
     def diff_rank(self, basis: list) -> int:
@@ -364,13 +338,7 @@ class KoszulComplex:
             combo = solve_columns(cols, range(len(cols)), vec, self.field)
             if combo is None:
                 return None
-            for idx, c in combo.items():
-                pair = basis[idx]
-                s = self.field.add(total.get(pair, self.field.zero), c)
-                if s == self.field.zero:
-                    total.pop(pair, None)
-                else:
-                    total[pair] = s
+            axpy(total, 1, {basis[idx]: c for idx, c in combo.items()}, self.field)
         u = KoszulElement(self.quot, total)
         if (u.differential() - z).terms:
             raise InconsistencyError("boundary preimage verification failed")

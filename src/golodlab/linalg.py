@@ -2,13 +2,51 @@
 
 Vectors are dicts mapping an arbitrary hashable, orderable index to a nonzero
 field element, so strand bases (wedge set, monomial) can be used directly
-without integer reindexing.  The Eliminator keeps a fully reduced (RREF) row
-set with combination tracking: inserting a vector either extends the basis or
-returns the dependency, which is how kernels and linear solves fall out.
-Reduction against an RREF basis is canonical, so results are deterministic
-for a fixed insertion order.
+without integer reindexing.  `axpy` is the one sparse accumulate kernel:
+every "add a multiple of one vector into another, dropping zeros" in the
+package goes through it.
+
+The Eliminator keeps a fully reduced (RREF) row set with combination
+tracking: inserting a vector either extends the basis or returns the
+dependency, which is how kernels and linear solves fall out.  Because every
+stored row is zero at every other row's pivot, eliminating one pivot from a
+vector never changes its entry at another pivot, so reduction is a single
+ascending pass over the pivots the vector starts with.  Reduction against an
+RREF basis is canonical, so results are deterministic for a fixed insertion
+order.
 """
 from __future__ import annotations
+
+from fractions import Fraction
+
+
+def axpy(dst: dict, c, src: dict, field) -> dict:
+    """dst += c * src in place, dropping zeros; returns dst.
+
+    Keys of src are visited in order, so dst's insertion order is that of
+    adding src's terms one at a time.  Over QQ integral results are kept as
+    ints, as Field does."""
+    if not c:
+        return dst
+    get, pop = dst.get, dst.pop
+    p = field.char
+    if p:
+        for k, v in src.items():
+            s = (get(k, 0) + c * v) % p
+            if s:
+                dst[k] = s
+            else:
+                pop(k, None)
+    else:
+        for k, v in src.items():
+            s = get(k, 0) + c * v
+            if s.__class__ is Fraction and s.denominator == 1:
+                s = s.numerator
+            if s:
+                dst[k] = s
+            else:
+                pop(k, None)
+    return dst
 
 
 class Eliminator:
@@ -21,35 +59,19 @@ class Eliminator:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _axpy(self, dst: dict, c, src: dict):
-        # dst += c * src, dropping zeros
-        F = self.field
-        for k, v in src.items():
-            s = F.add(dst.get(k, F.zero), F.mul(c, v))
-            if s:
-                dst[k] = s
-            else:
-                dst.pop(k, None)
-
     def reduce(self, vec: dict, tag=None):
         """Return (residual, hist): residual = vec reduced mod the row space,
         hist expresses residual as tag + combination of previously inserted
         tags (hist maps tag -> coefficient)."""
         F = self.field
+        rows = self.rows
         residual = dict(vec)
         hist = {} if tag is None else {tag: F.one}
-        while True:
-            hit = None
-            for p in residual:
-                if p in self.rows:
-                    if hit is None or p < hit:
-                        hit = p
-            if hit is None:
-                break
-            c = residual[hit]
-            row, rhist = self.rows[hit]
-            self._axpy(residual, F.neg(c), row)
-            self._axpy(hist, F.neg(c), rhist)
+        for p in sorted(p for p in vec if p in rows):
+            c = F.neg(residual[p])
+            row, rhist = rows[p]
+            axpy(residual, c, row, F)
+            axpy(hist, c, rhist, F)
         return residual, hist
 
     def insert(self, vec: dict, tag):
@@ -62,14 +84,14 @@ class Eliminator:
             return hist
         pivot = min(residual)
         c = F.inv(residual[pivot])
-        row = {k: F.mul(c, v) for k, v in residual.items()}
-        rhist = {k: F.mul(c, v) for k, v in hist.items()}
+        row = axpy({}, c, residual, F)
+        rhist = axpy({}, c, hist, F)
         # back-substitute: keep the stored rows fully reduced
         for p, (r, h) in self.rows.items():
             if pivot in r:
                 d = F.neg(r[pivot])
-                self._axpy(r, d, row)
-                self._axpy(h, d, rhist)
+                axpy(r, d, row, F)
+                axpy(h, d, rhist, F)
         self.rows[pivot] = (row, rhist)
         return None
 
@@ -119,19 +141,3 @@ def solve_columns(columns, tags, b, field):
             out[key[1]] = v
     return out
 
-
-def vec_add(a: dict, b: dict, field) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = field.add(out.get(k, field.zero), v)
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(a: dict, c, field) -> dict:
-    if not c:
-        return {}
-    return {k: field.mul(v, c) for k, v in a.items()}

@@ -33,7 +33,7 @@ from typing import Optional
 
 from .errors import CapExceededError, InconsistencyError, InputError
 from .koszul import HomologyClass, KoszulComplex, KoszulElement
-from .linalg import solve_columns
+from .linalg import axpy, solve_columns
 from .rings import mono_deg
 
 # ---------------------------------------------------------------------------
@@ -607,13 +607,7 @@ class KoszulMap:
             cc = c if inv % 2 == 0 else fld.neg(c)
             T = tuple(sorted(images))
             poly = self.dst.nf(self.dst.ring.monomial(self.apply_mono(m)))
-            for m2, c2 in poly.terms.items():
-                k = (T, m2)
-                s = fld.add(out.get(k, fld.zero), fld.mul(cc, c2))
-                if s == fld.zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+            axpy(out, cc, {(T, m2): c2 for m2, c2 in poly.terms.items()}, fld)
         return KoszulElement(self.dst, out)
 
     def betti_tables(self):
@@ -682,15 +676,7 @@ def _cycle_preimage(kmap: KoszulMap, kz_src: KoszulComplex, target: KoszulElemen
     combo = solve_columns(cols, range(len(cols)), b, kmap.src.field)
     if combo is None:
         return None
-    out = {}
-    for idx, c in combo.items():
-        pair = basis[idx]
-        s = kmap.src.field.add(out.get(pair, kmap.src.field.zero), c)
-        if s == kmap.src.field.zero:
-            out.pop(pair, None)
-        else:
-            out[pair] = s
-    z = KoszulElement(kmap.src, out)
+    z = KoszulElement(kmap.src, {basis[idx]: c for idx, c in combo.items()})
     if not z.is_cycle() or (kmap.apply(z) - target).terms:
         raise InconsistencyError("cycle preimage solve returned a wrong answer")
     return z

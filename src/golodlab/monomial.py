@@ -11,6 +11,7 @@ from math import comb
 from typing import Optional
 
 from .errors import CapExceededError, InconsistencyError, InputError
+from .linalg import axpy
 from .rings import (
     Mono,
     PolyRing,
@@ -145,12 +146,7 @@ class RingSurjection:
         F = self.target.field
         out = {}
         for m, c in p.terms.items():
-            im = self.apply_mono(m)
-            s = F.add(out.get(im, F.zero), F.of(c))
-            if s:
-                out[im] = s
-            else:
-                out.pop(im, None)
+            axpy(out, 1, {self.apply_mono(m): F.of(c)}, F)
         return Polynomial(self.target, out)
 
 

@@ -20,6 +20,7 @@ from typing import Optional
 
 from .errors import InputError, ParseError
 from .fields import GF, QQ, Field
+from .linalg import axpy
 from .orders import TermOrder, diagonal_order, grevlex, lex, weight_order
 from .rings import Mono, PolyRing, Polynomial
 
@@ -92,6 +93,8 @@ def parse_poly(text: str, ring: PolyRing, line=None) -> Polynomial:
                 if i < n and toks[i] == ("op", "/"):
                     if i + 1 >= n or toks[i + 1][0] != "num":
                         raise ParseError("bad fraction", line=line)
+                    if toks[i + 1][1] == 0:
+                        raise ParseError("zero denominator", line=line)
                     coeff /= toks[i + 1][1]
                     i += 2
             elif kind == "name":
@@ -112,12 +115,11 @@ def parse_poly(text: str, ring: PolyRing, line=None) -> Polynomial:
             saw_factor = True
         if not saw_factor:
             raise ParseError("expected a term", line=line)
-        m = tuple(expo)
-        c = F.add(terms.get(m, F.zero), F.of(coeff))
-        if c:
-            terms[m] = c
-        else:
-            terms.pop(m, None)
+        try:
+            c = F.of(coeff)
+        except ZeroDivisionError:
+            raise ParseError("coefficient %s is not defined in %r" % (coeff, F), line=line) from None
+        axpy(terms, 1, {tuple(expo): c}, F)
     return Polynomial(ring, terms)
 
 
@@ -216,7 +218,10 @@ def parse_ideal_text(text: str) -> IdealFile:
         elif key == "order":
             order_text = val
         elif key == "weights":
-            weights = tuple(int(s) for s in val.replace(" ", "").split(",") if s)
+            try:
+                weights = tuple(int(s) for s in val.replace(" ", "").split(",") if s)
+            except ValueError:
+                raise ParseError("weights must be integers", line=i) from None
         elif key == "colors":
             colors_text = val
         elif key == "ideal":

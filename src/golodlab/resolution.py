@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import CapExceededError, InconsistencyError, InputError
+from .fields import QQ
 from .koszul import koszul_betti
-from .linalg import Eliminator, kernel_basis
+from .linalg import Eliminator, axpy, kernel_basis
 from .rings import mono_deg
 
 __all__ = [
@@ -38,16 +39,8 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # series arithmetic: t-truncated power series whose coefficients are
-# polynomials in an internal-degree marker, stored as {j: int}
-
-
-def _upoly_add_into(acc: dict, p: dict, scale: int = 1):
-    for j, c in p.items():
-        s = acc.get(j, 0) + scale * c
-        if s:
-            acc[j] = s
-        else:
-            acc.pop(j, None)
+# polynomials in an internal-degree marker, stored as {j: int} (QQ values,
+# so axpy accumulates them)
 
 
 def _tseries_mul(A, B, N):
@@ -60,14 +53,8 @@ def _tseries_mul(A, B, N):
                 break
             if not b:
                 continue
-            tgt = out[i + k]
             for ja, ca in a.items():
-                for jb, cb in b.items():
-                    s = tgt.get(ja + jb, 0) + ca * cb
-                    if s:
-                        tgt[ja + jb] = s
-                    else:
-                        tgt.pop(ja + jb, None)
+                axpy(out[i + k], ca, {ja + jb: cb for jb, cb in b.items()}, QQ)
     return out
 
 
@@ -85,12 +72,7 @@ def _tseries_geom(M, N):
                 continue
             lower = out[d - i]
             for ja, ca in mi.items():
-                for jb, cb in lower.items():
-                    s = acc.get(ja + jb, 0) + ca * cb
-                    if s:
-                        acc[ja + jb] = s
-                    else:
-                        acc.pop(ja + jb, None)
+                axpy(acc, ca, {ja + jb: cb for jb, cb in lower.items()}, QQ)
         out[d] = acc
     return out
 
@@ -107,7 +89,7 @@ def bigraded_golod_series(nvars: int, table, N: int):
     denom = [dict() for _ in range(N + 1)]
     for (i, j), b in table.entries.items():
         if i >= 1 and i + 1 <= N:
-            _upoly_add_into(denom[i + 1], {j: b})
+            axpy(denom[i + 1], b, {j: 1}, QQ)
     return _tseries_mul(numer, _tseries_geom(denom, N), N)
 
 
@@ -120,7 +102,7 @@ def golod_series(nvars: int, homology_dims, N: int) -> tuple:
     denom = [dict() for _ in range(N + 1)]
     for i, b in homology_dims.items():
         if i >= 1 and b and i + 1 <= N:
-            _upoly_add_into(denom[i + 1], {0: b})
+            axpy(denom[i + 1], b, {0: 1}, QQ)
     series = _tseries_mul(numer, _tseries_geom(denom, N), N)
     return tuple(sum(d.values()) for d in series)
 
@@ -200,26 +182,14 @@ def _apply_diff(quot, field_, gen: _Gen, m):
     """Image of m * gen under the differential, in previous-module coords."""
     out = {}
     for (s, m1), c in gen.image.items():
-        for m2, c2 in quot.mult_mono(m, m1).items():
-            key = (s, m2)
-            v = field_.add(out.get(key, field_.zero), field_.mul(c, c2))
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+        axpy(out, c, {(s, m2): c2 for m2, c2 in quot.mult_mono(m, m1).items()}, field_)
     return out
 
 
 def _shift_by_var(quot, field_, vec: dict, v: int) -> dict:
     out = {}
     for (t, m), c in vec.items():
-        for m2, c2 in quot.mult_var(v, m).items():
-            key = (t, m2)
-            s = field_.add(out.get(key, field_.zero), field_.mul(c, c2))
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        axpy(out, c, {(t, m2): c2 for m2, c2 in quot.mult_var(v, m).items()}, field_)
     return out
 
 
@@ -268,16 +238,7 @@ def poincare_coeffs(quot, N: int, D: int, betti_table=None) -> PoincareData:
                 combos = kernel_basis(images, field_)
                 if not combos:
                     continue
-                kvecs = []
-                for combo in combos:
-                    vec = {}
-                    for idx, c in combo.items():
-                        t, m = cols[idx]
-                        key = (t, m)
-                        s = field_.add(vec.get(key, field_.zero), c)
-                        if s:
-                            vec[key] = s
-                    kvecs.append(vec)
+                kvecs = [{cols[idx]: c for idx, c in combo.items()} for combo in combos]
                 kernels[g] = kvecs
                 elim = Eliminator(field_)
                 tag = 0

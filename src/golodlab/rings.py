@@ -13,6 +13,7 @@ from typing import Optional
 
 from .errors import InputError, RingMismatchError
 from .fields import QQ, Field
+from .linalg import axpy
 
 Mono = tuple  # exponent tuple
 
@@ -168,15 +169,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        F = self.ring.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = F.add(out.get(m, F.zero), c)
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, axpy(dict(self.terms), 1, other.terms, self.ring.field))
 
     def __neg__(self) -> "Polynomial":
         F = self.ring.field
@@ -192,13 +185,7 @@ class Polynomial:
         F = self.ring.field
         out = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = F.add(out.get(m, F.zero), F.mul(c1, c2))
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+            axpy(out, c1, {mono_mul(m1, m2): c2 for m2, c2 in other.terms.items()}, F)
         return Polynomial(self.ring, out)
 
     def __rmul__(self, other):

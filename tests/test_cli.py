@@ -1,0 +1,139 @@
+"""The command-line surface: golden --json bytes, shipped schemas, exit codes
+and --batch."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from jsonschema import Draft202012Validator
+
+from golodlab import cli
+
+from conftest import FIXTURES
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCHEMAS = Path(cli.__file__).resolve().parent / "schemas"
+
+GORENSTEIN3_F32003 = (
+    "ring: F32003[x1,x2,x3]\norder: lex x1>x2>x3\n"
+    "ideal: x1^2, x1*x3, -x1*x2+x3^2, x2*x3, x2^2"
+)
+
+# golden file stem -> argv (without --json); each job runs in under a second
+CASES = {
+    "golod_gorenstein3": ["golod", "--ideal", str(FIXTURES / "gorenstein3.txt")],
+    "golod_x2_y2": ["golod", "--ideal", "x^2,y^2"],
+    "golod_x2": ["golod", "--ideal", "x^2"],
+    "golod_x2_xy": ["golod", "--ideal", "x^2,xy"],
+    "golod_xy_z2": ["golod", "--ideal", "xy-z^2"],
+    "minors_2x3": ["minors", "--shape", "2x3"],
+    "minors_mask_110_111": ["minors", "--mask", "110/111"],
+    "betti_gorenstein3_initial": ["betti", "--ideal", str(FIXTURES / "gorenstein3_initial.txt")],
+    "gb_half_coefficient": ["gb", "--ideal", "1/2*x^2-y^2, xy"],
+    "golod_gorenstein3_f32003": ["golod", "--ideal", GORENSTEIN3_F32003],
+}
+
+# verdict and rule each golod golden file must show
+RULES = {
+    "golod_gorenstein3": ("NotGolod", "HomologyProduct"),
+    "golod_x2_y2": ("NotGolod", "HomologyProduct"),
+    "golod_x2": ("GolodProven", "MonomialPower"),
+    "golod_x2_xy": ("GolodProven", "PolarizationTransfer"),
+    "golod_xy_z2": ("GolodProven", "FiberInvariantTransfer"),
+    "golod_gorenstein3_f32003": ("NotGolod", "HomologyProduct"),
+}
+
+
+def _validator(name):
+    return Draft202012Validator(json.loads((SCHEMAS / ("%s.schema.json" % name)).read_text()))
+
+
+def _with_inner(cert):
+    yield cert
+    for value in cert.get("evidence", {}).values():
+        if isinstance(value, dict) and "verdict" in value:
+            yield from _with_inner(value)
+
+
+def _certificates(payload):
+    if payload.get("command") == "golod":
+        tops = [payload["certificate"]]
+    else:
+        tops = list(payload.get("diagonal", {}).get("certificates", {}).values())
+    return [c for top in tops for c in _with_inner(top)]
+
+
+def _run(argv, capsys):
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_matches_golden_bytes_and_schema(name, capsys):
+    code, out, _ = _run(CASES[name] + ["--json"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / (name + ".json")).read_text()
+    payload = json.loads(out)
+    envelope = "minors_report" if name.startswith("minors") else "job_output"
+    assert list(_validator(envelope).iter_errors(payload)) == []
+    certs = _certificates(payload)
+    cert_schema = _validator("certificate")
+    for cert in certs:
+        assert list(cert_schema.iter_errors(cert)) == []
+    if name.startswith("minors"):
+        assert payload["all_pass"] is True
+        assert certs
+    if name in RULES:
+        top = payload["certificate"]
+        assert (top["verdict"], top["rule"]) == RULES[name]
+
+
+def test_golden_cases_cover_every_golden_file():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    ["1/0*x^2, y^2", "ring: F3[x,y]\nideal: 1/3*x^2, y^2"],
+)
+def test_bad_denominator_is_an_input_error(ideal, capsys):
+    code, out, err = _run(["golod", "--ideal", ideal], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "(line 2)" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def boom(spec):
+        raise ZeroDivisionError("unexpected")
+
+    monkeypatch.setattr(cli, "run_job", boom)
+    code, out, err = _run(["golod", "--ideal", "x^2"], capsys)
+    assert code == 3
+    assert "internal error" in err and "unexpected" in err
+
+
+def test_batch_runs_every_input_and_returns_worst_code(tmp_path, capsys):
+    inputs = {
+        "a.txt": "ring: QQ[x,y]\nideal: x^2, y^2\n",
+        "b.txt": "ring: QQ[x,y]\nideal: x^2, x*y\n",
+        "bad.txt": "ring: QQ[x,y]\nideal: 1/0*x^2\n",
+    }
+    for nm, text in inputs.items():
+        (tmp_path / nm).write_text(text)
+    outdir = tmp_path / "out"
+    code, out, _ = _run(["golod", "--batch", str(tmp_path), "--out", str(outdir), "--json"], capsys)
+    assert code == 1
+    codes = {}
+    for nm, text in inputs.items():
+        tag = hashlib.sha256(text.encode()).hexdigest()[:16]
+        payload = json.loads((outdir / (tag + ".json")).read_text())
+        codes[nm] = payload.get("exit_code", 0)
+        assert "%s -> %s.json" % (nm, tag) in out
+    assert codes == {"a.txt": 0, "b.txt": 0, "bad.txt": 1}
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(
+        hashlib.sha256(t.encode()).hexdigest()[:16] + ".json" for t in inputs.values()
+    )

@@ -76,3 +76,15 @@ def test_gf7_matches_integer_arithmetic(x, y):
     assert F.add(F.of(x), F.of(y)) == F.of(x + y)
     assert F.mul(F.of(x), F.of(y)) == F.of(x * y)
     assert F.sub(F.of(x), F.of(y)) == F.of(x - y)
+
+
+@given(rationals, rationals)
+def test_qq_values_are_int_when_integral_never_float(a, b):
+    a, b = QQ.of(a), QQ.of(b)
+    results = [a, b, QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)]
+    if b:
+        results += [QQ.inv(b), QQ.div(a, b)]
+    for r in results:
+        assert type(r) is (int if Fraction(r).denominator == 1 else Fraction)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.of("6/3")) is int and type(QQ.inv(QQ.of(-1))) is int

@@ -57,6 +57,17 @@ def test_parse_error_reports_line():
     assert "line 2" in str(ei.value)
 
 
+@pytest.mark.parametrize("bad", [
+    "ring: QQ[x,y]\nideal: 1/0*x^2, y^2\n",
+    "ring: F3[x,y]\nideal: 1/3*x^2, y^2\n",
+    "ring: QQ[x,y]\nweights: a,b\nideal: x^2, y^2\n",
+])
+def test_bad_number_reports_line(bad):
+    with pytest.raises(ParseError) as ei:
+        parse_ideal_text(bad)
+    assert ei.value.line == 2
+
+
 def test_missing_directives_rejected():
     with pytest.raises(ParseError):
         parse_ideal_text("ideal: x^2\n")
