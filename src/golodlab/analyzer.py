@@ -17,10 +17,10 @@ given with a term order:
      through p_max, and Serre-bound equality through t^N, as evidence only.
 
 Every certificate carries the Poincare/Serre coefficient block, and the
-Serre inequality is asserted on it; equality combined with a NotGolod
-witness at low order, or a proven Golod rule combined with a strict gap,
-raises InconsistencyError since only an implementation fault can produce
-either.
+Serre inequality is asserted on it; equality through the exponent where a
+NotGolod witness forces a gap, or a proven Golod rule combined with a strict
+gap, raises InconsistencyError since only an implementation fault can
+produce either.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .groebner import GroebnerBasis, QuotientRing
 from .koszul import KoszulComplex, koszul_betti
 from .massey import MasseyTable, build_rainbow_table, build_trivial_table
 from .monomial import MonomialIdeal, detect_rainbow, polarize
-from .resolution import PoincareData, poincare_coeffs, serre_bound
+from .resolution import poincare_coeffs, serre_bound
 from .taylor import taylor_betti
 
 __all__ = [
@@ -445,10 +445,14 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
             caps.append("poincare internal-degree cap")
     if pdata is not None:
         if verdict == "NotGolod" and rule in ("HomologyProduct", "MasseyProduct"):
-            if pdata.is_equality():
+            # a nonzero product of classes in H_{i_1}..H_{i_p} forces a gap
+            # at t^(sum i_k + p - 1); equality below that is no contradiction
+            gap_at = sum(c.hom_degree for c in witness["classes"]) + witness["length"] - 1
+            if config.N >= gap_at and pdata.is_equality():
                 raise InconsistencyError(
                     "Serre equality through t^%d next to a nonzero (Massey) "
-                    "product witness: implementation fault" % config.N
+                    "product witness, which forces a gap at t^%d: "
+                    "implementation fault" % (config.N, gap_at)
                 )
         if verdict == "GolodProven" and not pdata.is_equality():
             raise InconsistencyError(

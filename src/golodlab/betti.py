@@ -3,7 +3,7 @@ rank, with the Macaulay-style grid printer (rows indexed by j - i).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
@@ -36,14 +36,6 @@ class BettiTable:
 
     def regularity(self) -> int:
         return max((j - i for (i, j) in self.entries), default=0)
-
-    def entrywise_leq(self, other: "BettiTable"):
-        """None if <= everywhere, else the first violating (i, j, a, b)."""
-        for (i, j), v in sorted(self.entries.items()):
-            w = other.get(i, j)
-            if v > w:
-                return (i, j, v, w)
-        return None
 
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries

@@ -6,8 +6,6 @@ serialization and equality tests lean on that.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import InputError
 from .linalg import axpy
 from .monomial import MonomialIdeal
@@ -16,7 +14,6 @@ from .rings import (
     Mono,
     PolyRing,
     Polynomial,
-    mono_deg,
     mono_div,
     mono_divides,
     mono_lcm,

@@ -17,7 +17,7 @@ j = deg(m) + |S|; multidegree = m + indicator(S).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .betti import BettiTable
@@ -346,11 +346,6 @@ class KoszulComplex:
 
     def is_boundary(self, z: KoszulElement) -> bool:
         return self.boundary_preimage(z) is not None
-
-    def class_is_zero(self, z: KoszulElement) -> bool:
-        if not z.is_cycle():
-            raise InputError("not a cycle")
-        return self.is_boundary(z)
 
     # homology bases over all strands
 

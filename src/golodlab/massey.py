@@ -34,7 +34,6 @@ from typing import Optional
 from .errors import CapExceededError, InconsistencyError, InputError
 from .koszul import HomologyClass, KoszulComplex, KoszulElement
 from .linalg import axpy, solve_columns
-from .rings import mono_deg
 
 # ---------------------------------------------------------------------------
 # eta cycles and rainbow labels
@@ -321,7 +320,7 @@ class MasseyTable:
         return sum(1 for lam in self.values if len(lam) == p)
 
     def to_json(self) -> dict:
-        from .parsing import ideal_file_str, poly_str
+        from .parsing import poly_str
 
         ring = self.quot.ring
         gens = [poly_str(g, self.quot.gb.order) for g in self.quot.gb.gens]

@@ -1,6 +1,5 @@
 """Monomial ideals and the combinatorial toolkit around them: polarization,
-variable-identification specializations, rainbow structure detection, ranked
-projections, and complements inside the full transversal ideal.
+variable-identification surjections and rainbow structure detection.
 """
 from __future__ import annotations
 
@@ -245,55 +244,6 @@ def _verify_linear_regular(J: MonomialIdeal, differences, target: MonomialIdeal,
             )
 
 
-def specialize_variable_differences(gens, differences, check_degree: int = 10):
-    """Quotient by variable differences x_i - x_j: identify variables and map
-    the ideal along.  Returns (image generators, surjection, regular flag).
-
-    gens are polynomials; differences are index pairs in their ring.  The
-    regular flag reports whether the difference forms are a regular sequence
-    on R/(gens), tested by Hilbert comparison through check_degree.
-    """
-    from .groebner import GroebnerBasis, QuotientRing
-    from .orders import grevlex
-
-    if not gens:
-        raise InputError("empty generator list")
-    ring = gens[0].ring
-    parent = list(range(ring.nvars))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in differences:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    reps = sorted({find(i) for i in range(ring.nvars)})
-    target = PolyRing(tuple(ring.names[r] for r in reps), ring.field)
-    var_map = tuple(reps.index(find(i)) for i in range(ring.nvars))
-    phi = RingSurjection(ring, target, var_map)
-    images = [phi.apply(g) for g in gens]
-    images = [g for g in images if not g.is_zero()]
-
-    s = len(differences)
-    gb_src = GroebnerBasis(ring, grevlex(ring), list(gens))
-    big = list(gens) + [ring.var(i) - ring.var(j) for i, j in differences]
-    gb_cut = GroebnerBasis(ring, grevlex(ring), big)
-    qs, qc = QuotientRing(gb_src), QuotientRing(gb_cut)
-    regular = True
-    for d in range(check_degree + 1):
-        expected = sum(
-            (-1) ** k * comb(s, k) * qs.dim_k(d - k) for k in range(0, min(s, d) + 1)
-        )
-        if qc.dim_k(d) != expected:
-            regular = False
-            break
-    return images, phi, regular
-
-
 @dataclass(frozen=True)
 class RainbowStructure:
     """A partition of the variables into ordered color classes such that
@@ -435,46 +385,3 @@ def detect_rainbow(
     if not validate_rainbow(I, st):
         raise InconsistencyError("search produced a non-rainbow coloring")
     return RainbowDetectResult("found", st, searched_colors=n)
-
-
-def ranked_projection(I: MonomialIdeal, structure: RainbowStructure, keep_colors):
-    """Set the variables of the discarded colors to 1.
-
-    keep_colors is an increasing tuple of color indices; the image lives in
-    the subring on the kept classes and is rainbow there.
-    """
-    keep_colors = tuple(keep_colors)
-    if any(c < 0 or c >= structure.n_colors for c in keep_colors):
-        raise InputError("bad color index")
-    keep_vars = sorted(v for c in keep_colors for v in structure.classes[c])
-    names = tuple(structure.ring.names[v] for v in keep_vars)
-    new_index = {v: k for k, v in enumerate(keep_vars)}
-    new_classes = tuple(
-        tuple(new_index[v] for v in structure.classes[c]) for c in keep_colors
-    )
-    target = PolyRing(names, structure.ring.field, colors=new_classes)
-    gens = []
-    for g in I.gens:
-        gens.append(tuple(g[v] for v in keep_vars))
-    J = MonomialIdeal.from_monos(target, gens)
-    return J, RainbowStructure(target, new_classes)
-
-
-def complementary_ideal(
-    I: MonomialIdeal, structure: RainbowStructure, cap: int = 100000
-) -> MonomialIdeal:
-    """Transversal monomials that are not generators of I."""
-    total = 1
-    for s in structure.class_sizes:
-        total *= s
-    if total > cap:
-        raise CapExceededError("transversal count %d exceeds cap" % total)
-    gens = set(I.gens)
-    out = []
-    for label in itertools.product(*(range(s) for s in structure.class_sizes)):
-        m = structure.transversal_mono(label)
-        if m not in gens:
-            out.append(m)
-    if not out:
-        raise InputError("complement is empty: the ideal is the full transversal ideal")
-    return MonomialIdeal.from_monos(structure.ring, out)

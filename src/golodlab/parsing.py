@@ -22,7 +22,7 @@ from .errors import InputError, ParseError
 from .fields import GF, QQ, Field
 from .linalg import axpy
 from .orders import TermOrder, diagonal_order, grevlex, lex, weight_order
-from .rings import Mono, PolyRing, Polynomial
+from .rings import PolyRing, Polynomial
 
 _NAME = re.compile(r"[A-Za-z][0-9]*")
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][0-9]*)|(?P<op>[*^/+\-]))")

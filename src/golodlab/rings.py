@@ -7,8 +7,7 @@ object and nothing mutates .terms after construction.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError, RingMismatchError
@@ -245,16 +244,6 @@ class Polynomial:
     def coeff(self, m: Mono):
         return self.terms.get(tuple(m), self.ring.field.zero)
 
-    def map_coeffs(self, fn, target_ring=None) -> "Polynomial":
-        ring = target_ring or self.ring
-        out = {}
-        F = ring.field
-        for m, c in self.terms.items():
-            v = F.of(fn(c))
-            if v:
-                out[m] = v
-        return Polynomial(ring, out)
-
     def subs(self, target: PolyRing, images: list) -> "Polynomial":
         """Ring map sending variable i to images[i] (a Polynomial over target)."""
         if len(images) != self.ring.nvars:
@@ -286,8 +275,3 @@ def random_monomial(rng, ring: PolyRing, max_deg: int) -> Mono:
     for _ in range(d):
         m[rng.randrange(ring.nvars)] += 1
     return tuple(m)
-
-
-def all_monomials_upto(ring: PolyRing, d: int):
-    for k in range(d + 1):
-        yield from monomials_of_degree(ring.nvars, k)

@@ -32,6 +32,10 @@ CASES = {
     "betti_gorenstein3_initial": ["betti", "--ideal", str(FIXTURES / "gorenstein3_initial.txt")],
     "gb_half_coefficient": ["gb", "--ideal", "1/2*x^2-y^2, xy"],
     "golod_gorenstein3_f32003": ["golod", "--ideal", GORENSTEIN3_F32003],
+    "minors_2x4": ["minors", "--shape", "2x4"],
+    "minors_3x4": ["minors", "--shape", "3x4"],
+    "golod_graded_upto": ["golod", "--ideal", "2*x^2*y-6*x*y*z-2*x*z^2,9*x*y,-6*x^2*z"],
+    "golod_x2_yz_cap": ["golod", "--ideal", "x^2-y*z,y^2-x*z,z^2-x*y", "--D", "3"],
 }
 
 # verdict and rule each golod golden file must show
@@ -42,6 +46,8 @@ RULES = {
     "golod_x2_xy": ("GolodProven", "PolarizationTransfer"),
     "golod_xy_z2": ("GolodProven", "FiberInvariantTransfer"),
     "golod_gorenstein3_f32003": ("NotGolod", "HomologyProduct"),
+    "golod_graded_upto": ("GolodUpTo", None),
+    "golod_x2_yz_cap": ("GolodProven", "FiberInvariantTransfer"),
 }
 
 
@@ -88,6 +94,7 @@ def test_json_matches_golden_bytes_and_schema(name, capsys):
     if name in RULES:
         top = payload["certificate"]
         assert (top["verdict"], top["rule"]) == RULES[name]
+        assert top["caps_exceeded"] is (name == "golod_x2_yz_cap")
 
 
 def test_golden_cases_cover_every_golden_file():

@@ -118,3 +118,13 @@ def test_axpy_drops_zeros_and_keeps_qq_integral_values_int():
     assert dst == {1: 4, 2: Fraction(1, 3)}
     assert type(dst[1]) is int
     assert list(dst) == [1, 2]
+
+
+def test_reduce_follows_fill_in_to_later_pivots():
+    # subtracting the row at pivot 0 brings in key 1, itself a pivot
+    e = Eliminator(QQ)
+    assert e.insert({0: 1, 1: 1}, "a") is None
+    assert e.insert({1: 1}, "b") is None
+    assert e.contains({0: 1})
+    assert not e.contains({2: 1})
+    assert kernel_basis([{0: 1, 1: 1}, {1: 1}, {0: 1}], QQ) == [{2: 1, 0: -1, 1: 1}]

@@ -1,0 +1,227 @@
+"""The stepwise resolution of k: closed-form Poincare series, the Serre
+bound, the internal-degree cap, and agreement with a straightforward
+stepwise resolution kept here as an oracle."""
+
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from golodlab import GF, QQ, CapExceededError, GroebnerBasis, PolyRing, QuotientRing, grevlex
+from golodlab.koszul import koszul_betti
+from golodlab.linalg import Eliminator, axpy, kernel_basis
+from golodlab.parsing import infer_ring_from_text, parse_poly
+from golodlab.resolution import bigraded_golod_series, poincare_coeffs
+from golodlab.rings import mono_deg
+
+from conftest import random_homogeneous_ideal, random_monomial_ideal, seeded
+
+F32003 = GF(32003)
+
+
+def quotient(text, field=QQ):
+    ring = infer_ring_from_text(text, field)
+    gens = [parse_poly(s, ring) for s in text.split(",")]
+    return QuotientRing(GroebnerBasis(ring, grevlex(ring), gens))
+
+
+def ci_series(n, c, N):
+    """Coefficients of (1+t)^n / (1-t^2)^c through t^N."""
+    geom = [0] * (N + 1)
+    for k in range(N // 2 + 1):
+        geom[2 * k] = comb(c + k - 1, k)
+    return tuple(
+        sum(comb(n, i) * geom[d - i] for i in range(min(n, d) + 1)) for d in range(N + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# oracle: one kernel_basis per slice, then a second elimination that splits
+# the kernel into multiples of lower-degree kernel vectors and new generators
+
+
+def _oracle_slices(quot, gens, j, multi):
+    slices = {}
+    for t, (deg, grade, _) in enumerate(gens):
+        if j - deg < 0:
+            continue
+        for m in quot.std_monomials(j - deg):
+            g = tuple(a + b for a, b in zip(grade, m)) if multi else grade + mono_deg(m)
+            slices.setdefault(g, []).append((t, m))
+    return slices
+
+
+def _oracle_image(quot, image, m):
+    out = {}
+    for (s, m1), c in image.items():
+        axpy(out, c, {(s, m2): c2 for m2, c2 in quot.mult_mono(m, m1).items()}, quot.field)
+    return out
+
+
+def _oracle_shift(quot, vec, v):
+    out = {}
+    for (t, m), c in vec.items():
+        axpy(out, c, {(t, m2): c2 for m2, c2 in quot.mult_var(v, m).items()}, quot.field)
+    return out
+
+
+def oracle_resolution(quot, N, D):
+    """(coefficients, graded) of the minimal resolution of k, or raises
+    CapExceededError under the same rules as poincare_coeffs."""
+    field_ = quot.field
+    multi = quot.is_monomial
+    nvars = quot.ring.nvars
+    big = bigraded_golod_series(nvars, koszul_betti(quot), N)
+    tops = [max(d, default=-1) for d in big]
+    current = [(0, tuple([0] * nvars) if multi else 0, {})]
+    coefficients = [1]
+    graded = {(0, 0): 1}
+    for step in range(1, N + 1):
+        top = tops[step]
+        jmax = min(D, top)
+        kernels = {}
+        new_gens = []
+        lo = min(g[0] for g in current) + 1 if current else 1
+        for j in range(lo, jmax + 1):
+            for g, cols in sorted(_oracle_slices(quot, current, j, multi).items()):
+                images = [_oracle_image(quot, current[t][2], m) for (t, m) in cols]
+                combos = kernel_basis(images, field_)
+                if not combos:
+                    continue
+                kvecs = [{cols[i]: c for i, c in combo.items()} for combo in combos]
+                kernels[g] = kvecs
+                elim = Eliminator(field_)
+                tag = 0
+                for v in range(nvars):
+                    prev = g[:v] + (g[v] - 1,) + g[v + 1 :] if multi else j - 1
+                    if multi and prev[v] < 0:
+                        continue
+                    for k in kernels.get(prev, []):
+                        shifted = _oracle_shift(quot, k, v)
+                        if shifted:
+                            elim.insert(shifted, tag)
+                            tag += 1
+                for vec in kvecs:
+                    if elim.insert(dict(vec), tag) is None:
+                        new_gens.append((j, g, vec))
+                        graded[(step, j)] = graded.get((step, j), 0) + 1
+                    tag += 1
+        if top > D and current and lo > jmax:
+            raise CapExceededError("step %d unexplored" % step)
+        if jmax == D and top > D and any(g[0] == D for g in new_gens):
+            raise CapExceededError("generators at the cap at step %d" % step)
+        coefficients.append(len(new_gens))
+        current = new_gens
+    return tuple(coefficients), graded
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+
+@pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
+@pytest.mark.parametrize(
+    "text, n, c",
+    [
+        ("x^2, y^3", 2, 2),
+        ("x^2-y^2, x*y", 2, 2),
+        ("x^2, y^2, z^2", 3, 3),
+        ("x^3", 1, 1),
+        ("x*y-z^2", 3, 1),
+    ],
+)
+def test_complete_intersection_closed_form(text, n, c, field):
+    quot = quotient(text, field)
+    P = poincare_coeffs(quot, 6, 40)
+    assert P.coefficients == ci_series(n, c, 6)
+    assert P.certified_complete
+
+
+def test_non_monomial_ci_is_sliced_by_total_degree():
+    quot = quotient("x^2-y^2, x*y")
+    assert not quot.is_monomial
+    P = poincare_coeffs(quot, 5, 30)
+    assert set(j for (_, j) in P.graded) == set(range(6))
+    # a quadratic complete intersection is Koszul: step i sits in degree i
+    assert all(i == j for (i, j) in P.graded)
+
+
+@pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
+def test_golod_quotient_meets_the_serre_bound(field):
+    P = poincare_coeffs(quotient("x^2, x*y", field), 8, 48)
+    assert P.is_equality()
+    assert P.first_gap() is None
+    assert P.coefficients[:4] == (1, 2, 3, 5)
+
+
+def test_not_golod_quotient_shows_the_first_gap():
+    P = poincare_coeffs(quotient("x^2, y^2"), 5, 30)
+    assert P.coefficients == (1, 2, 3, 4, 5, 6)
+    assert P.bound[:4] == (1, 2, 3, 5)
+    assert P.first_gap() == 3
+
+
+# ---------------------------------------------------------------------------
+# the internal-degree cap
+
+
+def test_cap_below_a_whole_step_raises():
+    with pytest.raises(CapExceededError, match="entirely unexplored"):
+        poincare_coeffs(quotient("x^2, y^2"), 4, 2)
+
+
+def test_generators_at_the_cap_raise():
+    with pytest.raises(CapExceededError, match="at the cap itself"):
+        poincare_coeffs(quotient("x^2, y^2"), 3, 3)
+
+
+def test_cap_below_the_ceiling_is_not_certified():
+    quot = quotient("x^2, y^2")
+    P = poincare_coeffs(quot, 6, 7)
+    assert not P.certified_complete
+    assert P.coefficients == ci_series(2, 2, 6)
+    assert poincare_coeffs(quot, 6, 40).certified_complete
+
+
+# ---------------------------------------------------------------------------
+# agreement with the oracle
+
+
+def _compare(quot, N, D):
+    try:
+        expected = oracle_resolution(quot, N, D)
+    except CapExceededError:
+        with pytest.raises(CapExceededError):
+            poincare_coeffs(quot, N, D)
+        return
+    P = poincare_coeffs(quot, N, D)
+    assert (P.coefficients, P.graded) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5), D=st.integers(2, 9))
+def test_monomial_quotients_match_oracle(seed, N, D):
+    rng = seeded(seed)
+    I = random_monomial_ideal(rng, rng.randint(1, 3), 3, max_gens=4)
+    ring = I.ring
+    quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), I.polys()))
+    _compare(quot, N, D)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10 ** 9),
+    N=st.integers(1, 5),
+    D=st.integers(2, 9),
+    prime=st.booleans(),
+)
+def test_graded_quotients_match_oracle(seed, N, D, prime):
+    rng = seeded(seed)
+    ring = PolyRing(("x", "y", "z"), F32003 if prime else QQ)
+    gens = random_homogeneous_ideal(rng, ring, max_deg=2, n_gens=3)
+    if not gens:
+        return
+    quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), gens))
+    if quot.gb.is_zero_ideal() or any(mono_deg(l) == 0 for l in quot.gb.lts):
+        return
+    _compare(quot, N, D)
