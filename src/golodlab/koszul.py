@@ -275,12 +275,9 @@ class KoszulComplex:
 
     def diff_rank(self, basis: list) -> int:
         elim = Eliminator(self.field)
-        rank = 0
-        for idx, pair in enumerate(basis):
-            vec = self.diff_vector(pair)
-            if elim.insert(vec, idx) is None:
-                rank += 1
-        return rank
+        for pair in basis:
+            elim.insert(self.diff_vector(pair))
+        return elim.rank
 
     def homology(self, i: int, key, multi: bool = False) -> HomologyStrand:
         hkey = ("m" if multi else "z", i, key)
@@ -294,11 +291,11 @@ class KoszulComplex:
         ]
         elim = Eliminator(self.field)
         up = self._basis_for(i + 1, key, multi)
-        for uidx, pair in enumerate(up):
-            elim.insert(self.diff_vector(pair), ("b", uidx))
+        for pair in up:
+            elim.insert(self.diff_vector(pair))
         reps = []
         for cyc in cycles:
-            if elim.insert(cyc, ("z", len(reps))) is None:
+            if elim.insert(cyc) is None:
                 reps.append(KoszulElement(self.quot, cyc))
         strand = HomologyStrand(i, key, basis, reps, len(reps))
         self._homology[hkey] = strand

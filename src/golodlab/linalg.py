@@ -6,18 +6,22 @@ without integer reindexing.  `axpy` is the one sparse accumulate kernel:
 every "add a multiple of one vector into another, dropping zeros" in the
 package goes through it.
 
-The Eliminator keeps a fully reduced (RREF) row set with combination
-tracking: inserting a vector either extends the basis or returns the
-dependency, which is how kernels and linear solves fall out.  Because every
-stored row is zero at every other row's pivot, eliminating one pivot from a
-vector never changes its entry at another pivot, so reduction is a single
-ascending pass over the pivots the vector starts with.  Reduction against an
-RREF basis is canonical, so results are deterministic for a fixed insertion
-order.
+The Eliminator keeps its rows in echelon form with combination tracking:
+inserting a vector either extends the basis or returns the dependency,
+which is how kernels and linear solves fall out.  Each row is stored at its
+pivot, the row's smallest index, scaled so that its pivot entry is -1; a new
+row is never used to rewrite the older ones.  `reduce` eliminates pivots in
+ascending order from a heap: subtracting a row can only bring in larger
+indices, and any of those that is itself a pivot is pushed and eliminated in
+turn.  Once the vectors that extend the basis are fixed, the residual of a
+reduction, the dependency an insert returns, the vectors of `kernel_basis`
+and the solutions of `solve_columns` are all unique, so results are
+deterministic for a fixed insertion order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 def axpy(dst: dict, c, src: dict, field) -> dict:
@@ -52,8 +56,9 @@ def axpy(dst: dict, c, src: dict, field) -> dict:
 class Eliminator:
     def __init__(self, field):
         self.field = field
-        self.rows = {}  # pivot index -> (row dict, hist dict)
+        self.rows = {}  # pivot index -> (row, hist), row[pivot] == -1
         self.n_inserted = 0
+        self._untagged = False  # some row carries no history
 
     @property
     def rank(self) -> int:
@@ -61,38 +66,50 @@ class Eliminator:
 
     def reduce(self, vec: dict, tag=None):
         """Return (residual, hist): residual = vec reduced mod the row space,
-        hist expresses residual as tag + combination of previously inserted
-        tags (hist maps tag -> coefficient)."""
+        zero at every pivot; hist expresses residual as tag + combination of
+        previously inserted tags (hist maps tag -> coefficient).  Without a
+        tag no history is kept and hist is None."""
+        if tag is not None and self._untagged:
+            raise ValueError("history asked after an untagged vector extended the basis")
         F = self.field
         rows = self.rows
         residual = dict(vec)
-        hist = {} if tag is None else {tag: F.one}
-        for p in sorted(p for p in vec if p in rows):
-            c = F.neg(residual[p])
+        hist = None if tag is None else {tag: F.one}
+        heap = [p for p in residual if p in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            c = residual.get(p)
+            if c is None:  # already eliminated
+                continue
             row, rhist = rows[p]
+            for k in row:
+                if k not in residual and k in rows:
+                    heappush(heap, k)
             axpy(residual, c, row, F)
-            axpy(hist, c, rhist, F)
+            if hist is not None:
+                axpy(hist, c, rhist, F)
         return residual, hist
 
-    def insert(self, vec: dict, tag):
+    def insert(self, vec: dict, tag=None):
         """Insert a vector. Returns None if it extended the basis, else the
-        dependency dict (tag -> coefficient, summing to the zero vector)."""
+        dependency dict (tag -> coefficient, summing to the zero vector).
+
+        Without a tag no history is kept: a dependent vector returns {}, and
+        a row it adds carries none, so no tagged vector may follow it."""
         F = self.field
         residual, hist = self.reduce(vec, tag)
         self.n_inserted += 1
         if not residual:
-            return hist
+            return {} if hist is None else hist
         pivot = min(residual)
-        c = F.inv(residual[pivot])
+        c = F.neg(F.inv(residual[pivot]))
         row = axpy({}, c, residual, F)
-        rhist = axpy({}, c, hist, F)
-        # back-substitute: keep the stored rows fully reduced
-        for p, (r, h) in self.rows.items():
-            if pivot in r:
-                d = F.neg(r[pivot])
-                axpy(r, d, row, F)
-                axpy(h, d, rhist, F)
-        self.rows[pivot] = (row, rhist)
+        if hist is None:
+            self._untagged = True
+        else:
+            hist = axpy({}, c, hist, F)
+        self.rows[pivot] = (row, hist)
         return None
 
     def contains(self, vec: dict) -> bool:
@@ -102,8 +119,8 @@ class Eliminator:
 
 def rank_of(vectors, field) -> int:
     e = Eliminator(field)
-    for i, v in enumerate(vectors):
-        e.insert(v, i)
+    for v in vectors:
+        e.insert(v)
     return e.rank
 
 

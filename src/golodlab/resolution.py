@@ -1,12 +1,17 @@
 """Minimal graded resolution of the residue field and the Golod series bound.
 
 poincare_coeffs walks the start of the minimal free resolution of k over a
-quotient A = R/I one homological step at a time.  Within a step the kernel of
-the current differential is computed degree by degree on the standard-monomial
-basis of A; kernel elements that are not reachable by multiplying lower-degree
-kernel elements with variables are split off as minimal generators of the next
-free module.  Monomial quotients are sliced by multidegree, where every slice
-of A is at most one-dimensional, so the linear algebra stays tiny; other
+quotient A = R/I one homological step at a time, on the standard-monomial
+basis of A, with one elimination per slice of each step.  At step s and
+degree j, the columns m * g_t of F_s coming from generators of degree < j
+are mapped to F_{s-1}; each image is one variable times the image of a
+degree j-1 column.  These images span the degree-j part of
+(x_1..x_n) * ker d_{s-1}, so the kernel vectors of d_{s-1}, inserted after
+them, extend the basis exactly when they are minimal generators of F_s.
+By exactness the dependencies among the same images are ker d_s in degree
+j, which step s+1 reads as its kernel vectors, so no kernel is computed
+twice.  Monomial quotients are sliced by multidegree, where every slice of
+A is at most one-dimensional, so the linear algebra stays tiny; other
 quotients are sliced by total degree.
 
 serre_bound expands (1+t)^n / (1 - sum_{i>=1} dim_k H_i(K^A) t^{i+1}).  The
@@ -25,8 +30,7 @@ from math import comb
 from .errors import CapExceededError, InconsistencyError, InputError
 from .fields import QQ
 from .koszul import koszul_betti
-from .linalg import Eliminator, axpy, kernel_basis
-from .rings import mono_deg
+from .linalg import Eliminator, axpy
 
 __all__ = [
     "PoincareData",
@@ -127,7 +131,6 @@ def serre_bound(quot, N: int, betti_table=None) -> tuple:
 class _Gen:
     deg: int
     grade: object  # exponent tuple (monomial quotient) or total degree
-    image: dict  # {(index in previous module, std monomial): coefficient}
 
 
 @dataclass(frozen=True)
@@ -159,38 +162,42 @@ class PoincareData:
         return None
 
 
-def _grade_add(g, m, multi: bool):
-    if multi:
-        return tuple(a + b for a, b in zip(g, m))
-    return g + mono_deg(m)
-
-
-def _columns_by_slice(quot, gens, j, multi: bool):
-    """Group the degree-j component basis of a free module by grade slice."""
-    slices = {}
-    for t, gen in enumerate(gens):
-        r = j - gen.deg
-        if r < 0:
-            continue
-        for m in quot.std_monomials(r):
-            g = _grade_add(gen.grade, m, multi)
-            slices.setdefault(g, []).append((t, m))
-    return slices
-
-
-def _apply_diff(quot, field_, gen: _Gen, m):
-    """Image of m * gen under the differential, in previous-module coords."""
-    out = {}
-    for (s, m1), c in gen.image.items():
-        axpy(out, c, {(s, m2): c2 for m2, c2 in quot.mult_mono(m, m1).items()}, field_)
-    return out
-
-
 def _shift_by_var(quot, field_, vec: dict, v: int) -> dict:
     out = {}
     for (t, m), c in vec.items():
         axpy(out, c, {(t, m2): c2 for m2, c2 in quot.mult_var(v, m).items()}, field_)
     return out
+
+
+def _column_images(quot, gens, prev_images, j, splits):
+    """Images of the degree-j columns m * gen_t with deg gen_t < j.
+
+    Each is x_v times the image of the degree j-1 column (m / x_v) * gen_t,
+    x_v the first variable of m.  Returns the nonzero images by column (t, m)
+    and, per grade slice, its columns in order.  `prev_images` holds the
+    nonzero images of degree j-1, generators included; `splits` caches
+    (m, v, m / x_v) for the standard monomials of each degree.
+    """
+    images, slices = {}, {}
+    for t, gen in enumerate(gens):
+        if gen.deg >= j:
+            break
+        d = j - gen.deg
+        if d not in splits:
+            splits[d] = []
+            for m in quot.std_monomials(d):
+                v = next(i for i, e in enumerate(m) if e)
+                splits[d].append((m, v, m[:v] + (m[v] - 1,) + m[v + 1 :]))
+        for m, v, m1 in splits[d]:
+            col = (t, m)
+            prev = prev_images.get((t, m1))
+            if prev:
+                img = _shift_by_var(quot, quot.field, prev, v)
+                if img:
+                    images[col] = img
+            g = tuple(a + b for a, b in zip(gen.grade, m)) if quot.is_monomial else j
+            slices.setdefault(g, []).append(col)
+    return images, slices
 
 
 def poincare_coeffs(quot, N: int, D: int, betti_table=None) -> PoincareData:
@@ -219,63 +226,67 @@ def poincare_coeffs(quot, N: int, D: int, betti_table=None) -> PoincareData:
     bound = tuple(sum(d.values()) for d in big)
     # provable ceiling on internal degrees of step-i generators
     tops = [max(d, default=-1) for d in big]
-    certified = all(tops[i] <= D for i in range(min(N, len(tops) - 1) + 1))
+    certified = all(tops[i] <= D for i in range(N + 1))
+    jmaxes = [min(D, top) for top in tops] + [-1]
 
-    zero_grade = tuple([0] * nvars) if multi else 0
-    current = [_Gen(0, zero_grade, {})]
+    one = tuple([0] * nvars)  # the monomial 1
+    gens = [_Gen(0, one if multi else 0)]  # generators of F_0
+    lo = 1  # one above the lowest generator degree of F_{step-1}
+    kernels = {}  # degree <= jmax -> grade -> kernel vectors of d_{step-1}
     coefficients = [1]
     graded = {(0, 0): 1}
+    splits = {}  # see _column_images
 
-    for step in range(1, N + 1):
-        top = tops[step] if step < len(tops) else -1
-        jmax = min(D, top)
-        kernels = {}  # grade -> list of kernel vectors, this step only
-        new_gens = []
-        lo = min((g.deg for g in current), default=0) + 1
-        for j in range(lo, jmax + 1):
-            for g, cols in sorted(_columns_by_slice(quot, current, j, multi).items()):
-                images = [_apply_diff(quot, field_, current[t], m) for (t, m) in cols]
-                combos = kernel_basis(images, field_)
-                if not combos:
+    for step in range(N + 1):
+        top, jmax, jnext = tops[step], jmaxes[step], jmaxes[step + 1]
+        if step:  # F_0 is given: its degree ceiling is 0
+            if top > D and coefficients[-1] and lo > jmax:
+                raise CapExceededError(
+                    "internal degree cap D=%d leaves homological step %d entirely "
+                    "unexplored (generators can appear up to degree %d)" % (D, step, top)
+                )
+            gens = []  # generators of F_step, found degree by degree below
+        new_kernels, images = {}, {}
+        for j in range(lo, max(jmax, jnext) + 1):
+            images, slices = _column_images(quot, gens, images, j, splits)
+            track = j <= jnext
+            found = kernels.pop(j, {})
+            for g in sorted(slices.keys() | found.keys()):
+                kvecs = found.get(g, ())
+                if not (track or kvecs):
                     continue
-                kvecs = [{cols[idx]: c for idx, c in combo.items()} for combo in combos]
-                kernels[g] = kvecs
                 elim = Eliminator(field_)
-                tag = 0
-                for v in range(nvars):
-                    prev = g[:v] + (g[v] - 1,) + g[v + 1 :] if multi else j - 1
-                    if multi and prev[v] < 0:
-                        continue
-                    for k in kernels.get(prev, []):
-                        shifted = _shift_by_var(quot, field_, k, v)
-                        if shifted:
-                            elim.insert(shifted, ("mk", tag))
-                            tag += 1
+                deps = []
+                for col in slices.get(g, ()):
+                    dep = elim.insert(images.get(col, {}), col if track else None)
+                    if track and dep is not None:
+                        deps.append(dep)
+                if deps:
+                    new_kernels.setdefault(j, {})[g] = deps
+                # the columns span (x_1..x_n) ker d_{step-1} in this slice, so
+                # the kernel vectors that extend it are minimal generators
                 for vec in kvecs:
-                    if elim.insert(dict(vec), ("k", tag)) is None:
-                        new_gens.append(_Gen(j, g, vec))
+                    if elim.insert(vec) is None:
+                        images[(len(gens), one)] = vec
+                        gens.append(_Gen(j, g))
                         graded[(step, j)] = graded.get((step, j), 0) + 1
-                    tag += 1
-        if top > D and current and lo > jmax:
-            raise CapExceededError(
-                "internal degree cap D=%d leaves homological step %d entirely "
-                "unexplored (generators can appear up to degree %d)" % (D, step, top)
-            )
-        if jmax == D and top > D and any(g.deg == D for g in new_gens):
-            raise CapExceededError(
-                "internal degree cap D=%d hit at homological step %d: "
-                "syzygy generators appear at the cap itself" % (D, step)
-            )
-        for (ii, jj) in list(graded):
-            if ii == step:
-                s_ij = big[step].get(jj, 0)
-                if graded[(ii, jj)] > s_ij:
-                    raise InconsistencyError(
-                        "Serre bound violated at (%d, %d): %d > %d"
-                        % (ii, jj, graded[(ii, jj)], s_ij)
-                    )
-        coefficients.append(len(new_gens))
-        current = new_gens
+        kernels = new_kernels
+        if step:
+            if jmax == D and top > D and any(g.deg == D for g in gens):
+                raise CapExceededError(
+                    "internal degree cap D=%d hit at homological step %d: "
+                    "syzygy generators appear at the cap itself" % (D, step)
+                )
+            for (ii, jj) in list(graded):
+                if ii == step:
+                    s_ij = big[step].get(jj, 0)
+                    if graded[(ii, jj)] > s_ij:
+                        raise InconsistencyError(
+                            "Serre bound violated at (%d, %d): %d > %d"
+                            % (ii, jj, graded[(ii, jj)], s_ij)
+                        )
+            coefficients.append(len(gens))
+        lo = gens[0].deg + 1 if gens else 1
 
     coefficients = tuple(coefficients)
     for i, (c, s) in enumerate(zip(coefficients, bound)):

@@ -4,6 +4,7 @@ sympy over QQ and brute force over GF(7)."""
 import itertools
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -128,3 +129,15 @@ def test_reduce_follows_fill_in_to_later_pivots():
     assert e.contains({0: 1})
     assert not e.contains({2: 1})
     assert kernel_basis([{0: 1, 1: 1}, {1: 1}, {0: 1}], QQ) == [{2: 1, 0: -1, 1: 1}]
+
+
+def test_untagged_inserts_keep_no_history():
+    e = Eliminator(F7)
+    assert e.insert({0: 1, 1: 2}, "a") is None
+    assert e.insert({1: 1}) is None
+    assert e.insert({0: 3, 1: 5}) == {}
+    assert e.rank == 2 and e.contains({0: 1})
+    with pytest.raises(ValueError):
+        e.insert({2: 1}, "b")
+    with pytest.raises(ValueError):
+        e.reduce({0: 1}, "c")
