@@ -26,17 +26,9 @@ from .errors import (
     RingMismatchError,
 )
 from .fields import GF, QQ, Field
-from .flatfam import (
-    HomogenizedIdeal,
-    degeneration_summary,
-    homogenize_ideal,
-    initial_form,
-    specialize_t,
-)
 from .groebner import GroebnerBasis, QuotientRing, buchberger, normal_form
-from .koszul import HomologyClass, KoszulComplex, KoszulElement, koszul_betti
+from .koszul import HomologyClass, KoszulComplex, KoszulElement, koszul_betti, quotient_betti
 from .massey import (
-    KoszulMap,
     MasseyResult,
     MasseyTable,
     TrivialMasseyOutcome,
@@ -44,8 +36,6 @@ from .massey import (
     build_trivial_table,
     homology_product,
     massey_product,
-    pullback_massey,
-    pushforward_massey,
 )
 from .monomial import (
     MonomialIdeal,
@@ -81,14 +71,12 @@ __all__ = [
     "GolodCertificate",
     "GolodlabError",
     "GroebnerBasis",
-    "HomogenizedIdeal",
     "HomologyClass",
     "IdealFile",
     "InconsistencyError",
     "InputError",
     "KoszulComplex",
     "KoszulElement",
-    "KoszulMap",
     "LadderMatrix",
     "MasseyResult",
     "MasseyTable",
@@ -107,7 +95,6 @@ __all__ = [
     "buchberger",
     "build_rainbow_table",
     "build_trivial_table",
-    "degeneration_summary",
     "detect_rainbow",
     "diagonal_order",
     "display_sorted",
@@ -116,12 +103,10 @@ __all__ = [
     "golod_series",
     "grevlex",
     "has_linear_resolution",
-    "homogenize_ideal",
     "homology_product",
     "ideal_file_str",
     "ideal_power",
     "infer_ring_from_text",
-    "initial_form",
     "koszul_betti",
     "lex",
     "massey_product",
@@ -135,11 +120,9 @@ __all__ = [
     "poincare_coeffs",
     "polarize",
     "poly_str",
-    "pullback_massey",
-    "pushforward_massey",
+    "quotient_betti",
     "recognize_monomial_power",
     "serre_bound",
-    "specialize_t",
     "taylor_betti",
     "validate_rainbow",
     "verify_sparse_theorems",

@@ -30,11 +30,10 @@ from typing import Optional
 from .betti import BettiTable, has_linear_resolution
 from .errors import CapExceededError, InconsistencyError, InputError
 from .groebner import GroebnerBasis, QuotientRing
-from .koszul import KoszulComplex, koszul_betti
+from .koszul import KoszulComplex, quotient_betti
 from .massey import MasseyTable, build_rainbow_table, build_trivial_table
 from .monomial import MonomialIdeal, detect_rainbow, polarize
 from .resolution import poincare_coeffs, serre_bound
-from .taylor import taylor_betti
 
 __all__ = [
     "AnalyzerConfig",
@@ -78,17 +77,6 @@ class AnalyzerConfig:
         }
 
 
-def _monomial_betti(I: MonomialIdeal, strand_budget: int = 2_000_000) -> BettiTable:
-    """Exact Betti table of a monomial ideal: Taylor-complex oracle when the
-    generator count allows it, Koszul homology otherwise."""
-    if len(I.gens) <= 18:
-        return taylor_betti(I)
-    from .orders import lex
-
-    gb = GroebnerBasis(I.ring, lex(I.ring), I.polys())
-    return koszul_betti(QuotientRing(gb), strand_budget=strand_budget)
-
-
 # ---------------------------------------------------------------------------
 # fiber invariance
 
@@ -124,7 +112,7 @@ def fiber_invariant(gb: GroebnerBasis, betti_ideal=None, strand_budget: int = 2_
     if all(g.is_monomial() for g in gb.gens):
         return FiberInvariantResult(True, fast_path="monomial ideal equals its initial ideal")
     inI = gb.initial_ideal()
-    binit = _monomial_betti(inI, strand_budget)
+    binit = quotient_betti(gb.initial_quotient(), strand_budget)
     if inI.is_equigenerated() and has_linear_resolution(binit):
         return FiberInvariantResult(
             True,
@@ -134,7 +122,7 @@ def fiber_invariant(gb: GroebnerBasis, betti_ideal=None, strand_budget: int = 2_
         )
     bI = betti_ideal
     if bI is None:
-        bI = koszul_betti(QuotientRing(gb), strand_budget=strand_budget)
+        bI = quotient_betti(QuotientRing(gb), strand_budget)
     ideal_linear = False
     try:
         ideal_linear = has_linear_resolution(bI)
@@ -313,6 +301,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
     verdict = rule = witness = None
     evidence = {}
     table = None
+    btable = None  # Betti table of R/I, shared by rule 2 and the Serre block
     outcome = None
     inner_cert = None
     pending = None  # NotGolod transfer waiting on the direct-witness search
@@ -334,8 +323,8 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
         if det.status == "bound_exceeded":
             caps.append("rainbow color search bound")
         if det.status == "found" and I_mono.is_equigenerated():
-            bmono = _monomial_betti(I_mono, config.strand_budget)
-            if has_linear_resolution(bmono):
+            btable = quotient_betti(quot, config.strand_budget)
+            if has_linear_resolution(btable):
                 try:
                     table = build_rainbow_table(
                         quot,
@@ -440,7 +429,9 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
     serre = None
     pdata = None
     if config.with_serre:
-        serre, pdata, capped = _serre_block(quot, koszul_betti(quot, kz=kz), config)
+        if btable is None:
+            btable = quotient_betti(quot, config.strand_budget, kz)
+        serre, pdata, capped = _serre_block(quot, btable, config)
         if capped:
             caps.append("poincare internal-degree cap")
     if pdata is not None:

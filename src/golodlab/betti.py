@@ -19,9 +19,6 @@ class BettiTable:
         if self.multigraded is not None:
             self.multigraded = {k: v for k, v in self.multigraded.items() if v}
 
-    def get(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
-
     def total(self, i: int) -> int:
         return sum(v for (ii, _), v in self.entries.items() if ii == i)
 
@@ -30,9 +27,6 @@ class BettiTable:
 
     def proj_dim(self) -> int:
         return max((i for (i, _) in self.entries), default=0)
-
-    def max_internal(self) -> int:
-        return max((j for (_, j) in self.entries), default=0)
 
     def regularity(self) -> int:
         return max((j - i for (i, j) in self.entries), default=0)

@@ -32,13 +32,12 @@ from .analyzer import (
     _witness_json,
     fiber_invariant,
     golod_certificate,
-    _monomial_betti,
 )
 from .betti import BettiTable
 from .determinantal import LadderMatrix, verify_sparse_theorems
 from .errors import CapExceededError, InconsistencyError, InputError
 from .groebner import GroebnerBasis, QuotientRing
-from .koszul import koszul_betti
+from .koszul import quotient_betti
 from .massey import build_trivial_table
 from .monomial import MonomialIdeal, detect_rainbow, display_sorted
 from .orders import TermOrder, grevlex
@@ -131,10 +130,6 @@ def _config(spec: JobSpec) -> AnalyzerConfig:
     return AnalyzerConfig(**kw)
 
 
-def _canonical_monos(ring, monos):
-    return display_sorted(monos)
-
-
 def _betti_json(B: BettiTable) -> dict:
     return {
         "entries": [
@@ -167,14 +162,11 @@ def run_job(spec: JobSpec) -> Report:
         )
     if spec.command == "initial":
         I = gb.initial_ideal()
-        monos = _canonical_monos(f.ring, I.gens)
+        monos = display_sorted(I.gens)
         names = [f.ring.mono_str(m) for m in monos]
         return Report(", ".join(names), dict(header, generators=names))
     if spec.command == "betti":
-        if all(g.is_monomial() for g in gb.gens):
-            B = _monomial_betti(MonomialIdeal.from_monos(f.ring, gb.lts))
-        else:
-            B = koszul_betti(QuotientRing(gb))
+        B = quotient_betti(QuotientRing(gb))
         return Report(B.grid_str(), dict(header, **_betti_json(B)))
     if spec.command == "fiber-inv":
         fi = fiber_invariant(gb)

@@ -21,10 +21,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .analyzer import AnalyzerConfig, fiber_invariant, golod_certificate, _monomial_betti
+from .analyzer import AnalyzerConfig, fiber_invariant, golod_certificate
 from .betti import has_linear_resolution
 from .errors import InputError
-from .groebner import GroebnerBasis
+from .groebner import GroebnerBasis, QuotientRing
+from .koszul import quotient_betti
 from .monomial import MonomialIdeal, RainbowStructure, display_sorted, validate_rainbow
 from .orders import diagonal_order, grevlex, lex
 from .rings import PolyRing, Polynomial
@@ -315,7 +316,9 @@ def verify_sparse_theorems(
         in_power = gb_t.initial_ideal()
         power_of_in = in_I.power(t)
         power_eq["t=%d" % t] = fail(in_power == power_of_in)
-        bt = _monomial_betti(power_of_in)
+        bt = quotient_betti(
+            QuotientRing(GroebnerBasis(ring, diag, power_of_in.polys(), reduce=False))
+        )
         linear["t=%d" % t] = fail(
             power_of_in.is_equigenerated() and has_linear_resolution(bt)
         )

@@ -173,6 +173,12 @@ class GroebnerBasis:
     def initial_ideal(self) -> MonomialIdeal:
         return MonomialIdeal.from_monos(self.ring, self.lts)
 
+    def initial_quotient(self) -> "QuotientRing":
+        """R/in(I).  The minimal monomial generators of in(I) are a reduced
+        basis for any order, so no Buchberger pass is run."""
+        gb = GroebnerBasis(self.ring, self.order, self.initial_ideal().polys(), reduce=False)
+        return QuotientRing(gb)
+
     def is_zero_ideal(self) -> bool:
         return not self.gens
 

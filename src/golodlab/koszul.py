@@ -24,6 +24,7 @@ from .betti import BettiTable
 from .errors import CapExceededError, InconsistencyError, InputError
 from .linalg import Eliminator, axpy, kernel_basis, solve_columns
 from .rings import mono_deg, mono_lcm
+from .taylor import TAYLOR_MAX_GENS, taylor_betti
 
 Pair = tuple  # (S, m)
 
@@ -148,9 +149,6 @@ class KoszulElement:
 
     def is_cycle(self) -> bool:
         return self.differential().is_zero()
-
-    def vector(self) -> dict:
-        return dict(self.terms)
 
     def to_text(self) -> list:
         """[[indices, polynomial], ...] grouped by wedge factor, sorted."""
@@ -373,8 +371,8 @@ class KoszulComplex:
         """HomologyClass list across all nonvanishing strands of H_{>=1}.
 
         Monomial quotients iterate multidegrees of the lcm lattice; general
-        graded quotients iterate the internal degrees allowed by the Taylor
-        support of the initial ideal (upper-semicontinuity of Betti numbers).
+        graded quotients iterate the internal degrees in the support of the
+        Betti table of R/in(I) (upper-semicontinuity of Betti numbers).
         """
         top = self.n if max_hom is None else min(max_hom, self.n)
         out = []
@@ -392,12 +390,7 @@ class KoszulComplex:
                     raise InputError(
                         "homology basis of a non-monomial quotient needs a homogeneous ideal"
                     )
-            from .monomial import MonomialIdeal
-            from .taylor import taylor_betti
-            support = taylor_betti(
-                MonomialIdeal.from_monos(self.ring, self.quot.gb.lts)
-            ).support()
-            for (i, j) in sorted(support):
+            for (i, j) in _initial_support(self.quot, self.strand_budget):
                 if i == 0 or i > top:
                     continue
                 strand = self.homology(i, j, multi=False)
@@ -415,10 +408,32 @@ class KoszulComplex:
         return HomologyClass(z, i, keys.pop(), label=label)
 
 
+def quotient_betti(quot, strand_budget: int = 2_000_000, kz=None) -> BettiTable:
+    """Betti table of A = R/I over R: the one place an engine is chosen.
+
+    A monomial quotient whose minimal generators fit under the Taylor cap
+    uses taylor_betti, which is the faster engine there; every other
+    quotient uses koszul_betti, the only engine that runs above the cap.
+    """
+    if quot.is_monomial:
+        I = quot.gb.initial_ideal()
+        if len(I.gens) <= TAYLOR_MAX_GENS:
+            return taylor_betti(I)
+    return koszul_betti(quot, strand_budget=strand_budget, kz=kz)
+
+
+def _initial_support(quot, strand_budget: int) -> list:
+    """Sorted support of the Betti table of R/in(I), which contains the
+    support of R/I's table by upper-semicontinuity of Betti numbers."""
+    return quotient_betti(quot.gb.initial_quotient(), strand_budget=strand_budget).support()
+
+
 def koszul_betti(quot, strand_budget: int = 2_000_000, kz=None) -> BettiTable:
     """Betti table of A = R/I over R, read off from Koszul strand homology.
 
-    Pass an existing complex via kz to share its strand cache."""
+    A monomial quotient scans the multidegrees of its lcm lattice; any other
+    graded quotient scans the support of the table of R/in(I).  Pass an
+    existing complex via kz to share its strand cache."""
     kz = kz or KoszulComplex(quot, strand_budget=strand_budget)
     entries = {(0, 0): 1}
     multigraded = {}
@@ -438,22 +453,7 @@ def koszul_betti(quot, strand_budget: int = 2_000_000, kz=None) -> BettiTable:
     for g in quot.gb.gens:
         if not g.is_homogeneous():
             raise InputError("koszul_betti needs a homogeneous ideal")
-    from .monomial import MonomialIdeal
-
-    lt_ideal = MonomialIdeal.from_monos(quot.ring, quot.gb.lts)
-    if len(lt_ideal.gens) <= 18:
-        from .taylor import taylor_betti
-
-        bound = taylor_betti(lt_ideal)
-    else:
-        # past the Taylor cap, semicontinuity still bounds the support by
-        # the initial ideal's own table; minimal monomial generators are a
-        # reduced basis for any order, so skip the Buchberger pass
-        from .groebner import GroebnerBasis, QuotientRing
-
-        mono_gb = GroebnerBasis(quot.ring, quot.gb.order, lt_ideal.polys(), reduce=False)
-        bound = koszul_betti(QuotientRing(mono_gb), strand_budget=strand_budget)
-    for (i, j) in sorted(bound.support()):
+    for (i, j) in _initial_support(quot, strand_budget):
         if i == 0:
             continue
         b = kz.betti_entry(i, j, multi=False)

@@ -1,6 +1,6 @@
 """Massey operations on Koszul homology.
 
-Three layers:
+Two layers:
 
 * massey_product: the p-ary Massey product of homology classes, computed by
   solving the defining system interval by interval.  With all shorter
@@ -17,12 +17,6 @@ Three layers:
   whose merged label is complete, solves longer tuples strand by strand,
   and records which tuples needed solving; the general builder solves for
   every value.
-
-* KoszulMap / pushforward_massey / pullback_massey: transfer of a trivial
-  Massey operation along a variable-identification surjection whose induced
-  Koszul map is a quasi-isomorphism (checked by comparing Betti tables),
-  e.g. depolarization.  The pullback is built by inductive preimage solves
-  and re-verified from scratch.
 """
 from __future__ import annotations
 
@@ -33,7 +27,6 @@ from typing import Optional
 
 from .errors import CapExceededError, InconsistencyError, InputError
 from .koszul import HomologyClass, KoszulComplex, KoszulElement
-from .linalg import axpy, solve_columns
 
 # ---------------------------------------------------------------------------
 # eta cycles and rainbow labels
@@ -198,10 +191,6 @@ class MasseyResult:
     obstruction_interval: Optional[tuple] = None
     obstruction: Optional[KoszulElement] = None
 
-    @property
-    def defined(self) -> bool:
-        return self.kind != "Undefined"
-
 
 def massey_product(kz: KoszulComplex, classes, p_cap: int = 6) -> MasseyResult:
     """p-ary Massey product of the given HomologyClass list.
@@ -314,11 +303,6 @@ class MasseyTable:
         self.verified = True
         return self
 
-    def tuple_count(self, p: Optional[int] = None) -> int:
-        if p is None:
-            return len(self.values)
-        return sum(1 for lam in self.values if len(lam) == p)
-
     def to_json(self) -> dict:
         from .parsing import poly_str
 
@@ -357,9 +341,6 @@ class MasseyTable:
             ],
             "verified": self.verified,
         }
-
-    def dump(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, data) -> "MasseyTable":
@@ -502,10 +483,6 @@ class TrivialMasseyOutcome:
     table: Optional[MasseyTable]
     witness: Optional[dict] = None  # set when a nonzero (Massey) product appears
 
-    @property
-    def golod_evidence(self) -> bool:
-        return self.witness is None
-
 
 def build_trivial_table(
     quot,
@@ -564,183 +541,3 @@ def build_trivial_table(
         p_max=p_max,
     )
     return TrivialMasseyOutcome(table=table.verify())
-
-
-# ---------------------------------------------------------------------------
-# transfer along variable-identification surjections
-
-
-class KoszulMap:
-    """DG-map R/I tensor K^R -> S/J tensor K^S induced by a ring surjection
-    sending variables to variables (e_v goes to e_{phi(v)})."""
-
-    def __init__(self, src_quot, dst_quot, var_map):
-        self.src = src_quot
-        self.dst = dst_quot
-        self.var_map = tuple(var_map)
-        if len(self.var_map) != src_quot.ring.nvars:
-            raise InputError("variable map length mismatch")
-        if set(self.var_map) != set(range(dst_quot.ring.nvars)):
-            raise InputError("variable map must be surjective on target variables")
-
-    def apply_mono(self, m) -> tuple:
-        out = [0] * self.dst.ring.nvars
-        for i, e in enumerate(m):
-            if e:
-                out[self.var_map[i]] += e
-        return tuple(out)
-
-    def apply(self, z: KoszulElement) -> KoszulElement:
-        fld = self.dst.field
-        out = {}
-        for (S, m), c in z.terms.items():
-            images = [self.var_map[s] for s in S]
-            if len(set(images)) != len(images):
-                continue
-            inv = sum(
-                1
-                for a in range(len(images))
-                for b in range(a + 1, len(images))
-                if images[a] > images[b]
-            )
-            cc = c if inv % 2 == 0 else fld.neg(c)
-            T = tuple(sorted(images))
-            poly = self.dst.nf(self.dst.ring.monomial(self.apply_mono(m)))
-            axpy(out, cc, {(T, m2): c2 for m2, c2 in poly.terms.items()}, fld)
-        return KoszulElement(self.dst, out)
-
-    def betti_tables(self):
-        from .koszul import koszul_betti
-
-        return koszul_betti(self.src), koszul_betti(self.dst)
-
-    def verify_qiso(self):
-        """Quasi-isomorphism certificate: graded Betti tables must agree
-        (variable identification preserves internal degree, and regular
-        linear specialization preserves every beta_ij)."""
-        bs, bd = self.betti_tables()
-        if not (bs == bd):
-            raise InputError(
-                "Koszul map is not a quasi-isomorphism: Betti tables differ "
-                "(%r vs %r)" % (bs.totals(), bd.totals())
-            )
-        return bs, bd
-
-
-def pushforward_massey(kmap: KoszulMap, table: MasseyTable) -> MasseyTable:
-    """mu'(phi h_1, ..., phi h_p) := phi(mu(h_1..h_p)), keyed like the source
-    table; valid once the induced map is a quasi-isomorphism."""
-    kmap.verify_qiso()
-    dst_kz = KoszulComplex(kmap.dst)
-    basis = []
-    for k, h in zip(table.keys, table.basis):
-        img = kmap.apply(h.rep)
-        if img.is_zero():
-            raise InconsistencyError(
-                "basis class %r maps to zero; pushforward basis degenerates" % (k,)
-            )
-        basis.append(dst_kz.class_of(img, label=h.label))
-    values = {lam: kmap.apply(v) for lam, v in table.values.items()}
-    out = MasseyTable(
-        quot=kmap.dst,
-        mode=table.mode,
-        basis=basis,
-        keys=list(table.keys),
-        values=values,
-        p_max=table.p_max,
-    )
-    return out.verify()
-
-
-def _cycle_preimage(kmap: KoszulMap, kz_src: KoszulComplex, target: KoszulElement,
-                    hom_degree: int) -> Optional[KoszulElement]:
-    """Solve for z in the source strand with d(z) = 0 and phi(z) = target."""
-    internal = target.internal_degrees()
-    if not internal:
-        return KoszulElement.zero(kmap.src)
-    if len(internal) > 1:
-        raise InputError("preimage target spans several internal degrees")
-    j = internal.pop()
-    basis = kz_src.strand_basis(hom_degree, j)
-    cols = []
-    for pair in basis:
-        vec = {}
-        for k, c in kz_src.diff_vector(pair).items():
-            vec[("d", k)] = c
-        unit = KoszulElement(kmap.src, {pair: kmap.src.field.one})
-        for k, c in kmap.apply(unit).terms.items():
-            vec[("phi", k)] = c
-        cols.append(vec)
-    b = {("phi", k): c for k, c in target.terms.items()}
-    combo = solve_columns(cols, range(len(cols)), b, kmap.src.field)
-    if combo is None:
-        return None
-    z = KoszulElement(kmap.src, {basis[idx]: c for idx, c in combo.items()})
-    if not z.is_cycle() or (kmap.apply(z) - target).terms:
-        raise InconsistencyError("cycle preimage solve returned a wrong answer")
-    return z
-
-
-def pullback_massey(kmap: KoszulMap, dst_table: MasseyTable) -> MasseyTable:
-    """Lift a trivial Massey operation along a quasi-isomorphism.
-
-    The source basis is derived: each target basis representative gets a
-    cycle preimage, and since the induced map is bijective on homology those
-    preimage classes form a basis upstairs whose images land in the table's
-    basis.  Longer tuples are built inductively: the split sum m is made
-    exact by a d-preimage a, then corrected by a cycle preimage a' of
-    phi(a) - mu(...), giving the value a - a' with phi(a - a') = mu exactly.
-    """
-    kmap.verify_qiso()
-    kz_src = KoszulComplex(kmap.src)
-    keys = list(dst_table.keys)
-    values = {}
-    src_basis = []
-    for k, h in zip(keys, dst_table.basis):
-        target = dst_table.values[(k,)]
-        z = _cycle_preimage(kmap, kz_src, target, h.hom_degree)
-        if z is None:
-            raise InputError(
-                "cycle-surjectivity hypothesis failed at basis key %r" % (k,)
-            )
-        values[(k,)] = z
-        src_basis.append(kz_src.class_of(z, label=h.label))
-    for lam in sorted(dst_table.values, key=lambda t: (len(t), str(t))):
-        if len(lam) == 1:
-            continue
-        m = equation_rhs(values, lam)
-        if m.is_zero():
-            a = KoszulElement.zero(kmap.src)
-        else:
-            if not m.is_cycle():
-                raise InconsistencyError("pullback split sum is not a cycle")
-            a = kz_src.boundary_preimage(m)
-            if a is None:
-                raise InputError(
-                    "homology-injectivity hypothesis failed at tuple %r" % (lam,)
-                )
-        w = kmap.apply(a) - dst_table.values[lam]
-        if w.is_zero():
-            ap = KoszulElement.zero(kmap.src)
-        else:
-            if not w.is_cycle():
-                raise InconsistencyError("pullback correction is not a cycle")
-            hom = a.hom_degree() if not a.is_zero() else w.hom_degree()
-            ap = _cycle_preimage(kmap, kz_src, w, hom)
-            if ap is None:
-                raise InputError(
-                    "cycle-surjectivity hypothesis failed at tuple %r" % (lam,)
-                )
-        val = a - ap
-        if (kmap.apply(val) - dst_table.values[lam]).terms:
-            raise InconsistencyError("pullback compatibility phi(mu') = mu failed")
-        values[lam] = val
-    out = MasseyTable(
-        quot=kmap.src,
-        mode=dst_table.mode,
-        basis=list(src_basis),
-        keys=keys,
-        values=values,
-        p_max=dst_table.p_max,
-    )
-    return out.verify()

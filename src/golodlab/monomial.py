@@ -10,15 +10,12 @@ from math import comb
 from typing import Optional
 
 from .errors import CapExceededError, InconsistencyError, InputError
-from .linalg import axpy
 from .rings import (
     Mono,
     PolyRing,
-    Polynomial,
     mono_deg,
     mono_divides,
     mono_is_squarefree,
-    mono_lcm,
     mono_mul,
     mono_support,
     monomials_of_degree,
@@ -76,9 +73,6 @@ class MonomialIdeal:
     def contains(self, m: Mono) -> bool:
         return any(mono_divides(g, m) for g in self.gens)
 
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains(g) for g in other.gens)
-
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.ring != other.ring:
             raise InputError("ideals in different rings")
@@ -92,15 +86,6 @@ class MonomialIdeal:
         out = self
         for _ in range(t - 1):
             out = out * self
-        return out
-
-    def plus(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return MonomialIdeal.from_monos(self.ring, self.gens + other.gens)
-
-    def lcm_gens(self) -> Mono:
-        out = self.ring.zero_mono()
-        for g in self.gens:
-            out = mono_lcm(out, g)
         return out
 
     def is_squarefree(self) -> bool:
@@ -138,15 +123,6 @@ class RingSurjection:
             if e:
                 out[self.var_map[i]] += e
         return tuple(out)
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        if p.ring != self.source:
-            raise InputError("polynomial not in the source ring")
-        F = self.target.field
-        out = {}
-        for m, c in p.terms.items():
-            axpy(out, 1, {self.apply_mono(m): F.of(c)}, F)
-        return Polynomial(self.target, out)
 
 
 @dataclass
@@ -256,18 +232,11 @@ class RainbowStructure:
     def n_colors(self) -> int:
         return len(self.classes)
 
-    @property
-    def class_sizes(self):
-        return tuple(len(c) for c in self.classes)
-
     def color_of(self, var: int) -> int:
         for ci, cls in enumerate(self.classes):
             if var in cls:
                 return ci
         raise InputError("variable %d has no color" % var)
-
-    def var_of(self, color: int, pos: int) -> int:
-        return self.classes[color][pos]
 
     def label_of(self, m: Mono):
         """Positions within each class for a transversal monomial, else None."""
@@ -282,12 +251,6 @@ class RainbowStructure:
         if any(x is None for x in label):
             return None
         return tuple(label)
-
-    def transversal_mono(self, label) -> Mono:
-        m = [0] * self.ring.nvars
-        for c, pos in enumerate(label):
-            m[self.var_of(c, pos)] = 1
-        return tuple(m)
 
     def describe(self):
         return [

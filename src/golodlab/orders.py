@@ -60,37 +60,6 @@ class TermOrder:
             return "weight %s lex %s" % (",".join(str(w) for w in self.wvec), chain)
         raise InputError("unknown order kind %r" % self.kind)
 
-    def representing_weight(self, monos) -> tuple:
-        """A positive integer weight vector w with w.a > w.b exactly when
-        a > b in this order, for all monomials a != b drawn from `monos`.
-
-        Used to homogenize a Groebner basis so that the t=0 fiber is the
-        monomial initial ideal of this order.
-        """
-        monos = list(monos)
-        n = self.nvars
-        B = max((e for m in monos for e in m), default=0) + 2
-        if self.kind in ("lex", "diagonal"):
-            w = [0] * n
-            for pos, i in enumerate(self.priority):
-                w[i] = B ** (n - pos)
-            return tuple(w)
-        if self.kind == "grevlex":
-            # C*deg - reverse-priority digits; C large enough to dominate
-            C = n * B ** (n + 1)
-            w = [0] * n
-            for pos, i in enumerate(self.priority):
-                # least significant priority gets the largest subtracted digit
-                w[i] = C - B ** pos
-            return tuple(w)
-        if self.kind == "weight":
-            tb = TermOrder("lex", n, self.priority)
-            wt = tb.representing_weight(monos)
-            # scale the primary weights past any tiebreak difference
-            M = 2 * max((sum(w * e for w, e in zip(wt, m)) for m in monos), default=1) + 1
-            return tuple(M * a + b for a, b in zip(self.wvec, wt))
-        raise InputError("unknown order kind %r" % self.kind)
-
 
 def lex(ring: PolyRing, priority=None) -> TermOrder:
     pr = tuple(priority) if priority is not None else tuple(range(ring.nvars))

@@ -29,7 +29,7 @@ from math import comb
 
 from .errors import CapExceededError, InconsistencyError, InputError
 from .fields import QQ
-from .koszul import koszul_betti
+from .koszul import quotient_betti
 from .linalg import Eliminator, axpy
 
 __all__ = [
@@ -115,7 +115,7 @@ def serre_bound(quot, N: int, betti_table=None) -> tuple:
     """First N+1 coefficients of the Golod upper bound for the Poincare
     series of k over quot, exact integers."""
     if betti_table is None:
-        betti_table = koszul_betti(quot)
+        betti_table = quotient_betti(quot)
     dims = {}
     for (i, _), b in betti_table.entries.items():
         if i >= 1:
@@ -220,7 +220,7 @@ def poincare_coeffs(quot, N: int, D: int, betti_table=None) -> PoincareData:
     multi = quot.is_monomial
     nvars = quot.ring.nvars
     if betti_table is None:
-        betti_table = koszul_betti(quot)
+        betti_table = quotient_betti(quot)
 
     big = bigraded_golod_series(nvars, betti_table, N)
     bound = tuple(sum(d.values()) for d in big)

@@ -224,11 +224,6 @@ class Polynomial:
             raise InputError("degree of the zero polynomial")
         return max(mono_deg(m) for m in self.terms)
 
-    def weighted_degree(self) -> int:
-        if not self.terms:
-            raise InputError("degree of the zero polynomial")
-        return max(self.ring.weight_of(m) for m in self.terms)
-
     def is_homogeneous(self, weighted: bool = False) -> bool:
         if not self.terms:
             return True
@@ -240,9 +235,6 @@ class Polynomial:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def coeff(self, m: Mono):
-        return self.terms.get(tuple(m), self.ring.field.zero)
 
     def subs(self, target: PolyRing, images: list) -> "Polynomial":
         """Ring map sending variable i to images[i] (a Polynomial over target)."""

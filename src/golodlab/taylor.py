@@ -15,8 +15,11 @@ from .linalg import rank_of
 from .monomial import MonomialIdeal
 from .rings import mono_deg, mono_lcm
 
+# 2^r subsets: past this many generators the Koszul engine takes over
+TAYLOR_MAX_GENS = 18
 
-def taylor_betti(I: MonomialIdeal, max_gens: int = 18) -> BettiTable:
+
+def taylor_betti(I: MonomialIdeal, max_gens: int = TAYLOR_MAX_GENS) -> BettiTable:
     """Graded (and multigraded) Betti numbers of R/I."""
     gens = I.gens
     r = len(gens)

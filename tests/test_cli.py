@@ -36,6 +36,9 @@ CASES = {
     "minors_3x4": ["minors", "--shape", "3x4"],
     "golod_graded_upto": ["golod", "--ideal", "2*x^2*y-6*x*y*z-2*x*z^2,9*x*y,-6*x^2*z"],
     "golod_x2_yz_cap": ["golod", "--ideal", "x^2-y*z,y^2-x*z,z^2-x*y", "--D", "3"],
+    "betti_x2_xy_y3_yz2": ["betti", "--ideal", "x^2,xy,y^3,yz^2"],
+    "fiber_inv_gorenstein3": ["fiber-inv", "--ideal", str(FIXTURES / "gorenstein3.txt")],
+    "massey_gorenstein3": ["massey", "--ideal", str(FIXTURES / "gorenstein3.txt")],
 }
 
 # verdict and rule each golod golden file must show

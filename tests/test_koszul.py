@@ -16,6 +16,8 @@ from golodlab import (
     taylor_betti,
 )
 
+from golodlab.rings import monomials_of_degree
+
 from conftest import mk_ring, random_homogeneous_ideal, random_monomial_ideal
 
 
@@ -159,6 +161,18 @@ def test_koszul_betti_non_monomial(gorenstein_gb):
     for (i, _), b in B.entries.items():
         totals[i] = totals.get(i, 0) + b
     assert totals == {0: 1, 1: 5, 2: 5, 3: 1}
+
+
+def test_homology_basis_above_the_taylor_cap():
+    """in(I) has 20 minimal generators, past the Taylor cap, so the support
+    bound of the non-monomial homology basis comes from the Koszul engine."""
+    ring = mk_ring(3, ("x", "y", "z"))
+    gens = [parse_poly("x*y-z^2", ring)] + [ring.monomial(m) for m in monomials_of_degree(3, 9)]
+    quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), gens))
+    assert len(quot.gb.initial_ideal().gens) == 20
+    B = koszul_betti(quot)
+    assert B.totals() == (1, 20, 36, 17)
+    assert len(KoszulComplex(quot).homology_basis()) == sum(B.totals()[1:]) == 73
 
 
 def test_cycle_check_guards_class_construction(quot_m2):

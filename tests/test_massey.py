@@ -1,4 +1,4 @@
-"""Homology products, Massey systems, and transfer along quasi-isomorphisms."""
+"""Homology products, Massey systems and Massey tables."""
 
 import json
 import random
@@ -8,7 +8,6 @@ import pytest
 from golodlab import (
     GroebnerBasis,
     KoszulComplex,
-    KoszulMap,
     MasseyTable,
     MonomialIdeal,
     QuotientRing,
@@ -18,9 +17,6 @@ from golodlab import (
     grevlex,
     homology_product,
     massey_product,
-    polarize,
-    pullback_massey,
-    pushforward_massey,
 )
 from golodlab.errors import InconsistencyError
 
@@ -162,39 +158,3 @@ def test_rainbow_table_on_2x3_minors():
     for a in tbl.basis:
         for b in tbl.basis:
             assert homology_product(kz, a, b) is None
-
-
-def test_transfer_across_polarization():
-    ring = mk_ring(2, ("x", "y"))
-    I = MonomialIdeal.from_monos(ring, [(2, 0), (1, 1), (0, 2)])
-    P = polarize(I)
-    src = quotient_of(P.ideal)  # polarized, squarefree
-    dst = quotient_of(I)
-    kmap = KoszulMap(src, dst, P.depolarize.var_map)
-    kmap.verify_qiso()
-
-    tbl_src = build_trivial_table(src, p_max=3).table
-    pushed = pushforward_massey(kmap, tbl_src)
-    assert pushed.verify().verified
-    assert pushed.quot is dst
-
-    tbl_dst = build_trivial_table(dst, p_max=3).table
-    lifted = pullback_massey(kmap, tbl_dst)
-    assert lifted.verify().verified
-    assert lifted.quot is src
-    # lifted values map onto the target values class by class
-    for lam, v in lifted.values.items():
-        img = kmap.apply(v)
-        diff = img - tbl_dst.values[lam]
-        assert diff.is_zero()
-
-
-def test_koszul_map_rejects_non_qiso():
-    from golodlab.errors import InputError
-
-    ring = mk_ring(2, ("x", "y"))
-    a = quotient_of(MonomialIdeal.from_monos(ring, [(2, 0)]))
-    b = quotient_of(MonomialIdeal.from_monos(ring, [(2, 0), (0, 2)]))
-    kmap = KoszulMap(a, b, (0, 1))
-    with pytest.raises(InputError):
-        kmap.verify_qiso()

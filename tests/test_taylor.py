@@ -12,8 +12,10 @@ from golodlab import (
     grevlex,
     has_linear_resolution,
     koszul_betti,
+    quotient_betti,
     taylor_betti,
 )
+from golodlab.rings import monomials_of_degree
 
 from conftest import mk_ring, random_monomial_ideal
 
@@ -88,6 +90,8 @@ def test_projective_dimension_bounded_by_nvars():
 
 
 def test_generator_cap():
+    """Past the Taylor cap taylor_betti refuses, and quotient_betti, the one
+    engine switch, returns koszul_betti's table instead."""
     ring = mk_ring(5)
     gens = []
     # 20 distinct squarefree-ish monomials in 5 vars, none dividing another
@@ -105,5 +109,13 @@ def test_generator_cap():
         gens.append(tuple(m))
     I = MonomialIdeal.from_monos(ring, gens[:20])
     assert len(I.gens) == 20
-    with pytest.raises(CapExceededError):
-        taylor_betti(I)
+    ring3 = mk_ring(3, ("x", "y", "z"))
+    cube = MonomialIdeal.from_monos(ring3, list(monomials_of_degree(3, 5)))  # (x,y,z)^5
+    assert len(cube.gens) == 21
+    for J, totals in ((I, (1, 20, 45, 36, 10)), (cube, (1, 21, 35, 15))):
+        with pytest.raises(CapExceededError):
+            taylor_betti(J)
+        quot = QuotientRing(GroebnerBasis(J.ring, grevlex(J.ring), J.polys(), reduce=False))
+        B = quotient_betti(quot)
+        assert B == koszul_betti(quot)
+        assert B.totals() == totals
