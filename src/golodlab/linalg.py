@@ -9,19 +9,25 @@ package goes through it.
 The Eliminator keeps its rows in echelon form with combination tracking:
 inserting a vector either extends the basis or returns the dependency,
 which is how kernels and linear solves fall out.  Each row is stored at its
-pivot, the row's smallest index, scaled so that its pivot entry is -1; a new
-row is never used to rewrite the older ones.  `reduce` eliminates pivots in
-ascending order from a heap: subtracting a row can only bring in larger
-indices, and any of those that is itself a pivot is pushed and eliminated in
-turn.  Once the vectors that extend the basis are fixed, the residual of a
-reduction, the dependency an insert returns, the vectors of `kernel_basis`
-and the solutions of `solve_columns` are all unique, so results are
-deterministic for a fixed insertion order.
+pivot, the row's smallest index, and a new row is never used to rewrite the
+older ones.  `reduce` eliminates pivots in ascending order from a heap:
+subtracting a row can only bring in larger indices, and any of those that is
+itself a pivot is pushed and eliminated in turn.  Over F_p a row is scaled
+so that its pivot entry is -1.  Over QQ a row and its history have int
+entries of common content 1 and a positive pivot entry: `reduce` clears the
+input's denominators once, then each pivot step is fraction-free
+(residual = (r/g)*residual - (c/g)*row with g = gcd(c, r)), and the total
+multiplier is divided out only where values leave the Eliminator.  Once the
+vectors that extend the basis are fixed, the residual of a reduction, the
+dependency an insert returns, the vectors of `kernel_basis` and the
+solutions of `solve_columns` are all unique, so results are deterministic
+for a fixed insertion order and the same for either row scaling.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 def axpy(dst: dict, c, src: dict, field) -> dict:
@@ -56,7 +62,9 @@ def axpy(dst: dict, c, src: dict, field) -> dict:
 class Eliminator:
     def __init__(self, field):
         self.field = field
-        self.rows = {}  # pivot index -> (row, hist), row[pivot] == -1
+        # pivot index -> (row, hist); over F_p row[pivot] == -1, over QQ the
+        # row and hist are int vectors with content 1 and row[pivot] > 0
+        self.rows = {}
         self.n_inserted = 0
         self._untagged = False  # some row carries no history
 
@@ -69,6 +77,12 @@ class Eliminator:
         zero at every pivot; hist expresses residual as tag + combination of
         previously inserted tags (hist maps tag -> coefficient).  Without a
         tag no history is kept and hist is None."""
+        if self.field.char:
+            return self._reduce_fp(vec, tag)
+        residual, hist, s = self._reduce_qq(vec, tag)
+        return _unscale(residual, s), (None if hist is None else _unscale(hist, s))
+
+    def _reduce_fp(self, vec, tag):
         if tag is not None and self._untagged:
             raise ValueError("history asked after an untagged vector extended the basis")
         F = self.field
@@ -91,6 +105,50 @@ class Eliminator:
                 axpy(hist, c, rhist, F)
         return residual, hist
 
+    def _reduce_qq(self, vec, tag):
+        """Fraction-free reduction: returns int vectors (residual, hist) and
+        the multiplier s with residual = s * (vec reduced), hist = s * (its
+        history); s is hist[tag] when tagged."""
+        if tag is not None and self._untagged:
+            raise ValueError("history asked after an untagged vector extended the basis")
+        F = self.field
+        rows = self.rows
+        s = 1  # lcm of the denominators, then times every pivot step's scale
+        for v in vec.values():
+            if v.__class__ is Fraction:
+                s = lcm(s, v.denominator)
+        if s == 1:
+            residual = dict(vec)
+        else:
+            residual = {k: v.numerator * (s // v.denominator) for k, v in vec.items()}
+        hist = None if tag is None else {tag: s}
+        heap = [p for p in residual if p in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            c = residual.get(p)
+            if c is None:  # already eliminated
+                continue
+            row, rhist = rows[p]
+            for k in row:
+                if k not in residual and k in rows:
+                    heappush(heap, k)
+            # residual = a*residual - (c/g)*row clears p, with a = r/g > 0
+            r = row[p]
+            g = gcd(c, r)
+            a = r // g
+            if a != 1:
+                s *= a
+                for k in residual:
+                    residual[k] *= a
+                if hist is not None:
+                    for k in hist:
+                        hist[k] *= a
+            axpy(residual, -(c // g), row, F)
+            if hist is not None:
+                axpy(hist, -(c // g), rhist, F)
+        return residual, hist, s
+
     def insert(self, vec: dict, tag=None):
         """Insert a vector. Returns None if it extended the basis, else the
         dependency dict (tag -> coefficient, summing to the zero vector).
@@ -98,23 +156,48 @@ class Eliminator:
         Without a tag no history is kept: a dependent vector returns {}, and
         a row it adds carries none, so no tagged vector may follow it."""
         F = self.field
-        residual, hist = self.reduce(vec, tag)
-        self.n_inserted += 1
-        if not residual:
-            return {} if hist is None else hist
-        pivot = min(residual)
-        c = F.neg(F.inv(residual[pivot]))
-        row = axpy({}, c, residual, F)
+        if F.char:
+            residual, hist = self._reduce_fp(vec, tag)
+            self.n_inserted += 1
+            if not residual:
+                return {} if hist is None else hist
+            pivot = min(residual)
+            c = F.neg(F.inv(residual[pivot]))
+            row = axpy({}, c, residual, F)
+            if hist is not None:
+                hist = axpy({}, c, hist, F)
+        else:
+            residual, hist, s = self._reduce_qq(vec, tag)
+            self.n_inserted += 1
+            if not residual:
+                return {} if hist is None else _unscale(hist, s)
+            pivot = min(residual)
+            g = gcd(*residual.values(), *(hist.values() if hist is not None else ()))
+            if residual[pivot] < 0:
+                g = -g
+            row = residual if g == 1 else {k: v // g for k, v in residual.items()}
+            if hist is not None and g != 1:
+                hist = {k: v // g for k, v in hist.items()}
         if hist is None:
             self._untagged = True
-        else:
-            hist = axpy({}, c, hist, F)
         self.rows[pivot] = (row, hist)
         return None
 
     def contains(self, vec: dict) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
+        if self.field.char:
+            return not self._reduce_fp(vec, None)[0]
+        return not self._reduce_qq(vec, None)[0]
+
+
+def _unscale(vec: dict, s: int) -> dict:
+    """vec / s over QQ, integral values kept as ints."""
+    if s == 1:
+        return vec
+    out = {}
+    for k, v in vec.items():
+        q, rem = divmod(v, s)
+        out[k] = Fraction(v, s) if rem else q
+    return out
 
 
 def rank_of(vectors, field) -> int:

@@ -1,9 +1,10 @@
 """Term orders: lex, graded reverse lex, weight orders, and the diagonal
 order used for minors of a generic matrix.
 
-An order exposes key(mono) -> tuple; bigger key means bigger monomial, and
-key comparison is multiplicative because every kind here is realized by a
-(sequence of) linear functionals on exponent vectors.
+An order exposes key(mono) -> tuple, a function fixed when the order is
+built; bigger key means bigger monomial, and key comparison is
+multiplicative because every kind here is realized by a (sequence of)
+linear functionals on exponent vectors.
 
 The diagonal order on an n x m matrix of variables is lex with row-major
 priority x11 > x12 > ... > x1m > x21 > ...; under it the leading term of
@@ -12,10 +13,11 @@ every maximal minor is its main-diagonal product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import InputError
-from .rings import Mono, PolyRing, mono_deg
+from .rings import Mono, PolyRing
 
 
 @dataclass(frozen=True)
@@ -26,17 +28,10 @@ class TermOrder:
     wvec: Optional[tuple] = None  # weight kind only
     shape: Optional[tuple] = None  # diagonal kind only, (rows, cols)
 
-    def key(self, m: Mono):
-        if self.kind == "lex" or self.kind == "diagonal":
-            return tuple(m[i] for i in self.priority)
-        if self.kind == "grevlex":
-            # degree first; ties: smaller exponent at the least significant
-            # position wins, hence negation read in reverse priority
-            return (mono_deg(m),) + tuple(-m[i] for i in reversed(self.priority))
-        if self.kind == "weight":
-            w = sum(self.wvec[i] * e for i, e in enumerate(m))
-            return (w,) + tuple(m[i] for i in self.priority)
-        raise InputError("unknown order kind %r" % self.kind)
+    def __post_init__(self):
+        # key(m) runs for every term of every leading-term search, so the
+        # function is chosen once here rather than dispatched per call
+        object.__setattr__(self, "key", _key_function(self))
 
     def compare(self, a: Mono, b: Mono) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -59,6 +54,24 @@ class TermOrder:
         if self.kind == "weight":
             return "weight %s lex %s" % (",".join(str(w) for w in self.wvec), chain)
         raise InputError("unknown order kind %r" % self.kind)
+
+
+def _key_function(order: TermOrder):
+    pr = order.priority
+    # a monomial is an exponent tuple and tuple(m) is m itself, so with the
+    # identity priority the lex key costs no Python-level call
+    pick = tuple if pr == tuple(range(order.nvars)) else itemgetter(*pr)
+    if order.kind == "lex" or order.kind == "diagonal":
+        return pick
+    if order.kind == "grevlex":
+        # degree first; ties: smaller exponent at the least significant
+        # position wins, hence negation read in reverse priority
+        rev = pr[::-1]
+        return lambda m: (sum(m), *[-m[i] for i in rev])
+    if order.kind == "weight":
+        w = order.wvec
+        return lambda m: (sum(map(mul, w, m)), *pick(m))
+    raise InputError("unknown order kind %r" % order.kind)
 
 
 def lex(ring: PolyRing, priority=None) -> TermOrder:

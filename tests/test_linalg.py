@@ -1,8 +1,10 @@
 """Sparse exact elimination: ranks, kernels, solves and membership against
-sympy over QQ and brute force over GF(7)."""
+sympy over QQ and brute force over GF(7), and the fraction-free QQ
+Eliminator against a pivot-normalized Fraction one."""
 
 import itertools
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 import sympy
@@ -141,3 +143,137 @@ def test_untagged_inserts_keep_no_history():
         e.insert({2: 1}, "b")
     with pytest.raises(ValueError):
         e.reduce({0: 1}, "c")
+
+
+# ---------------------------------------------------------------------------
+# QQ: the fraction-free Eliminator against a pivot-normalized Fraction oracle
+
+
+def _oracle_axpy(dst, c, src):
+    for k, v in src.items():
+        s = dst.get(k, 0) + c * v
+        if s:
+            dst[k] = s
+        else:
+            dst.pop(k, None)
+    return dst
+
+
+class OracleEliminator:
+    """Rows scaled to -1 at their pivot, all arithmetic in Fractions: the QQ
+    Eliminator before rows became content-free int vectors."""
+
+    def __init__(self):
+        self.rows = {}
+        self.untagged = False
+
+    def reduce(self, vec, tag=None):
+        if tag is not None and self.untagged:
+            raise ValueError("history after an untagged row")
+        residual = {k: Fraction(v) for k, v in vec.items()}
+        hist = None if tag is None else {tag: Fraction(1)}
+        heap = [p for p in residual if p in self.rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            c = residual.get(p)
+            if c is None:
+                continue
+            row, rhist = self.rows[p]
+            for k in row:
+                if k not in residual and k in self.rows:
+                    heappush(heap, k)
+            _oracle_axpy(residual, c, row)
+            if hist is not None:
+                _oracle_axpy(hist, c, rhist)
+        return residual, hist
+
+    def insert(self, vec, tag=None):
+        residual, hist = self.reduce(vec, tag)
+        if not residual:
+            return {} if hist is None else hist
+        pivot = min(residual)
+        c = -1 / residual[pivot]
+        if hist is None:
+            self.untagged = True
+        else:
+            hist = _oracle_axpy({}, c, hist)
+        self.rows[pivot] = (_oracle_axpy({}, c, residual), hist)
+        return None
+
+
+def oracle_kernel(columns):
+    e = OracleEliminator()
+    deps = (e.insert(col, j) for j, col in enumerate(columns))
+    return [d for d in deps if d is not None]
+
+
+def oracle_solve(columns, b):
+    e = OracleEliminator()
+    for j, col in enumerate(columns):
+        e.insert(col, ("col", j))
+    residual, hist = e.reduce(b, ("rhs",))
+    if residual:
+        return None
+    return {key[1]: -c for key, c in hist.items() if key != ("rhs",)}
+
+
+def same(got, want):
+    """Equal values in the same key order, integral values as ints."""
+    if want is None or got is None:
+        return got is want
+    assert all(type(v) is int or v.denominator != 1 for v in got.values())
+    return list(got.items()) == list(want.items())
+
+
+big_entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(-10 ** 6, 10 ** 6, max_denominator=50),
+)
+
+
+@st.composite
+def insert_sequences(draw):
+    """(vector, tagged) pairs; some vectors are combinations of earlier ones,
+    and an untagged vector may come before a tagged one."""
+    n = draw(st.integers(1, 6))
+    seq = []
+    for _ in range(draw(st.integers(1, 8))):
+        if seq and draw(st.booleans()):
+            vec = {}
+            for j in draw(st.lists(st.integers(0, len(seq) - 1), min_size=1, max_size=3)):
+                axpy(vec, QQ.of(draw(st.fractions(-5, 5, max_denominator=6))), seq[j][0], QQ)
+        else:
+            vec = sparse(draw(st.lists(big_entries, min_size=n, max_size=n)), QQ)
+        seq.append((vec, draw(st.integers(0, 5)) > 0))
+    probe = sparse(draw(st.lists(big_entries, min_size=n, max_size=n)), QQ)
+    return seq, probe
+
+
+@settings(max_examples=100, deadline=None)
+@given(insert_sequences())
+def test_qq_eliminator_matches_fraction_oracle(data):
+    seq, probe = data
+    e, o = Eliminator(QQ), OracleEliminator()
+    for j, (vec, tagged) in enumerate(seq):
+        tag = j if tagged else None
+        try:
+            want = o.insert(vec, tag)
+        except ValueError:
+            with pytest.raises(ValueError):
+                e.insert(vec, tag)
+            continue
+        assert same(e.insert(vec, tag), want)
+        assert e.rank == len(o.rows)
+        for t in (None, "probe") if not o.untagged else (None,):
+            got_res, got_hist = e.reduce(probe, t)
+            want_res, want_hist = o.reduce(probe, t)
+            assert same(got_res, want_res) and same(got_hist, want_hist)
+        assert e.contains(probe) == (not o.reduce(probe)[0])
+    cols = [vec for vec, _ in seq]
+    kernel = kernel_basis(cols, QQ)
+    want = oracle_kernel(cols)
+    assert len(kernel) == len(want) and all(same(k, w) for k, w in zip(kernel, want))
+    assert same(solve_columns(cols, range(len(cols)), probe, QQ), oracle_solve(cols, probe))

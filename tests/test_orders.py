@@ -91,3 +91,38 @@ def test_descriptor_round_trip(order):
     for _ in range(200):
         a, b = random_monomial(rng, R, 5), random_monomial(rng, R, 5)
         assert order.compare(a, b) == back.compare(a, b)
+
+
+def dispatched_key(order, m):
+    """The per-call dispatch on `kind` that `TermOrder.key` replaces."""
+    pr = order.priority
+    if order.kind in ("lex", "diagonal"):
+        return tuple(m[i] for i in pr)
+    if order.kind == "grevlex":
+        return (sum(m),) + tuple(-m[i] for i in reversed(pr))
+    return (sum(w * e for w, e in zip(order.wvec, m)),) + tuple(m[i] for i in pr)
+
+
+@given(
+    nvars=st.integers(1, 4),
+    seed=st.integers(0, 10 ** 9),
+    kind=st.sampled_from(["lex", "grevlex", "weight", "diagonal"]),
+)
+@settings(max_examples=100)
+def test_key_matches_dispatch_on_kind(nvars, seed, kind):
+    rng = random.Random(seed)
+    S = PolyRing(tuple("v%d" % i for i in range(nvars)), QQ)
+    priority = list(range(nvars))
+    if rng.random() < 0.5:
+        rng.shuffle(priority)
+    if kind == "lex":
+        order = lex(S, priority)
+    elif kind == "grevlex":
+        order = grevlex(S, priority)
+    elif kind == "weight":
+        order = weight_order(S, [rng.randint(1, 4) for _ in range(nvars)], priority)
+    else:
+        order = diagonal_order(S, 1, nvars)
+    for _ in range(20):
+        m = random_monomial(rng, S, 5)
+        assert order.key(m) == dispatched_key(order, m)
