@@ -12,7 +12,9 @@ given with a term order:
   4. fiber invariant Betti numbers -> the verdict transfers to and from the
      initial ideal, so recurse on in(I) and wrap the proven outcome;
   5. non-squarefree monomial ideals recurse on the polarization, whose
-     regular-sequence hypothesis is certified by Hilbert comparison;
+     construction is checked generator by generator and whose
+     regular-sequence hypothesis is certified by equal Betti tables of R/I
+     and the polarized quotient;
   6. otherwise GolodUpTo(N): trivial products, a trivial Massey operation
      through p_max, and Serre-bound equality through t^N, as evidence only.
 
@@ -29,10 +31,11 @@ from typing import Optional
 
 from .betti import BettiTable, has_linear_resolution
 from .errors import CapExceededError, InconsistencyError, InputError
-from .groebner import GroebnerBasis, QuotientRing
-from .koszul import KoszulComplex, quotient_betti
-from .massey import MasseyTable, build_rainbow_table, build_trivial_table
+from .groebner import GroebnerBasis
+from .koszul import STRAND_BUDGET, quotient_betti
+from .massey import TUPLE_CAP, MasseyTable, build_rainbow_table, build_trivial_table
 from .monomial import MonomialIdeal, detect_rainbow, polarize
+from .orders import lex
 from .resolution import poincare_coeffs, serre_bound
 
 __all__ = [
@@ -53,13 +56,13 @@ class AnalyzerConfig:
     ceiling of the Golod series always fits below it on desk-scale input.
     with_serre turns off the Poincare block; inner certificates built by the
     transfer rules run without it, the wrapping certificate has its own.
+    The Massey tuple cap and the Koszul strand budget are fixed
+    (massey.TUPLE_CAP, koszul.STRAND_BUDGET) and reported with the rest.
     """
 
     N: int = 8
     p_max: int = 4
     D: Optional[int] = None
-    tuple_cap: int = 200_000
-    strand_budget: int = 2_000_000
     with_serre: bool = True
 
     def cap_for(self, max_gen_degree: int) -> int:
@@ -72,8 +75,8 @@ class AnalyzerConfig:
             "N": self.N,
             "p_max": self.p_max,
             "D": self.D,
-            "tuple_cap": self.tuple_cap,
-            "strand_budget": self.strand_budget,
+            "tuple_cap": TUPLE_CAP,
+            "strand_budget": STRAND_BUDGET,
         }
 
 
@@ -98,13 +101,14 @@ class FiberInvariantResult:
         return self.invariant
 
 
-def fiber_invariant(gb: GroebnerBasis, betti_ideal=None, strand_budget: int = 2_000_000):
+def fiber_invariant(gb: GroebnerBasis):
     """Does beta_{ij}(R/I) = beta_{ij}(R/in(I)) hold entrywise?
 
     Fast paths, in order: monomial ideals are their own initial ideal; an
     initial ideal with linear resolution forbids consecutive cancellations;
     a linear-resolution ideal with squarefree initial ideal.  Otherwise the
-    two tables are computed exactly and compared.
+    two tables are compared exactly.  Both are the tables that gb's
+    quotients own, so later rules reuse them.
     """
     for g in gb.gens:
         if not g.is_homogeneous():
@@ -112,7 +116,7 @@ def fiber_invariant(gb: GroebnerBasis, betti_ideal=None, strand_budget: int = 2_
     if all(g.is_monomial() for g in gb.gens):
         return FiberInvariantResult(True, fast_path="monomial ideal equals its initial ideal")
     inI = gb.initial_ideal()
-    binit = quotient_betti(gb.initial_quotient(), strand_budget)
+    binit = quotient_betti(gb.initial_quotient())
     if inI.is_equigenerated() and has_linear_resolution(binit):
         return FiberInvariantResult(
             True,
@@ -120,9 +124,7 @@ def fiber_invariant(gb: GroebnerBasis, betti_ideal=None, strand_budget: int = 2_
             "cancellation can occur",
             betti_initial=binit,
         )
-    bI = betti_ideal
-    if bI is None:
-        bI = quotient_betti(QuotientRing(gb), strand_budget)
+    bI = quotient_betti(gb.quotient())
     ideal_linear = False
     try:
         ideal_linear = has_linear_resolution(bI)
@@ -265,14 +267,38 @@ def _check_input(gb: GroebnerBasis):
             )
 
 
-def _serre_block(quot, btable, config: AnalyzerConfig):
+def _check_polarization(pol, quot, pol_quot):
+    """Certify the hypotheses of the polarization transfer, R/I = quot and
+    R'/J = pol_quot.
+
+    The polarized generators depolarize one to one onto the generators of
+    I, so R'/(J + L) is R/I, L the variable differences.  Equal graded Betti
+    tables of R/I and R'/J give equal K-polynomials, so the Hilbert series
+    of R'/(J + L) is (1 - t)^s times that of R'/J, s = |L|; by Stanley's
+    criterion L is then a regular sequence on R'/J in every degree
+    (Herzog-Hibi, Monomial Ideals, Prop. 1.6.2; Peeva, Graded Syzygies,
+    Sec. 21).
+    """
+    back = sorted(pol.depolarize.apply_mono(g) for g in pol.ideal.gens)
+    if back != sorted(pol.source.gens):
+        raise InconsistencyError(
+            "polarized generators do not depolarize onto the generators of I"
+        )
+    if quotient_betti(quot).entries != quotient_betti(pol_quot).entries:
+        raise InconsistencyError(
+            "polarized quotient and R/I have different Betti tables, so the "
+            "variable differences are not a regular sequence"
+        )
+
+
+def _serre_block(quot, config: AnalyzerConfig):
     """(serre dict, PoincareData, caps_flag)."""
     maxdeg = max((g.total_degree() for g in quot.gb.gens), default=1)
     D = config.cap_for(maxdeg)
     try:
-        P = poincare_coeffs(quot, config.N, D, betti_table=btable)
+        P = poincare_coeffs(quot, config.N, D)
     except CapExceededError:
-        bound = serre_bound(quot, config.N, betti_table=btable)
+        bound = serre_bound(quot, config.N)
         return (
             {"poincare": None, "bound": list(bound), "N": config.N, "D": D},
             None,
@@ -294,14 +320,12 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
     config = config or AnalyzerConfig()
     _check_input(gb)
     ring = gb.ring
-    quot = QuotientRing(gb)
-    kz = KoszulComplex(quot, strand_budget=config.strand_budget)
+    quot = gb.quotient()
     caps = []
 
     verdict = rule = witness = None
     evidence = {}
     table = None
-    btable = None  # Betti table of R/I, shared by rule 2 and the Serre block
     outcome = None
     inner_cert = None
     pending = None  # NotGolod transfer waiting on the direct-witness search
@@ -323,18 +347,11 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
         if det.status == "bound_exceeded":
             caps.append("rainbow color search bound")
         if det.status == "found" and I_mono.is_equigenerated():
-            btable = quotient_betti(quot, config.strand_budget)
-            if has_linear_resolution(btable):
+            if has_linear_resolution(quotient_betti(quot)):
                 try:
-                    table = build_rainbow_table(
-                        quot,
-                        det.structure,
-                        p_max=config.p_max,
-                        tuple_cap=config.tuple_cap,
-                    )
+                    table = build_rainbow_table(quot, det.structure, p_max=config.p_max)
                 except CapExceededError:
                     caps.append("rainbow tuple cap")
-                    table = outcome.table if outcome else None
                 verdict, rule = "GolodProven", "RainbowLinear"
                 evidence = {
                     "structure": det.structure.describe(),
@@ -358,10 +375,9 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
 
     # rule 4: fiber-invariant transfer to the initial ideal
     if verdict is None and not quot.is_monomial:
-        fi = fiber_invariant(gb, strand_budget=config.strand_budget)
+        fi = fiber_invariant(gb)
         if fi.invariant:
-            inner_gb = GroebnerBasis(ring, gb.order, gb.initial_ideal().polys())
-            inner_cert = golod_certificate(inner_gb, inner_config)
+            inner_cert = golod_certificate(gb.initial_quotient().gb, inner_config)
             if inner_cert.caps_exceeded:
                 caps.append("inner certificate caps")
             ev = {
@@ -380,15 +396,17 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
     # rule 5: polarization transfer for non-squarefree monomial ideals
     if verdict is None and pending is None and I_mono is not None and not I_mono.is_squarefree():
         pol = polarize(I_mono)
-        from .orders import lex
-
         pol_gb = GroebnerBasis(pol.ring, lex(pol.ring), pol.ideal.polys())
+        _check_polarization(pol, quot, pol_gb.quotient())
+        # the check covers every degree; the evidence reports the fixed
+        # degree max deg(I) + s + 2, s the number of differences
+        verified_to = max(I_mono.gen_degrees()) + len(pol.differences) + 2
         inner_cert = golod_certificate(pol_gb, inner_config)
         if inner_cert.caps_exceeded:
             caps.append("inner certificate caps")
         ev = {
             "polarized_variables": pol.ring.nvars,
-            "regular_sequence_verified_to": pol.regular_verified_to,
+            "regular_sequence_verified_to": verified_to,
             "inner": inner_cert,
         }
         if inner_cert.verdict == "GolodProven":
@@ -404,9 +422,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
     # attempted whenever no proof rule has already decided
     if verdict is None:
         try:
-            outcome = build_trivial_table(
-                quot, p_max=config.p_max, kz=kz, tuple_cap=config.tuple_cap
-            )
+            outcome = build_trivial_table(quot, p_max=config.p_max)
         except CapExceededError:
             caps.append("massey tuple cap")
         if outcome is not None and outcome.witness is not None:
@@ -429,9 +445,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
     serre = None
     pdata = None
     if config.with_serre:
-        if btable is None:
-            btable = quotient_betti(quot, config.strand_budget, kz)
-        serre, pdata, capped = _serre_block(quot, btable, config)
+        serre, pdata, capped = _serre_block(quot, config)
         if capped:
             caps.append("poincare internal-degree cap")
     if pdata is not None:
@@ -468,7 +482,6 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
             }
         else:
             verdict = "GolodUpTo"
-            table = outcome.table if outcome is not None and table is None else table
             evidence = {
                 "N": config.N,
                 "products_vanish": outcome is not None,

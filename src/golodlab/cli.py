@@ -36,7 +36,7 @@ from .analyzer import (
 from .betti import BettiTable
 from .determinantal import LadderMatrix, verify_sparse_theorems
 from .errors import CapExceededError, InconsistencyError, InputError
-from .groebner import GroebnerBasis, QuotientRing
+from .groebner import GroebnerBasis
 from .koszul import quotient_betti
 from .massey import build_trivial_table
 from .monomial import MonomialIdeal, detect_rainbow, display_sorted
@@ -166,7 +166,7 @@ def run_job(spec: JobSpec) -> Report:
         names = [f.ring.mono_str(m) for m in monos]
         return Report(", ".join(names), dict(header, generators=names))
     if spec.command == "betti":
-        B = quotient_betti(QuotientRing(gb))
+        B = quotient_betti(gb.quotient())
         return Report(B.grid_str(), dict(header, **_betti_json(B)))
     if spec.command == "fiber-inv":
         fi = fiber_invariant(gb)
@@ -200,8 +200,7 @@ def run_job(spec: JobSpec) -> Report:
         return Report(text, payload)
     if spec.command == "massey":
         cfg = _config(spec)
-        quot = QuotientRing(gb)
-        outcome = build_trivial_table(quot, p_max=cfg.p_max, tuple_cap=cfg.tuple_cap)
+        outcome = build_trivial_table(gb.quotient(), p_max=cfg.p_max)
         tbl = _table_summary(outcome.table)
         payload = dict(header, table=tbl, witness=_witness_json(outcome.witness))
         lines = []

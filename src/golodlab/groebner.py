@@ -7,6 +7,7 @@ serialization and equality tests lean on that.
 from __future__ import annotations
 
 from .errors import InputError
+from .koszul import KoszulComplex
 from .linalg import axpy
 from .monomial import MonomialIdeal
 from .orders import TermOrder
@@ -152,7 +153,8 @@ def _interreduce(G, order):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis together with its ring and order."""
+    """A reduced Groebner basis with its ring and order; it owns R/I and
+    R/in(I), each built on first request."""
 
     def __init__(self, ring: PolyRing, order: TermOrder, gens, reduce: bool = True):
         self.ring = ring
@@ -163,6 +165,8 @@ class GroebnerBasis:
                 raise InputError("generator from a different ring")
         self.gens = buchberger(gens, order) if reduce else tuple(gens)
         self.lts = tuple(order.leading_mono(g) for g in self.gens)
+        self._quotient = None
+        self._initial_quotient = None
 
     def nf(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.gens, self.order)
@@ -173,11 +177,19 @@ class GroebnerBasis:
     def initial_ideal(self) -> MonomialIdeal:
         return MonomialIdeal.from_monos(self.ring, self.lts)
 
+    def quotient(self) -> "QuotientRing":
+        if self._quotient is None:
+            self._quotient = QuotientRing(self)
+        return self._quotient
+
     def initial_quotient(self) -> "QuotientRing":
         """R/in(I).  The minimal monomial generators of in(I) are a reduced
-        basis for any order, so no Buchberger pass is run."""
-        gb = GroebnerBasis(self.ring, self.order, self.initial_ideal().polys(), reduce=False)
-        return QuotientRing(gb)
+        basis for any order, so no Buchberger pass is run; the quotient is
+        that basis's own `quotient()`."""
+        if self._initial_quotient is None:
+            gb = GroebnerBasis(self.ring, self.order, self.initial_ideal().polys(), reduce=False)
+            self._initial_quotient = gb.quotient()
+        return self._initial_quotient
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -203,7 +215,8 @@ class QuotientRing:
     """R/I presented by a Groebner basis; standard monomials as k-basis.
 
     Multiplication is by normal form and memoized, since the Koszul and
-    resolution strands hit the same products constantly.
+    resolution strands hit the same products constantly.  It owns its
+    Koszul complex and its Betti table (kept by `koszul.quotient_betti`).
     """
 
     def __init__(self, gb: GroebnerBasis):
@@ -213,6 +226,13 @@ class QuotientRing:
         self._std = {}
         self._mult = {}
         self.is_monomial = all(g.is_monomial() for g in gb.gens)
+        self._koszul = None
+        self._betti = None
+
+    def koszul(self) -> KoszulComplex:
+        if self._koszul is None:
+            self._koszul = KoszulComplex(self)
+        return self._koszul
 
     def nf(self, f: Polynomial) -> Polynomial:
         return self.gb.nf(f)

@@ -201,22 +201,26 @@ class HomologyClass:
             raise InputError("homology class representative is not a cycle")
 
 
-class KoszulComplex:
-    """Strand-by-strand homology of K otimes A for a quotient ring A."""
+# strand basis columns one complex may build before CapExceededError
+STRAND_BUDGET = 2_000_000
 
-    def __init__(self, quot, strand_budget: int = 2_000_000):
+
+class KoszulComplex:
+    """Strand-by-strand homology of K otimes A for a quotient ring A; the
+    pipeline uses A's own, `A.koszul()`, so each strand is built once."""
+
+    def __init__(self, quot):
         self.quot = quot
         self.ring = quot.ring
         self.field = quot.ring.field
         self.n = quot.ring.nvars
-        self.strand_budget = strand_budget
         self._spent = 0
         self._strands = {}
         self._homology = {}
 
     def _charge(self, amount: int):
         self._spent += amount
-        if self._spent > self.strand_budget:
+        if self._spent > STRAND_BUDGET:
             raise CapExceededError(
                 "Koszul strand budget exhausted (%d columns)" % self._spent
             )
@@ -390,7 +394,7 @@ class KoszulComplex:
                     raise InputError(
                         "homology basis of a non-monomial quotient needs a homogeneous ideal"
                     )
-            for (i, j) in _initial_support(self.quot, self.strand_budget):
+            for (i, j) in quotient_betti(self.quot.gb.initial_quotient()).support():
                 if i == 0 or i > top:
                     continue
                 strand = self.homology(i, j, multi=False)
@@ -408,33 +412,32 @@ class KoszulComplex:
         return HomologyClass(z, i, keys.pop(), label=label)
 
 
-def quotient_betti(quot, strand_budget: int = 2_000_000, kz=None) -> BettiTable:
+def quotient_betti(quot) -> BettiTable:
     """Betti table of A = R/I over R: the one place an engine is chosen.
 
     A monomial quotient whose minimal generators fit under the Taylor cap
     uses taylor_betti, which is the faster engine there; every other
     quotient uses koszul_betti, the only engine that runs above the cap.
+    The table is kept on the quotient; the engines keep nothing.
     """
-    if quot.is_monomial:
+    if quot._betti is None:
         I = quot.gb.initial_ideal()
-        if len(I.gens) <= TAYLOR_MAX_GENS:
-            return taylor_betti(I)
-    return koszul_betti(quot, strand_budget=strand_budget, kz=kz)
+        if quot.is_monomial and len(I.gens) <= TAYLOR_MAX_GENS:
+            quot._betti = taylor_betti(I)
+        else:
+            quot._betti = koszul_betti(quot)
+    return quot._betti
 
 
-def _initial_support(quot, strand_budget: int) -> list:
-    """Sorted support of the Betti table of R/in(I), which contains the
-    support of R/I's table by upper-semicontinuity of Betti numbers."""
-    return quotient_betti(quot.gb.initial_quotient(), strand_budget=strand_budget).support()
-
-
-def koszul_betti(quot, strand_budget: int = 2_000_000, kz=None) -> BettiTable:
-    """Betti table of A = R/I over R, read off from Koszul strand homology.
+def koszul_betti(quot) -> BettiTable:
+    """Betti table of A = R/I over R, read off from Koszul strand homology
+    on A's own complex, so strands already built for A are reused.
 
     A monomial quotient scans the multidegrees of its lcm lattice; any other
-    graded quotient scans the support of the table of R/in(I).  Pass an
-    existing complex via kz to share its strand cache."""
-    kz = kz or KoszulComplex(quot, strand_budget=strand_budget)
+    graded quotient scans the support of the table of R/in(I), which
+    contains the support of R/I's table by upper-semicontinuity of Betti
+    numbers."""
+    kz = quot.koszul()
     entries = {(0, 0): 1}
     multigraded = {}
     if quot.is_monomial:
@@ -453,7 +456,7 @@ def koszul_betti(quot, strand_budget: int = 2_000_000, kz=None) -> BettiTable:
     for g in quot.gb.gens:
         if not g.is_homogeneous():
             raise InputError("koszul_betti needs a homogeneous ideal")
-    for (i, j) in _initial_support(quot, strand_budget):
+    for (i, j) in quotient_betti(quot.gb.initial_quotient()).support():
         if i == 0:
             continue
         b = kz.betti_entry(i, j, multi=False)

@@ -28,6 +28,11 @@ from typing import Optional
 from .errors import CapExceededError, InconsistencyError, InputError
 from .koszul import HomologyClass, KoszulComplex, KoszulElement
 
+# tuples a table builder may visit before CapExceededError
+TUPLE_CAP = 200_000
+# candidate labels complete_labels may enumerate before CapExceededError
+LABEL_CAP = 100_000
+
 # ---------------------------------------------------------------------------
 # eta cycles and rainbow labels
 
@@ -81,7 +86,7 @@ def merge_labels(labels):
     )
 
 
-def complete_labels(quot, structure, cap: int = 100000) -> list:
+def complete_labels(quot, structure) -> list:
     """All labels (one nonempty block per color) whose transversals all lie
     in G(I).  These index the Koszul homology basis for rainbow ideals with
     linear resolution."""
@@ -89,9 +94,9 @@ def complete_labels(quot, structure, cap: int = 100000) -> list:
     total = 1
     for c in classes:
         total *= 2 ** len(c) - 1
-        if total > cap:
+        if total > LABEL_CAP:
             raise CapExceededError(
-                "rainbow label search space %d exceeds cap %d" % (total, cap)
+                "rainbow label search space %d exceeds cap %d" % (total, LABEL_CAP)
             )
     out = []
     blocks_per_color = [
@@ -346,7 +351,7 @@ class MasseyTable:
     def from_json(cls, data) -> "MasseyTable":
         """Rebuild and exactly re-verify; `verified` is only trusted after
         the re-check, never read from the file."""
-        from .groebner import GroebnerBasis, QuotientRing
+        from .groebner import GroebnerBasis
         from .parsing import parse_order, parse_poly, parse_ring
 
         if isinstance(data, str):
@@ -354,9 +359,8 @@ class MasseyTable:
         ring = parse_ring(data["ring"])
         order = parse_order(data["order"], ring)
         gens = [parse_poly(t, ring) for t in data["groebner"]]
-        gb = GroebnerBasis(ring, order, gens)
-        quot = QuotientRing(gb)
-        kz = KoszulComplex(quot)
+        quot = GroebnerBasis(ring, order, gens).quotient()
+        kz = quot.koszul()
         keys, basis = [], []
         for b in data["basis"]:
             k = _key_from_json(b["key"])
@@ -403,13 +407,7 @@ def _key_from_json(k):
 # rainbow construction
 
 
-def build_rainbow_table(
-    quot,
-    structure,
-    p_max: int = 4,
-    label_cap: int = 100000,
-    tuple_cap: int = 200000,
-) -> MasseyTable:
+def build_rainbow_table(quot, structure, p_max: int = 4) -> MasseyTable:
     """Trivial Massey operation on the valid tuples of a rainbow monomial
     ideal (labels pairwise variable-disjoint, merged label complete).
 
@@ -424,8 +422,8 @@ def build_rainbow_table(
     defining equation is always a boundary.
     """
     n = len(structure.classes)
-    labels = complete_labels(quot, structure, cap=label_cap)
-    kz = KoszulComplex(quot)
+    labels = complete_labels(quot, structure)
+    kz = quot.koszul()
     basis = [kz.class_of(label_class(quot, lab), label=lab) for lab in labels]
     values = {(lab,): h.rep for lab, h in zip(labels, basis)}
     if n < 2 and p_max >= 2 and labels:
@@ -439,10 +437,8 @@ def build_rainbow_table(
             if not is_valid_tuple(quot, structure, lam):
                 continue
             count += 1
-            if count > tuple_cap:
-                raise CapExceededError(
-                    "rainbow tuple cap %d exceeded" % tuple_cap
-                )
+            if count > TUPLE_CAP:
+                raise CapExceededError("rainbow tuple cap %d exceeded" % TUPLE_CAP)
             if p == 2:
                 values[lam] = rainbow_pair_value(quot, *lam)
                 continue
@@ -484,19 +480,14 @@ class TrivialMasseyOutcome:
     witness: Optional[dict] = None  # set when a nonzero (Massey) product appears
 
 
-def build_trivial_table(
-    quot,
-    p_max: int = 4,
-    kz: Optional[KoszulComplex] = None,
-    tuple_cap: int = 500000,
-) -> TrivialMasseyOutcome:
+def build_trivial_table(quot, p_max: int = 4) -> TrivialMasseyOutcome:
     """Attempt a trivial Massey operation on the full homology basis, all
     tuples up to length p_max.  Values are solved lowest degree first with
     the deterministic free-coordinates-zero solution.  The first tuple whose
     equation cannot be solved yields a nonzero Massey product (a NotGolod
     witness); p=2 failures are nonzero homology products.
     """
-    kz = kz or KoszulComplex(quot)
+    kz = quot.koszul()
     basis = kz.homology_basis()
     keys = list(range(len(basis)))
     values = {(i,): h.rep for i, h in enumerate(basis)}
@@ -505,8 +496,8 @@ def build_trivial_table(
     for p in range(2, p_max + 1):
         for lam in itertools.product(keys, repeat=p):
             count += 1
-            if count > tuple_cap:
-                raise CapExceededError("Massey tuple cap %d exceeded" % tuple_cap)
+            if count > TUPLE_CAP:
+                raise CapExceededError("Massey tuple cap %d exceeded" % TUPLE_CAP)
             hom = sum(basis[i].hom_degree for i in lam) + p - 1
             if hom - 1 > n:
                 # the value and every split term live above the top wedge

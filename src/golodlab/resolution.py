@@ -21,6 +21,8 @@ resolution of k: the resolution constructed by Golod's process is graded and
 its ranks dominate the minimal one in each bidegree.  That ceiling both limits
 the degree loops and turns the internal-degree cap into a certificate: when
 the cap covers the ceiling, the reported coefficients are provably complete.
+Both read the Betti table that the quotient owns (`koszul.quotient_betti`),
+so the Serre block and the ladder rules before it share one table.
 """
 from __future__ import annotations
 
@@ -111,13 +113,11 @@ def golod_series(nvars: int, homology_dims, N: int) -> tuple:
     return tuple(sum(d.values()) for d in series)
 
 
-def serre_bound(quot, N: int, betti_table=None) -> tuple:
+def serre_bound(quot, N: int) -> tuple:
     """First N+1 coefficients of the Golod upper bound for the Poincare
-    series of k over quot, exact integers."""
-    if betti_table is None:
-        betti_table = quotient_betti(quot)
+    series of k over quot, exact integers, from quot's own Betti table."""
     dims = {}
-    for (i, _), b in betti_table.entries.items():
+    for (i, _), b in quotient_betti(quot).entries.items():
         if i >= 1:
             dims[i] = dims.get(i, 0) + b
     return golod_series(quot.ring.nvars, dims, N)
@@ -200,7 +200,7 @@ def _column_images(quot, gens, prev_images, j, splits):
     return images, slices
 
 
-def poincare_coeffs(quot, N: int, D: int, betti_table=None) -> PoincareData:
+def poincare_coeffs(quot, N: int, D: int) -> PoincareData:
     """Total Betti numbers c_0..c_N of the residue field over quot.
 
     D caps the internal degree searched for syzygy generators.  The bigraded
@@ -219,10 +219,8 @@ def poincare_coeffs(quot, N: int, D: int, betti_table=None) -> PoincareData:
     field_ = quot.field
     multi = quot.is_monomial
     nvars = quot.ring.nvars
-    if betti_table is None:
-        betti_table = quotient_betti(quot)
 
-    big = bigraded_golod_series(nvars, betti_table, N)
+    big = bigraded_golod_series(nvars, quotient_betti(quot), N)
     bound = tuple(sum(d.values()) for d in big)
     # provable ceiling on internal degrees of step-i generators
     tops = [max(d, default=-1) for d in big]

@@ -19,12 +19,14 @@ from .rings import mono_deg, mono_lcm
 TAYLOR_MAX_GENS = 18
 
 
-def taylor_betti(I: MonomialIdeal, max_gens: int = TAYLOR_MAX_GENS) -> BettiTable:
+def taylor_betti(I: MonomialIdeal) -> BettiTable:
     """Graded (and multigraded) Betti numbers of R/I."""
     gens = I.gens
     r = len(gens)
-    if r > max_gens:
-        raise CapExceededError("Taylor complex on %d generators exceeds cap %d" % (r, max_gens))
+    if r > TAYLOR_MAX_GENS:
+        raise CapExceededError(
+            "Taylor complex on %d generators exceeds cap %d" % (r, TAYLOR_MAX_GENS)
+        )
     F = I.ring.field
     zero = I.ring.zero_mono()
     lcm = [zero] * (1 << r)

@@ -39,6 +39,8 @@ CASES = {
     "betti_x2_xy_y3_yz2": ["betti", "--ideal", "x^2,xy,y^3,yz^2"],
     "fiber_inv_gorenstein3": ["fiber-inv", "--ideal", str(FIXTURES / "gorenstein3.txt")],
     "massey_gorenstein3": ["massey", "--ideal", str(FIXTURES / "gorenstein3.txt")],
+    # non-squarefree: the polarization rule runs before the direct search wins
+    "golod_x3_y3_z3_xyz": ["golod", "--ideal", "x^3,y^3,z^3,x*y*z"],
     # the monic Groebner basis has non-integral coefficients (1/686, 1029/5, ...)
     "golod_graded_fractions": [
         "golod", "--ideal", "3*x^2-2*y*z+w^2,y^2-5*x*z,z^2-x*y+7*w^2,x*w", "--N", "4",
@@ -56,6 +58,7 @@ RULES = {
     "golod_graded_upto": ("GolodUpTo", None),
     "golod_x2_yz_cap": ("GolodProven", "FiberInvariantTransfer"),
     "golod_graded_fractions": ("NotGolod", "HomologyProduct"),
+    "golod_x3_y3_z3_xyz": ("NotGolod", "HomologyProduct"),
 }
 
 

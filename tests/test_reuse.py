@@ -1,0 +1,108 @@
+"""Derived objects are built once per job: each quotient's Betti table and
+each (order, generators) Groebner basis, and the polarization transfer
+checks the construction it relies on."""
+
+import sys
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from golodlab import (
+    GroebnerBasis,
+    InconsistencyError,
+    LadderMatrix,
+    MonomialIdeal,
+    analyzer,
+    golod_certificate,
+    grevlex,
+    groebner,
+    koszul,
+    parse_ideal_text,
+    parse_poly,
+    verify_sparse_theorems,
+)
+
+from conftest import FIXTURES
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts engine runs by what they were run on."""
+    counts = Counter()
+
+    def count(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[(name,) + key(*args)] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def tabulated(_I, *_):
+        # taylor_betti sees only the monomial ideal; its caller,
+        # quotient_betti(quot), names the quotient whose table it builds
+        # (several orders of the minors share one initial ideal)
+        quot = sys._getframe(2).f_locals["quot"]
+        return (quot.gb.order, quot.gb.gens)
+
+    count(koszul, "taylor_betti", tabulated)
+    count(koszul, "koszul_betti", lambda quot, *_: (quot.gb.order, quot.gb.gens))
+    count(groebner, "buchberger", lambda gens, order: (order, tuple(gens)))
+    return counts
+
+
+def _engines(counts):
+    return {key[0] for key in counts}
+
+
+def test_golod_certificate_builds_each_table_and_basis_once(builds):
+    f = parse_ideal_text((FIXTURES / "gorenstein3.txt").read_text())
+    cert = golod_certificate(GroebnerBasis(f.ring, f.order, f.gens))
+    assert cert.summary() == "NotGolod(HomologyProduct)"
+    assert _engines(builds) == {"taylor_betti", "koszul_betti", "buchberger"}
+    assert [key for key, n in builds.items() if n > 1] == []
+
+
+def test_minors_battery_builds_each_table_and_basis_once(builds):
+    report = verify_sparse_theorems(LadderMatrix.generic(2, 3))
+    assert report["all_pass"] is True
+    # fiber invariance takes its linear-resolution fast path: no Koszul table
+    assert _engines(builds) == {"taylor_betti", "buchberger"}
+    assert [key for key, n in builds.items() if n > 1] == []
+
+
+def _golod_of(text):
+    ring = parse_ideal_text("ring: QQ[x,y,z]\nideal: %s" % text).ring
+    gens = [parse_poly(g, ring) for g in text.split(",")]
+    return golod_certificate(GroebnerBasis(ring, grevlex(ring), gens))
+
+
+def _corrupt_polarization(monkeypatch, polarized_gens):
+    """Make the analyzer see `polarized_gens` as the polarization."""
+    real = analyzer.polarize
+
+    def corrupted(I):
+        P = real(I)
+        return replace(P, ideal=MonomialIdeal.from_monos(P.ring, polarized_gens))
+
+    monkeypatch.setattr(analyzer, "polarize", corrupted)
+
+
+def test_polarization_with_a_foreign_generator_raises(monkeypatch):
+    # polarized ring x1, x2, y1, z1; y1*z1 depolarizes to y*z, not in I
+    _corrupt_polarization(
+        monkeypatch, [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 0, 1, 1)]
+    )
+    with pytest.raises(InconsistencyError, match="depolarize"):
+        _golod_of("x^2, x*y, x*z")
+
+
+def test_polarization_with_a_different_betti_table_raises(monkeypatch):
+    # x1*x2, x1*y1, x2*z1 depolarize one to one onto x^2, x*y, x*z, but they
+    # span the edge ideal of a path (Betti 1, 3, 2), not x1*(x2, y1, z1)
+    # (Betti 1, 3, 3, 1), so the differences cannot be a regular sequence
+    _corrupt_polarization(monkeypatch, [(1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)])
+    with pytest.raises(InconsistencyError, match="Betti tables"):
+        _golod_of("x^2, x*y, x*z")
