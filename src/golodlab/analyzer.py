@@ -508,13 +508,10 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
 def _table_summary(table: Optional[MasseyTable]):
     if table is None:
         return None
-    lengths = {}
-    for lam in table.values:
-        lengths[len(lam)] = lengths.get(len(lam), 0) + 1
     return {
         "mode": table.mode,
         "basis": len(table.basis),
-        "tuples_by_length": {str(k): v for k, v in sorted(lengths.items())},
+        "tuples_by_length": {str(k): v for k, v in sorted(table.counts.items())},
         "p_max": table.p_max,
         "verified": table.verified,
         "solved_tuples": len(table.findings),

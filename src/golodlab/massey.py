@@ -8,7 +8,7 @@ Two layers:
   UniqueZero, UniqueNonzero, or Undefined (with the obstructing interval).
 
 * MasseyTable / build_trivial_table / build_rainbow_table: a trivial Massey
-  operation as a stored table of values mu(tuple), every defining equation
+  operation as a table of values mu(tuple), every defining equation
 
       d mu(h_1..h_p) = sum_{i=1}^{p-1} bar(mu(h_1..h_i)) ^ mu(h_{i+1}..h_p)
 
@@ -17,6 +17,13 @@ Two layers:
   whose merged label is complete, solves longer tuples strand by strand,
   and records which tuples needed solving; the general builder solves for
   every value.
+
+  Tables are sparse: only nonzero values are stored, and a missing tuple
+  has value 0.  A tuple is a *candidate* when some cut has stored values on
+  both sides.  Any other tuple has value 0 and a zero side at every cut, so
+  its defining equation reads 0 = 0 identically; the builders solve, and
+  MasseyTable.verify re-checks, only the stored and the candidate tuples.
+  The number of tuples a table covers at each length is kept in `counts`.
 """
 from __future__ import annotations
 
@@ -65,7 +72,7 @@ def label_transversals(label):
     return itertools.product(*label)
 
 
-def is_complete_label(quot, structure, label) -> bool:
+def is_complete_label(quot, label) -> bool:
     """Every transversal of the label is a minimal generator of the ideal."""
     gens = set(quot.gb.lts)
     n = quot.ring.nvars
@@ -108,7 +115,7 @@ def complete_labels(quot, structure) -> list:
         for c in classes
     ]
     for label in itertools.product(*blocks_per_color):
-        if is_complete_label(quot, structure, label):
+        if is_complete_label(quot, label):
             out.append(label)
     out.sort(key=lambda lab: (sum(len(b) for b in lab), lab))
     return out
@@ -132,13 +139,13 @@ def tuples_share_variables(lams) -> bool:
     return False
 
 
-def is_valid_tuple(quot, structure, lam) -> bool:
+def is_valid_tuple(quot, lam) -> bool:
     """A tuple of labels is valid when the product of their monomials is a
     squarefree monomial that itself has a complete label: the labels are
     pairwise variable-disjoint and the blockwise union is complete."""
     if tuples_share_variables(lam):
         return False
-    return is_complete_label(quot, structure, merge_labels(list(lam)))
+    return is_complete_label(quot, merge_labels(list(lam)))
 
 
 def rainbow_pair_value(quot, A, B) -> KoszulElement:
@@ -162,13 +169,15 @@ def bar(a: KoszulElement) -> KoszulElement:
 
 
 def equation_rhs(values: dict, lam: tuple) -> KoszulElement:
-    """sum over proper splits of bar(mu(prefix)) ^ mu(suffix)."""
+    """sum over proper splits of bar(mu(prefix)) ^ mu(suffix); a tuple
+    missing from `values` has value 0, but the first key's singleton must
+    be there."""
     first = values[lam[:1]]
     acc = None
     for cut in range(1, len(lam)):
-        left = values[lam[:cut]]
-        right = values[lam[cut:]]
-        if left.is_zero() or right.is_zero():
+        left = values.get(lam[:cut])
+        right = values.get(lam[cut:])
+        if left is None or right is None or left.is_zero() or right.is_zero():
             continue
         term = bar(left).wedge(right)
         acc = term if acc is None else acc + term
@@ -178,11 +187,27 @@ def equation_rhs(values: dict, lam: tuple) -> KoszulElement:
 
 
 def verify_equation(values: dict, lam: tuple) -> bool:
-    if len(lam) == 1:
-        return values[lam].is_cycle()
-    lhs = values[lam].differential()
+    """The defining equation of a tuple of length >= 2, a missing value
+    read as 0."""
     rhs = equation_rhs(values, lam)
-    return (lhs - rhs).is_zero()
+    value = values.get(lam)
+    if value is None:
+        return rhs.is_zero()
+    return (value.differential() - rhs).is_zero()
+
+
+def candidate_tuples(stored, p: int) -> list:
+    """Sorted tuples of length p with a cut where both the prefix and the
+    suffix are among the `stored` tuples."""
+    by_len = {}
+    for lam in stored:
+        by_len.setdefault(len(lam), []).append(lam)
+    return sorted({
+        a + b
+        for cut in range(1, p)
+        for a in by_len.get(cut, ())
+        for b in by_len.get(p - cut, ())
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +292,10 @@ class MasseyTable:
     mode: str  # "rainbow-valid-tuples" | "all-tuples"
     basis: list  # HomologyClass, parallel to keys
     keys: list  # hashable key per basis class (label tuple or int)
-    values: dict  # tuple of keys -> KoszulElement
+    values: dict  # tuple of keys -> nonzero KoszulElement; missing means 0
     p_max: int
+    # length -> number of tuples the table covers (zero counts omitted)
+    counts: dict = field(default_factory=dict)
     order_descriptor: str = ""
     verified: bool = False
     # tuples whose value could not come from the closed form and was solved
@@ -279,32 +306,49 @@ class MasseyTable:
         return {k: i for i, k in enumerate(self.keys)}
 
     def verify(self) -> "MasseyTable":
-        """Exact re-verification of every stored defining equation."""
+        """Exact re-verification of the table's defining equations.
+
+        An all-tuples table must count every tuple through p_max.  Every
+        basis key needs a singleton value, a cycle representing its class.
+        At each length the stored tuples and the candidates (a cut with
+        stored values on both sides) are re-checked exactly; in rainbow mode
+        only valid tuples are claimed, so an invalid candidate is skipped
+        and an invalid stored tuple is an error.  Any other tuple has value
+        0 and a zero side at every cut, so its equation is 0 = 0.
+        """
         idx = self.key_index()
+        rainbow = self.mode == "rainbow-valid-tuples"
+        size = len(self.keys)
+        if not rainbow and self.counts != {p: size ** p for p in range(1, self.p_max + 1) if size}:
+            raise InconsistencyError("tuple counts %r do not cover all tuples" % (self.counts,))
         for lam in self.values:
             for k in lam:
                 if k not in idx:
                     raise InconsistencyError("table key %r missing from basis" % (k,))
-            if len(lam) == 1:
-                v = self.values[lam]
-                if not v.is_cycle():
-                    raise InconsistencyError(
-                        "mu(%r) is not a cycle" % (lam,)
-                    )
-                if (v - self.basis[idx[lam[0]]].rep).terms:
-                    raise InconsistencyError(
-                        "mu(%r) does not represent its basis class" % (lam,)
-                    )
-                continue
-            for cut in range(1, len(lam)):
-                if lam[:cut] not in self.values or lam[cut:] not in self.values:
-                    raise InconsistencyError(
-                        "table misses a sub-tuple of %r" % (lam,)
-                    )
-            if not verify_equation(self.values, lam):
+        for k, h in zip(self.keys, self.basis):
+            v = self.values.get((k,))
+            if v is None:
+                raise InconsistencyError("table has no value for basis key %r" % (k,))
+            if not v.is_cycle():
+                raise InconsistencyError("mu(%r) is not a cycle" % ((k,),))
+            if (v - h.rep).terms:
                 raise InconsistencyError(
-                    "defining equation fails for tuple %r" % (lam,)
+                    "mu(%r) does not represent its basis class" % ((k,),)
                 )
+        top = max([self.p_max] + [len(lam) for lam in self.values])
+        for p in range(2, top + 1):
+            stored = {lam for lam in self.values if len(lam) == p}
+            for lam in sorted(stored.union(candidate_tuples(self.values, p))):
+                if rainbow and not is_valid_tuple(self.quot, lam):
+                    if lam in stored:
+                        raise InconsistencyError(
+                            "stored tuple %r is not valid" % (lam,)
+                        )
+                    continue
+                if not verify_equation(self.values, lam):
+                    raise InconsistencyError(
+                        "defining equation fails for tuple %r" % (lam,)
+                    )
         self.verified = True
         return self
 
@@ -322,6 +366,7 @@ class MasseyTable:
             "groebner": gens,
             "mode": self.mode,
             "p_max": self.p_max,
+            "counts": {str(p): c for p, c in sorted(self.counts.items())},
             "basis": [
                 {
                     "key": _key_to_json(k),
@@ -385,6 +430,7 @@ class MasseyTable:
             keys=keys,
             values=values,
             p_max=data["p_max"],
+            counts={int(p): c for p, c in data["counts"].items()},
             order_descriptor=data["order"],
             findings=findings,
         )
@@ -430,21 +476,24 @@ def build_rainbow_table(quot, structure, p_max: int = 4) -> MasseyTable:
         # a single color class means I is generated by variables; pair
         # values need two blocks in each label, so no tuples exist
         raise InputError("rainbow Massey tuples need at least two colors")
+    counts = {1: len(labels)} if labels else {}
     findings = []
     count = 0
     for p in range(2, p_max + 1):
         for lam in itertools.product(labels, repeat=p):
-            if not is_valid_tuple(quot, structure, lam):
+            if not is_valid_tuple(quot, lam):
                 continue
             count += 1
+            counts[p] = counts.get(p, 0) + 1
             if count > TUPLE_CAP:
                 raise CapExceededError("rainbow tuple cap %d exceeded" % TUPLE_CAP)
             if p == 2:
-                values[lam] = rainbow_pair_value(quot, *lam)
+                value = rainbow_pair_value(quot, *lam)
+                if not value.is_zero():
+                    values[lam] = value
                 continue
             rhs = equation_rhs(values, lam)
             if rhs.is_zero():
-                values[lam] = KoszulElement.zero(quot)
                 continue
             u = kz.boundary_preimage(rhs)
             if u is None:
@@ -463,6 +512,7 @@ def build_rainbow_table(quot, structure, p_max: int = 4) -> MasseyTable:
         keys=list(labels),
         values=values,
         p_max=p_max,
+        counts=counts,
         findings=findings,
     )
     return table.verify()
@@ -486,27 +536,32 @@ def build_trivial_table(quot, p_max: int = 4) -> TrivialMasseyOutcome:
     the deterministic free-coordinates-zero solution.  The first tuple whose
     equation cannot be solved yields a nonzero Massey product (a NotGolod
     witness); p=2 failures are nonzero homology products.
+
+    Only candidate tuples are solved, in itertools.product order, and only
+    nonzero values are stored.  TUPLE_CAP counts every tuple in that order,
+    as if each were visited: a length-p tuple of rank r is reached when the
+    shorter lengths plus r + 1 stay within the cap.
     """
     kz = quot.koszul()
     basis = kz.homology_basis()
-    keys = list(range(len(basis)))
+    k = len(basis)
     values = {(i,): h.rep for i, h in enumerate(basis)}
     n = quot.ring.nvars
-    count = 0
+    room = TUPLE_CAP
     for p in range(2, p_max + 1):
-        for lam in itertools.product(keys, repeat=p):
-            count += 1
-            if count > TUPLE_CAP:
-                raise CapExceededError("Massey tuple cap %d exceeded" % TUPLE_CAP)
+        for lam in candidate_tuples(values, p):
+            rank = 0
+            for i in lam:
+                rank = rank * k + i
+            if rank >= room:
+                break
             hom = sum(basis[i].hom_degree for i in lam) + p - 1
             if hom - 1 > n:
                 # the value and every split term live above the top wedge
                 # degree, so the equation is 0 = 0 with value 0
-                values[lam] = KoszulElement.zero(quot)
                 continue
             rhs = equation_rhs(values, lam)
             if rhs.is_zero():
-                values[lam] = KoszulElement.zero(quot)
                 continue
             if not rhs.is_cycle():
                 raise InconsistencyError("trivial-Massey RHS is not a cycle")
@@ -523,12 +578,16 @@ def build_trivial_table(quot, p_max: int = 4) -> TrivialMasseyOutcome:
                     },
                 )
             values[lam] = u
+        if k ** p > room:
+            raise CapExceededError("Massey tuple cap %d exceeded" % TUPLE_CAP)
+        room -= k ** p
     table = MasseyTable(
         quot=quot,
         mode="all-tuples",
         basis=basis,
-        keys=keys,
+        keys=list(range(k)),
         values=values,
         p_max=p_max,
+        counts={p: k ** p for p in range(1, p_max + 1) if k},
     )
     return TrivialMasseyOutcome(table=table.verify())

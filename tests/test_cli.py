@@ -39,6 +39,8 @@ CASES = {
     "betti_x2_xy_y3_yz2": ["betti", "--ideal", "x^2,xy,y^3,yz^2"],
     "fiber_inv_gorenstein3": ["fiber-inv", "--ideal", str(FIXTURES / "gorenstein3.txt")],
     "massey_gorenstein3": ["massey", "--ideal", str(FIXTURES / "gorenstein3.txt")],
+    # every tuple through length 4 is in the table: 17/289/4913/83521
+    "massey_gorenstein3_initial": ["massey", "--ideal", str(FIXTURES / "gorenstein3_initial.txt")],
     # non-squarefree: the polarization rule runs before the direct search wins
     "golod_x3_y3_z3_xyz": ["golod", "--ideal", "x^3,y^3,z^3,x*y*z"],
     # the monic Groebner basis has non-integral coefficients (1/686, 1029/5, ...)

@@ -1,8 +1,11 @@
 """Buchberger engine: normal forms, basis laws, the worked lex example."""
 
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from golodlab import (
     QQ,
@@ -173,3 +176,42 @@ def test_quotient_brute_force_dimension():
         for d in range(5):
             brute = sum(1 for m in monomials_of_degree(3, d) if not I.contains(m))
             assert quot.hilbert(d) == brute
+
+
+def _canonical(polys):
+    """Each polynomial as sorted (exponents, coefficient) pairs, scaled to
+    coefficient 1 at its lexicographically largest exponent vector."""
+    out = []
+    for terms in polys:
+        lead = terms[max(terms)]
+        out.append(tuple(sorted((m, Fraction(c) / lead) for m, c in terms.items())))
+    return sorted(out)
+
+
+@st.composite
+def graded_ideals(draw):
+    """One to three homogeneous polynomials of degree 1 to 3 in QQ[x,y,z]."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = list(monomials_of_degree(3, draw(st.integers(1, 3))))
+        support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+        coeffs = st.fractions(-4, 4, max_denominator=3).filter(bool)
+        gens.append({m: draw(coeffs) for m in support})
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_ideals(), st.sampled_from(["grevlex", "lex"]))
+def test_buchberger_matches_sympy_groebner(gens, order_name):
+    ring = PolyRing(("x", "y", "z"), QQ)
+    order = {"grevlex": grevlex, "lex": lex}[order_name](ring)
+    gb = GroebnerBasis(ring, order, [ring.from_terms(t) for t in gens])
+    syms = sympy.symbols("x y z")
+    exprs = [
+        sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(s ** e for s, e in zip(syms, m))
+            for m, c in t.items())
+        for t in gens
+    ]
+    ref = sympy.groebner(exprs, *syms, order=order_name, domain="QQ")
+    want = [{m: Fraction(int(c.p), int(c.q)) for m, c in p.terms()} for p in ref.polys]
+    assert _canonical([g.terms for g in gb.gens]) == _canonical(want)

@@ -1,13 +1,17 @@
-"""Homology products, Massey systems and Massey tables."""
+"""Homology products, Massey systems and Massey tables, with the sparse
+trivial-table builder checked against the dense one it replaced."""
 
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from golodlab import (
     GroebnerBasis,
     KoszulComplex,
+    KoszulElement,
     MasseyTable,
     MonomialIdeal,
     QuotientRing,
@@ -16,9 +20,11 @@ from golodlab import (
     diagonal_order,
     grevlex,
     homology_product,
+    massey,
     massey_product,
 )
-from golodlab.errors import InconsistencyError
+from golodlab.errors import CapExceededError, InconsistencyError
+from golodlab.rings import monomials_of_degree
 
 from conftest import mk_ring
 
@@ -40,11 +46,10 @@ def test_hypersurface_is_trivially_golod():
     assert out.witness is None
     tbl = out.table
     assert tbl.verified
-    # one class, all higher tuples vanish by construction
+    # one class, all higher tuples vanish by construction and are not stored
     assert len(tbl.basis) == 1
-    for lam, v in tbl.values.items():
-        if len(lam) > 1:
-            assert v.is_zero()
+    assert list(tbl.values) == [(0,)]
+    assert tbl.counts == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_complete_intersection_has_nonzero_product():
@@ -88,20 +93,59 @@ def test_golod_m2_table_verifies_and_round_trips():
     assert back.verified
     assert back.keys == tbl.keys
     assert len(back.values) == len(tbl.values)
+    assert back.counts == tbl.counts == {1: 5, 2: 25, 3: 125, 4: 625}
+
+
+def _triangle_table_json():
+    """(xy, yz, xz) over QQ[x,y,z]: five classes, and exactly two stored
+    pair values, mu(0, 1) and mu(1, 0)."""
+    ring = mk_ring(3, ("x", "y", "z"))
+    quot = quotient_of(MonomialIdeal.from_monos(ring, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]))
+    data = build_trivial_table(quot, p_max=3).table.to_json()
+    pairs = [row["tuple"] for row in data["values"] if len(row["tuple"]) == 2]
+    assert pairs == [[0, 1], [1, 0]]
+    return data
+
+
+def _rows(data):
+    return {tuple(row["tuple"]): row for row in data["values"]}
+
+
+def _corrupt_pair(data):
+    _rows(data)[(0, 1)]["value"] = [[[], "1"]]
+
+
+def _insert_absent_pair(data):
+    assert (0, 2) not in _rows(data)
+    data["values"].append({"tuple": [0, 2], "value": [[[0, 1, 2], "1"]]})
+
+
+def _drop_pair(data):
+    data["values"].remove(_rows(data)[(1, 0)])
+
+
+def _corrupt_singleton(data):
+    _rows(data)[(0,)]["value"] = [[[1], "2*z"]]
+
+
+def _drop_singleton(data):
+    data["values"].remove(_rows(data)[(2,)])
+
+
+def _miscount(data):
+    data["counts"]["3"] = 124
 
 
 def test_from_json_rejects_tampered_value():
-    ring = mk_ring(2, ("x", "y"))
-    quot = quotient_of(MonomialIdeal.from_monos(ring, [(2, 0), (1, 1), (0, 2)]))
-    tbl = build_trivial_table(quot, p_max=3).table
-    data = tbl.to_json()
-    # corrupt one stored defining-system value
-    for row in data["values"]:
-        if len(row["tuple"]) == 2:
-            row["value"] = [[[], "1"]]
-            break
-    with pytest.raises(InconsistencyError):
-        MasseyTable.from_json(data)
+    data = _triangle_table_json()
+    assert MasseyTable.from_json(data).verified
+    for tamper in (
+        _corrupt_pair, _insert_absent_pair, _drop_pair, _corrupt_singleton, _drop_singleton, _miscount,
+    ):
+        bad = json.loads(json.dumps(data))
+        tamper(bad)
+        with pytest.raises(InconsistencyError):
+            MasseyTable.from_json(bad)
 
 
 def test_massey_undefined_when_pairwise_product_survives():
@@ -149,12 +193,167 @@ def test_rainbow_table_on_2x3_minors():
 
     total = sum(b for (i, _), b in koszul_betti(quot).entries.items() if i >= 1)
     assert len(tbl.basis) == total
-    # every stored tuple value of length >= 2 is zero: the operation is trivial
-    for lam, v in tbl.values.items():
-        if len(lam) >= 2:
-            assert v.is_zero()
+    # no tuple value of length >= 2 is stored: the operation is trivial
+    assert all(len(lam) == 1 for lam in tbl.values)
+    # a value stored for a tuple the table does not claim is an error
+    a, b = tbl.keys[0], tbl.keys[1]
+    tbl.values[(a, a)] = tbl.values[(a,)].wedge(tbl.values[(b,)])
+    with pytest.raises(InconsistencyError, match="not valid"):
+        tbl.verify()
     # and the products of all basis pairs vanish in homology
     kz = KoszulComplex(quot)
     for a in tbl.basis:
         for b in tbl.basis:
             assert homology_product(kz, a, b) is None
+
+
+# ---------------------------------------------------------------------------
+# the dense trivial-table builder and verifier, kept as an oracle for the
+# sparse one: every tuple in itertools.product order gets a value, zero
+# values included, and each stored equation is re-derived
+
+
+def dense_rhs(values, lam):
+    acc = KoszulElement.zero(values[lam[:1]].quot)
+    for cut in range(1, len(lam)):
+        left, right = values[lam[:cut]], values[lam[cut:]]
+        if not left.is_zero() and not right.is_zero():
+            acc = acc + left.signed().wedge(right)
+    return acc
+
+
+def dense_verify(values, basis):
+    for lam, v in values.items():
+        if len(lam) == 1:
+            assert v.is_cycle()
+            assert v == basis[lam[0]].rep
+            continue
+        for cut in range(1, len(lam)):
+            assert lam[:cut] in values and lam[cut:] in values
+        assert v.differential() == dense_rhs(values, lam)
+
+
+def dense_trivial_table(quot, p_max):
+    """(witness, values) of the dense builder; raises CapExceededError when
+    it would visit more than massey.TUPLE_CAP tuples."""
+    kz = quot.koszul()
+    basis = kz.homology_basis()
+    values = {(i,): h.rep for i, h in enumerate(basis)}
+    n = quot.ring.nvars
+    count = 0
+    for p in range(2, p_max + 1):
+        for lam in itertools.product(range(len(basis)), repeat=p):
+            count += 1
+            if count > massey.TUPLE_CAP:
+                raise CapExceededError("Massey tuple cap %d exceeded" % massey.TUPLE_CAP)
+            values[lam] = KoszulElement.zero(quot)
+            if sum(basis[i].hom_degree for i in lam) + p - 2 > n:
+                continue
+            rhs = dense_rhs(values, lam)
+            if rhs.is_zero():
+                continue
+            assert rhs.is_cycle()
+            u = kz.boundary_preimage(rhs)
+            if u is None:
+                kind = "product" if p == 2 else "massey"
+                return {"tuple": lam, "length": p, "kind": kind, "product": rhs.terms}, values
+            values[lam] = u
+    dense_verify(values, basis)
+    return None, values
+
+
+def _outcome(build, ring, gens, p_max, cap):
+    """What a builder reports, on a quotient of its own."""
+    quot = GroebnerBasis(ring, grevlex(ring), gens).quotient()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(massey, "TUPLE_CAP", cap)
+        try:
+            return build(quot, p_max)
+        except CapExceededError:
+            return "cap"
+
+
+def _dense(quot, p_max):
+    witness, values = dense_trivial_table(quot, p_max)
+    if witness is not None:
+        return witness
+    lengths = {}
+    for lam in values:
+        lengths[len(lam)] = lengths.get(len(lam), 0) + 1
+    nonzero = {lam: v.terms for lam, v in values.items() if not v.is_zero()}
+    return lengths, nonzero
+
+
+def _sparse(quot, p_max):
+    out = build_trivial_table(quot, p_max=p_max)
+    if out.witness is not None:
+        w = out.witness
+        return dict({k: w[k] for k in ("tuple", "length", "kind")}, product=w["product"].terms)
+    return out.table.counts, {lam: v.terms for lam, v in out.table.values.items()}
+
+
+def assert_builders_agree(ring, gens, p_max, cap):
+    assert _outcome(_sparse, ring, gens, p_max, cap) == _outcome(_dense, ring, gens, p_max, cap)
+
+
+@st.composite
+def small_ideals(draw):
+    """A monomial or a graded ideal over QQ in 3 or 4 variables."""
+    nvars = draw(st.integers(3, 4))
+    ring = mk_ring(nvars)
+    if draw(st.booleans()):
+        mono = st.tuples(*[st.integers(0, 2)] * nvars).filter(lambda e: 2 <= sum(e) <= 3)
+        monos = draw(st.lists(mono, min_size=1, max_size=7))
+        return ring, MonomialIdeal.from_monos(ring, monos).polys()
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        pool = list(monomials_of_degree(nvars, draw(st.integers(2, 3))))
+        support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        gens.append(ring.from_terms({m: draw(st.sampled_from([-2, -1, 1, 3])) for m in support}))
+    return ring, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals(), st.integers(2, 4), st.one_of(st.integers(0, 300), st.just(5000)))
+def test_sparse_trivial_table_matches_dense_oracle(ideal, p_max, cap):
+    ring, gens = ideal
+    assert_builders_agree(ring, gens, p_max, cap)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_cap_lands_on_the_same_tuple_as_the_dense_loop(gorenstein_gb, delta):
+    """Caps around the gorenstein3 witness and inside the length-3 tuples
+    of (xy, yz, xz) give the dense loop's answer."""
+    ring, gens = gorenstein_gb.ring, list(gorenstein_gb.gens)
+    quot = GroebnerBasis(ring, grevlex(ring), gens).quotient()
+    first, second = build_trivial_table(quot).witness["tuple"]
+    rank = first * len(quot.koszul().homology_basis()) + second
+    assert_builders_agree(ring, gens, 4, rank + 1 + delta)
+    tri = mk_ring(3, ("x", "y", "z"))
+    tri_gens = MonomialIdeal.from_monos(tri, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]).polys()
+    assert_builders_agree(tri, tri_gens, 3, 25 + 60 + delta)
+
+
+# 5-variable quadrics whose tables store triple values reached from one cut
+# only: mu(1, 0, 2) has mu(0, 2) but not mu(1, 0) stored, and mu(1, 0, 4)
+# the other way round
+ONE_SIDED_TRIPLES = {
+    "first-cut": [(0, 0, 1, 1, 0), (0, 1, 1, 0, 0), (1, 0, 0, 0, 1), (1, 0, 1, 0, 0)],
+    "last-cut": [
+        (0, 0, 1, 1, 0), (0, 1, 0, 0, 1), (0, 1, 1, 0, 0),
+        (1, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 1, 0, 0, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("room", [None, 300])
+@pytest.mark.parametrize("name", sorted(ONE_SIDED_TRIPLES))
+def test_one_sided_triples_match_dense_oracle(name, room):
+    """room: length-3 tuples the cap leaves after the pairs (None: no cap)."""
+    ring = mk_ring(5)
+    gens = MonomialIdeal.from_monos(ring, ONE_SIDED_TRIPLES[name]).polys()
+    table = build_trivial_table(GroebnerBasis(ring, grevlex(ring), gens).quotient(), 3).table
+    cap = massey.TUPLE_CAP if room is None else len(table.basis) ** 2 + room
+    assert_builders_agree(ring, gens, 3, cap)
+    lam = (1, 0, 2) if name == "first-cut" else (1, 0, 4)
+    assert lam in table.values and (lam[:2] in table.values) != (lam[1:] in table.values)
