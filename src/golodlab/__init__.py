@@ -57,7 +57,7 @@ from .parsing import (
     parse_ring,
     poly_str,
 )
-from .resolution import PoincareData, golod_series, poincare_coeffs, serre_bound
+from .resolution import PoincareData, poincare_coeffs, serre_bound
 from .rings import PolyRing, Polynomial
 from .taylor import taylor_betti
 
@@ -100,7 +100,6 @@ __all__ = [
     "display_sorted",
     "fiber_invariant",
     "golod_certificate",
-    "golod_series",
     "grevlex",
     "has_linear_resolution",
     "homology_product",

@@ -26,7 +26,7 @@ produce either.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .betti import BettiTable, has_linear_resolution
@@ -186,8 +186,6 @@ class GolodCertificate:
     serre: Optional[dict]  # {"poincare": [...], "bound": [...], "N": int}
     config: AnalyzerConfig
     caps_exceeded: bool = False
-    massey_table: Optional[MasseyTable] = field(default=None, repr=False, compare=False)
-    inner: Optional["GolodCertificate"] = field(default=None, repr=False, compare=False)
 
     @property
     def golod_class(self) -> str:
@@ -325,9 +323,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
 
     verdict = rule = witness = None
     evidence = {}
-    table = None
     outcome = None
-    inner_cert = None
     pending = None  # NotGolod transfer waiting on the direct-witness search
 
     I_mono = None
@@ -348,6 +344,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
             caps.append("rainbow color search bound")
         if det.status == "found" and I_mono.is_equigenerated():
             if has_linear_resolution(quotient_betti(quot)):
+                table = None
                 try:
                     table = build_rainbow_table(quot, det.structure, p_max=config.p_max)
                 except CapExceededError:
@@ -394,7 +391,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
                 )
 
     # rule 5: polarization transfer for non-squarefree monomial ideals
-    if verdict is None and pending is None and I_mono is not None and not I_mono.is_squarefree():
+    if verdict is None and I_mono is not None and not I_mono.is_squarefree():
         pol = polarize(I_mono)
         pol_gb = GroebnerBasis(pol.ring, lex(pol.ring), pol.ideal.polys())
         _check_polarization(pol, quot, pol_gb.quotient())
@@ -490,8 +487,6 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
                 "massey_table": _table_summary(outcome.table) if outcome is not None else None,
             }
 
-    if table is None and outcome is not None and verdict != "NotGolod":
-        table = outcome.table
     return GolodCertificate(
         verdict=verdict,
         rule=rule,
@@ -499,9 +494,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
         evidence=evidence,
         serre=serre,
         config=config,
-        caps_exceeded=bool(caps) or (inner_cert.caps_exceeded if inner_cert else False),
-        massey_table=table,
-        inner=inner_cert,
+        caps_exceeded=bool(caps),
     )
 
 

@@ -13,6 +13,20 @@ Conventions.  For S = (s_0 < ... < s_{k-1}):
 so d(e_1 ^ e_2) = x_1 e_2 - x_2 e_1.  Wedge signs count inversions between
 the two index sets.  Homological degree i = |S|; internal degree
 j = deg(m) + |S|; multidegree = m + indicator(S).
+
+Grading.  Each KoszulComplex fixes its grading once, from its quotient: a
+monomial quotient is multigraded, so a strand is keyed by a multidegree
+alpha and holds at most one monomial per wedge factor; any other graded
+quotient is graded by internal degree j.  Every strand method takes the key
+of that one grading.
+
+Which strands carry homology.  By balancing Tor, the strand (i, key) of
+H_i(K tensor A) is Tor_i^R(A, k)_key, whose dimension is the Betti number
+beta_{i,key} of A over R.  So the support of the Betti table that A owns
+(`quotient_betti`) is exactly the set of strands with homology, and
+`homology_basis` visits only those.  Only `koszul_betti`, which computes
+such a table, scans a superset: the lcm lattice of a monomial quotient, or
+the support of the table of R/in(I) by upper-semicontinuity.
 """
 from __future__ import annotations
 
@@ -116,12 +130,6 @@ class KoszulElement:
             raise InputError("element is not homologically homogeneous")
         return ds.pop()
 
-    def internal_degrees(self) -> set:
-        return {mono_deg(m) + len(S) for S, m in self.terms}
-
-    def multidegrees(self) -> set:
-        return {multidegree(S, m) for S, m in self.terms}
-
     def wedge(self, other: "KoszulElement") -> "KoszulElement":
         quot, fld = self.quot, self.quot.field
         out = {}
@@ -138,14 +146,11 @@ class KoszulElement:
         return KoszulElement(quot, out)
 
     def differential(self) -> "KoszulElement":
-        quot, fld = self.quot, self.quot.field
+        kz, fld = self.quot.koszul(), self.quot.field
         out = {}
-        for (S, m), c in self.terms.items():
-            for pos, l in enumerate(S):
-                cc = c if pos % 2 == 0 else fld.neg(c)
-                rest = S[:pos] + S[pos + 1:]
-                axpy(out, cc, {(rest, m2): c2 for m2, c2 in quot.mult_var(l, m).items()}, fld)
-        return KoszulElement(quot, out)
+        for pair, c in self.terms.items():
+            axpy(out, c, kz.diff_vector(pair), fld)
+        return KoszulElement(self.quot, out)
 
     def is_cycle(self) -> bool:
         return self.differential().is_zero()
@@ -181,15 +186,6 @@ class KoszulElement:
 
 
 @dataclass
-class HomologyStrand:
-    hom_degree: int
-    key: object  # internal degree (int) or multidegree (tuple)
-    basis: list  # C_i strand basis pairs
-    reps: list  # KoszulElement homology representatives
-    dim: int
-
-
-@dataclass
 class HomologyClass:
     rep: KoszulElement  # a cycle
     hom_degree: int
@@ -207,13 +203,17 @@ STRAND_BUDGET = 2_000_000
 
 class KoszulComplex:
     """Strand-by-strand homology of K otimes A for a quotient ring A; the
-    pipeline uses A's own, `A.koszul()`, so each strand is built once."""
+    pipeline uses A's own, `A.koszul()`, so each strand is built once.
+
+    A strand key is a multidegree (tuple) when `multigraded`, which holds
+    exactly for monomial quotients, and an internal degree (int) otherwise.
+    """
 
     def __init__(self, quot):
         self.quot = quot
-        self.ring = quot.ring
         self.field = quot.ring.field
         self.n = quot.ring.nvars
+        self.multigraded = quot.is_monomial
         self._spent = 0
         self._strands = {}
         self._homology = {}
@@ -225,45 +225,36 @@ class KoszulComplex:
                 "Koszul strand budget exhausted (%d columns)" % self._spent
             )
 
+    def grade(self, S, m):
+        """Strand key of the pair (S, m): its multidegree or internal degree."""
+        return multidegree(S, m) if self.multigraded else mono_deg(m) + len(S)
+
     # strand bases
 
-    def strand_basis(self, i: int, j: int) -> list:
-        key = ("z", i, j)
-        if key not in self._strands:
-            if i < 0 or i > self.n or j < i:
-                self._strands[key] = []
-            else:
-                monos = self.quot.std_monomials(j - i)
-                basis = [
-                    (S, m)
-                    for S in itertools.combinations(range(self.n), i)
-                    for m in monos
-                ]
-                self._charge(len(basis))
-                self._strands[key] = basis
-        return self._strands[key]
-
-    def strand_basis_multi(self, i: int, alpha: tuple) -> list:
-        key = ("m", i, alpha)
-        if key not in self._strands:
-            if i < 0 or i > self.n:
-                self._strands[key] = []
-            else:
-                supp = [l for l in range(self.n) if alpha[l] >= 1]
-                basis = []
-                for S in itertools.combinations(supp, i):
-                    m = list(alpha)
-                    for s in S:
-                        m[s] -= 1
-                    m = tuple(m)
-                    if not self.quot.contains_mono(m):
-                        basis.append((S, m))
-                self._charge(len(basis))
-                self._strands[key] = basis
-        return self._strands[key]
-
-    def _basis_for(self, i, key, multi: bool) -> list:
-        return self.strand_basis_multi(i, key) if multi else self.strand_basis(i, key)
+    def strand_basis(self, i: int, key) -> list:
+        """The pairs (S, m) with |S| = i and grade(S, m) = key, m standard."""
+        if (i, key) not in self._strands:
+            basis = []
+            if 0 <= i <= self.n:
+                if self.multigraded:
+                    supp = [l for l in range(self.n) if key[l] >= 1]
+                    for S in itertools.combinations(supp, i):
+                        m = list(key)
+                        for s in S:
+                            m[s] -= 1
+                        m = tuple(m)
+                        if not self.quot.contains_mono(m):
+                            basis.append((S, m))
+                elif key >= i:
+                    monos = self.quot.std_monomials(key - i)
+                    basis = [
+                        (S, m)
+                        for S in itertools.combinations(range(self.n), i)
+                        for m in monos
+                    ]
+            self._charge(len(basis))
+            self._strands[(i, key)] = basis
+        return self._strands[(i, key)]
 
     def diff_vector(self, pair: Pair) -> dict:
         S, m = pair
@@ -281,58 +272,49 @@ class KoszulComplex:
             elim.insert(self.diff_vector(pair))
         return elim.rank
 
-    def homology(self, i: int, key, multi: bool = False) -> HomologyStrand:
-        hkey = ("m" if multi else "z", i, key)
-        if hkey in self._homology:
-            return self._homology[hkey]
-        basis = self._basis_for(i, key, multi)
-        cols = [self.diff_vector(p) for p in basis]
-        combos = kernel_basis(cols, self.field)
-        cycles = [
-            {basis[idx]: c for idx, c in combo.items()} for combo in combos
-        ]
-        elim = Eliminator(self.field)
-        up = self._basis_for(i + 1, key, multi)
-        for pair in up:
-            elim.insert(self.diff_vector(pair))
-        reps = []
-        for cyc in cycles:
-            if elim.insert(cyc) is None:
-                reps.append(KoszulElement(self.quot, cyc))
-        strand = HomologyStrand(i, key, basis, reps, len(reps))
-        self._homology[hkey] = strand
-        return strand
+    def homology(self, i: int, key) -> list:
+        """Cycles whose classes form a basis of H_i on the strand."""
+        if (i, key) not in self._homology:
+            basis = self.strand_basis(i, key)
+            combos = kernel_basis([self.diff_vector(p) for p in basis], self.field)
+            elim = Eliminator(self.field)
+            for pair in self.strand_basis(i + 1, key):
+                elim.insert(self.diff_vector(pair))
+            reps = []
+            for combo in combos:
+                cyc = {basis[idx]: c for idx, c in combo.items()}
+                if elim.insert(cyc) is None:
+                    reps.append(KoszulElement(self.quot, cyc))
+            self._homology[(i, key)] = reps
+        return self._homology[(i, key)]
 
-    def betti_entry(self, i: int, key, multi: bool = False) -> int:
+    def betti_entry(self, i: int, key) -> int:
         """dim H_i on the strand, by rank counting only (no representatives)."""
-        if ("m" if multi else "z", i, key) in self._homology:
-            return self._homology[("m" if multi else "z", i, key)].dim
-        here = self._basis_for(i, key, multi)
+        if (i, key) in self._homology:
+            return len(self._homology[(i, key)])
+        here = self.strand_basis(i, key)
         if not here:
             return 0
         r_here = self.diff_rank(here)
-        r_up = self.diff_rank(self._basis_for(i + 1, key, multi))
+        r_up = self.diff_rank(self.strand_basis(i + 1, key))
         return len(here) - r_here - r_up
 
     def boundary_preimage(self, z: KoszulElement) -> Optional[KoszulElement]:
         """Solve d(u) = z; None when z is not a boundary.
 
         z must be homologically homogeneous.  The solve is split along
-        internal degrees (or multidegrees, when A is monomial), so only
-        small strands are ever materialized.
+        strands, so only small strands are ever materialized.
         """
         if z.is_zero():
             return KoszulElement.zero(self.quot)
         i = z.hom_degree()
-        multi = self.quot.is_monomial
         pieces = {}
         for (S, m), c in z.terms.items():
-            k = multidegree(S, m) if multi else mono_deg(m) + len(S)
-            pieces.setdefault(k, {})[(S, m)] = c
+            pieces.setdefault(self.grade(S, m), {})[(S, m)] = c
         total = {}
         for k in sorted(pieces):
             vec = pieces[k]
-            basis = self._basis_for(i + 1, k, multi)
+            basis = self.strand_basis(i + 1, k)
             cols = [self.diff_vector(p) for p in basis]
             combo = solve_columns(cols, range(len(cols)), vec, self.field)
             if combo is None:
@@ -349,13 +331,11 @@ class KoszulComplex:
     # homology bases over all strands
 
     def lcm_lattice(self) -> list:
-        """All joins of the minimal monomial generators, plus the origin.
+        """All joins of the leading monomials, sorted by (degree, exponents).
 
-        Tor of a monomial quotient is supported on these multidegrees
-        (visible from the Taylor resolution), so nothing else is scanned.
+        Tor of a monomial quotient is supported on these multidegrees and
+        the origin (visible from the Taylor resolution).
         """
-        if not self.quot.is_monomial:
-            raise InputError("lcm lattice requires a monomial quotient")
         gens = list(self.quot.gb.lts)
         seen = set(gens)
         frontier = list(gens)
@@ -368,45 +348,43 @@ class KoszulComplex:
                         seen.add(j)
                         nxt.append(j)
             frontier = nxt
-        zero = tuple([0] * self.n)
-        return [zero] + sorted(seen, key=lambda m: (mono_deg(m), m))
+        return sorted(seen, key=lambda m: (mono_deg(m), m))
 
-    def homology_basis(self, max_hom: Optional[int] = None) -> list:
+    def homology_basis(self) -> list:
         """HomologyClass list across all nonvanishing strands of H_{>=1}.
 
-        Monomial quotients iterate multidegrees of the lcm lattice; general
-        graded quotients iterate the internal degrees in the support of the
-        Betti table of R/in(I) (upper-semicontinuity of Betti numbers).
+        The strands are the support of the quotient's Betti table, visited
+        in (deg alpha, alpha, i) order when multigraded and in (i, j) order
+        otherwise; each strand's dimension must match its table entry.
         """
-        top = self.n if max_hom is None else min(max_hom, self.n)
-        out = []
-        if self.quot.is_monomial:
-            for alpha in self.lcm_lattice():
-                if mono_deg(alpha) == 0:
-                    continue
-                supp = sum(1 for e in alpha if e >= 1)
-                for i in range(1, min(top, supp) + 1):
-                    strand = self.homology(i, alpha, multi=True)
-                    out.extend(HomologyClass(rep, i, alpha) for rep in strand.reps)
+        for g in self.quot.gb.gens:
+            if not g.is_homogeneous():
+                raise InputError(
+                    "homology basis of a non-monomial quotient needs a homogeneous ideal"
+                )
+        B = quotient_betti(self.quot)
+        if self.multigraded:
+            table = B.multigraded
+            strands = sorted(
+                (s for s in table if s[0] >= 1), key=lambda s: (mono_deg(s[1]), s[1], s[0])
+            )
         else:
-            for g in self.quot.gb.gens:
-                if not g.is_homogeneous():
-                    raise InputError(
-                        "homology basis of a non-monomial quotient needs a homogeneous ideal"
-                    )
-            for (i, j) in quotient_betti(self.quot.gb.initial_quotient()).support():
-                if i == 0 or i > top:
-                    continue
-                strand = self.homology(i, j, multi=False)
-                out.extend(HomologyClass(rep, i, j) for rep in strand.reps)
+            table = B.entries
+            strands = sorted(s for s in table if s[0] >= 1)
+        out = []
+        for i, key in strands:
+            reps = self.homology(i, key)
+            if len(reps) != table[(i, key)]:
+                raise InconsistencyError(
+                    "H_%d on strand %r has dimension %d, the Betti table says %d"
+                    % (i, key, len(reps), table[(i, key)])
+                )
+            out.extend(HomologyClass(rep, i, key) for rep in reps)
         return out
 
     def class_of(self, z: KoszulElement, label=None) -> HomologyClass:
         i = z.hom_degree()
-        if self.quot.is_monomial:
-            keys = z.multidegrees()
-        else:
-            keys = z.internal_degrees()
+        keys = {self.grade(S, m) for S, m in z.terms}
         if len(keys) != 1:
             raise InputError("representative spans several strands")
         return HomologyClass(z, i, keys.pop(), label=label)
@@ -418,11 +396,12 @@ def quotient_betti(quot) -> BettiTable:
     A monomial quotient whose minimal generators fit under the Taylor cap
     uses taylor_betti, which is the faster engine there; every other
     quotient uses koszul_betti, the only engine that runs above the cap.
-    The table is kept on the quotient; the engines keep nothing.
+    Both give multidegrees exactly when A's complex is multigraded.  The
+    table is kept on the quotient; the engines keep nothing.
     """
     if quot._betti is None:
         I = quot.gb.initial_ideal()
-        if quot.is_monomial and len(I.gens) <= TAYLOR_MAX_GENS:
+        if quot.koszul().multigraded and len(I.gens) <= TAYLOR_MAX_GENS:
             quot._betti = taylor_betti(I)
         else:
             quot._betti = koszul_betti(quot)
@@ -433,33 +412,31 @@ def koszul_betti(quot) -> BettiTable:
     """Betti table of A = R/I over R, read off from Koszul strand homology
     on A's own complex, so strands already built for A are reused.
 
-    A monomial quotient scans the multidegrees of its lcm lattice; any other
-    graded quotient scans the support of the table of R/in(I), which
+    A multigraded complex scans the multidegrees of its lcm lattice; any
+    other graded quotient scans the support of the table of R/in(I), which
     contains the support of R/I's table by upper-semicontinuity of Betti
     numbers."""
     kz = quot.koszul()
     entries = {(0, 0): 1}
-    multigraded = {}
-    if quot.is_monomial:
-        multigraded[(0, tuple([0] * kz.n))] = 1
-        for alpha in kz.lcm_lattice():
-            j = mono_deg(alpha)
-            if j == 0:
-                continue
-            supp = sum(1 for e in alpha if e >= 1)
-            for i in range(1, supp + 1):
-                b = kz.betti_entry(i, alpha, multi=True)
-                if b:
-                    entries[(i, j)] = entries.get((i, j), 0) + b
-                    multigraded[(i, alpha)] = b
-        return BettiTable(entries, multigraded=multigraded)
-    for g in quot.gb.gens:
-        if not g.is_homogeneous():
-            raise InputError("koszul_betti needs a homogeneous ideal")
-    for (i, j) in quotient_betti(quot.gb.initial_quotient()).support():
-        if i == 0:
+    multigraded = None
+    if kz.multigraded:
+        multigraded = {(0, quot.ring.zero_mono()): 1}
+        strands = [
+            (i, alpha)
+            for alpha in kz.lcm_lattice()
+            for i in range(1, sum(1 for e in alpha if e >= 1) + 1)
+        ]
+    else:
+        for g in quot.gb.gens:
+            if not g.is_homogeneous():
+                raise InputError("koszul_betti needs a homogeneous ideal")
+        strands = [s for s in quotient_betti(quot.gb.initial_quotient()).support() if s[0] >= 1]
+    for i, key in strands:
+        b = kz.betti_entry(i, key)
+        if not b:
             continue
-        b = kz.betti_entry(i, j, multi=False)
-        if b:
-            entries[(i, j)] = b
-    return BettiTable(entries)
+        j = key if multigraded is None else mono_deg(key)
+        entries[(i, j)] = entries.get((i, j), 0) + b
+        if multigraded is not None:
+            multigraded[(i, key)] = b
+    return BettiTable(entries, multigraded=multigraded)

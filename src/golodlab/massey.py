@@ -148,6 +148,13 @@ def is_valid_tuple(quot, lam) -> bool:
     return is_complete_label(quot, merge_labels(list(lam)))
 
 
+def valid_tuples(quot, labels, p: int):
+    """The valid length-p tuples of labels, in itertools.product order."""
+    for lam in itertools.product(labels, repeat=p):
+        if is_valid_tuple(quot, lam):
+            yield lam
+
+
 def rainbow_pair_value(quot, A, B) -> KoszulElement:
     """Closed-form value for a valid pair: sign * eta_{drop n-2}(A) ^
     eta_{drop n-1}(B).  The sign (-1)^(n + |A| - |first block of A|) was
@@ -308,8 +315,9 @@ class MasseyTable:
     def verify(self) -> "MasseyTable":
         """Exact re-verification of the table's defining equations.
 
-        An all-tuples table must count every tuple through p_max.  Every
-        basis key needs a singleton value, a cycle representing its class.
+        The counts must be those of every tuple through p_max (all-tuples)
+        or of every valid tuple (rainbow), recounted here.  Every basis key
+        needs a singleton value, a cycle representing its class.
         At each length the stored tuples and the candidates (a cut with
         stored values on both sides) are re-checked exactly; in rainbow mode
         only valid tuples are claimed, so an invalid candidate is skipped
@@ -319,8 +327,18 @@ class MasseyTable:
         idx = self.key_index()
         rainbow = self.mode == "rainbow-valid-tuples"
         size = len(self.keys)
-        if not rainbow and self.counts != {p: size ** p for p in range(1, self.p_max + 1) if size}:
-            raise InconsistencyError("tuple counts %r do not cover all tuples" % (self.counts,))
+        if rainbow:
+            counts = {1: size} if size else {}
+            for p in range(2, self.p_max + 1):
+                c = sum(1 for _ in valid_tuples(self.quot, self.keys, p))
+                if c:
+                    counts[p] = c
+        else:
+            counts = {p: size ** p for p in range(1, self.p_max + 1) if size}
+        if self.counts != counts:
+            raise InconsistencyError(
+                "tuple counts %r do not match the table's %r" % (self.counts, counts)
+            )
         for lam in self.values:
             for k in lam:
                 if k not in idx:
@@ -480,9 +498,7 @@ def build_rainbow_table(quot, structure, p_max: int = 4) -> MasseyTable:
     findings = []
     count = 0
     for p in range(2, p_max + 1):
-        for lam in itertools.product(labels, repeat=p):
-            if not is_valid_tuple(quot, lam):
-                continue
+        for lam in valid_tuples(quot, labels, p):
             count += 1
             counts[p] = counts.get(p, 0) + 1
             if count > TUPLE_CAP:

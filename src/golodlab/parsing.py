@@ -193,11 +193,11 @@ class IdealFile:
 
 def parse_ideal_text(text: str) -> IdealFile:
     """Parse a full ideal file: directives 'ring:', optional 'order:',
-    'weights:', 'colors:', then 'ideal:' whose generator list may continue
-    over following lines."""
+    'colors:', then 'ideal:' whose generator list may continue over
+    following lines.  Rings are standard graded, so 'weights:' is an
+    error."""
     ring = None
     order_text = None
-    weights = None
     colors_text = None
     gen_text = None
     gen_line = None
@@ -218,10 +218,7 @@ def parse_ideal_text(text: str) -> IdealFile:
         elif key == "order":
             order_text = val
         elif key == "weights":
-            try:
-                weights = tuple(int(s) for s in val.replace(" ", "").split(",") if s)
-            except ValueError:
-                raise ParseError("weights must be integers", line=i) from None
+            raise ParseError("weights are not supported: rings are standard graded", line=i)
         elif key == "colors":
             colors_text = val
         elif key == "ideal":
@@ -236,14 +233,11 @@ def parse_ideal_text(text: str) -> IdealFile:
             gen_text = " ".join(chunks)
     if ring is None:
         raise ParseError("missing ring declaration")
-    if weights is not None or colors_text is not None:
-        colors = None
-        if colors_text is not None:
-            classes = []
-            for cls in colors_text.split("|"):
-                classes.append(tuple(ring.var_index(s.strip()) for s in cls.split(",") if s.strip()))
-            colors = tuple(classes)
-        ring = PolyRing(ring.names, ring.field, weights=weights, colors=colors)
+    if colors_text is not None:
+        classes = []
+        for cls in colors_text.split("|"):
+            classes.append(tuple(ring.var_index(s.strip()) for s in cls.split(",") if s.strip()))
+        ring = PolyRing(ring.names, ring.field, colors=tuple(classes))
     order = parse_order(order_text, ring) if order_text else None
     if gen_text is None:
         raise ParseError("missing ideal directive")
@@ -258,8 +252,6 @@ def _split_gens(text: str):
 
 def ideal_file_str(f: IdealFile) -> str:
     lines = ["ring: %s" % ring_str(f.ring)]
-    if f.ring.weights is not None:
-        lines.append("weights: %s" % ",".join(str(w) for w in f.ring.weights))
     if f.ring.colors is not None:
         lines.append(
             "colors: %s"

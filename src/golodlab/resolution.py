@@ -14,8 +14,9 @@ twice.  Monomial quotients are sliced by multidegree, where every slice of
 A is at most one-dimensional, so the linear algebra stays tiny; other
 quotients are sliced by total degree.
 
-serre_bound expands (1+t)^n / (1 - sum_{i>=1} dim_k H_i(K^A) t^{i+1}).  The
-same expansion, kept bigraded in an auxiliary internal-degree variable, gives
+serre_bound expands (1+t)^n / (1 - sum_{i>=1} dim_k H_i(K^A) t^{i+1}), as
+the totals of the same expansion kept bigraded in an auxiliary
+internal-degree variable.  The bigraded expansion also gives
 a provable internal-degree ceiling for each homological step of the minimal
 resolution of k: the resolution constructed by Golod's process is graded and
 its ranks dominate the minimal one in each bidegree.  That ceiling both limits
@@ -36,7 +37,6 @@ from .linalg import Eliminator, axpy
 
 __all__ = [
     "PoincareData",
-    "golod_series",
     "bigraded_golod_series",
     "serre_bound",
     "poincare_coeffs",
@@ -99,28 +99,12 @@ def bigraded_golod_series(nvars: int, table, N: int):
     return _tseries_mul(numer, _tseries_geom(denom, N), N)
 
 
-def golod_series(nvars: int, homology_dims, N: int) -> tuple:
-    """Total coefficients of (1+t)^n / (1 - sum_i dim H_i t^{i+1}).
-
-    homology_dims maps i >= 1 to dim_k H_i(K tensor A); missing means zero.
-    """
-    numer = [{0: comb(nvars, i)} for i in range(min(nvars, N) + 1)]
-    denom = [dict() for _ in range(N + 1)]
-    for i, b in homology_dims.items():
-        if i >= 1 and b and i + 1 <= N:
-            axpy(denom[i + 1], b, {0: 1}, QQ)
-    series = _tseries_mul(numer, _tseries_geom(denom, N), N)
-    return tuple(sum(d.values()) for d in series)
-
-
 def serre_bound(quot, N: int) -> tuple:
     """First N+1 coefficients of the Golod upper bound for the Poincare
-    series of k over quot, exact integers, from quot's own Betti table."""
-    dims = {}
-    for (i, _), b in quotient_betti(quot).entries.items():
-        if i >= 1:
-            dims[i] = dims.get(i, 0) + b
-    return golod_series(quot.ring.nvars, dims, N)
+    series of k over quot, exact integers, from quot's own Betti table: the
+    totals of its bigraded Golod series."""
+    big = bigraded_golod_series(quot.ring.nvars, quotient_betti(quot), N)
+    return tuple(sum(d.values()) for d in big)
 
 
 # ---------------------------------------------------------------------------

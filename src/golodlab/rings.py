@@ -65,26 +65,20 @@ def monomials_of_degree(n: int, d: int):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """k[x_1..x_n] with named variables, optional weights and color classes.
+    """k[x_1..x_n], standard graded, with named variables and optional
+    color classes.
 
-    weights default to all-1 (standard grading).  colors, when present,
-    partition the variable indices into ordered classes; used by the rainbow
-    machinery.
+    colors, when present, partition the variable indices into ordered
+    classes; used by the rainbow machinery.
     """
 
     names: tuple
     field: Field = QQ
-    weights: Optional[tuple] = None
     colors: Optional[tuple] = None  # tuple of tuples of variable indices
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise InputError("duplicate variable names: %r" % (self.names,))
-        if self.weights is not None:
-            if len(self.weights) != len(self.names):
-                raise InputError("weight vector length mismatch")
-            if any(w <= 0 for w in self.weights):
-                raise InputError("weights must be positive integers")
         if self.colors is not None:
             seen = [i for cls in self.colors for i in cls]
             if sorted(seen) != sorted(set(seen)):
@@ -93,11 +87,6 @@ class PolyRing:
     @property
     def nvars(self) -> int:
         return len(self.names)
-
-    def weight_of(self, m: Mono) -> int:
-        if self.weights is None:
-            return sum(m)
-        return sum(w * e for w, e in zip(self.weights, m))
 
     def zero_mono(self) -> Mono:
         return (0,) * self.nvars
@@ -224,14 +213,10 @@ class Polynomial:
             raise InputError("degree of the zero polynomial")
         return max(mono_deg(m) for m in self.terms)
 
-    def is_homogeneous(self, weighted: bool = False) -> bool:
+    def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
-        if weighted:
-            degs = {self.ring.weight_of(m) for m in self.terms}
-        else:
-            degs = {mono_deg(m) for m in self.terms}
-        return len(degs) == 1
+        return len({mono_deg(m) for m in self.terms}) == 1
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1

@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from golodlab import (
     QQ,
@@ -82,3 +83,20 @@ def random_homogeneous_ideal(rng, ring, max_deg=3, n_gens=3):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+@st.composite
+def small_ideals(draw):
+    """A monomial or a graded ideal over QQ in 3 or 4 variables."""
+    nvars = draw(st.integers(3, 4))
+    ring = mk_ring(nvars)
+    if draw(st.booleans()):
+        mono = st.tuples(*[st.integers(0, 2)] * nvars).filter(lambda e: 2 <= sum(e) <= 3)
+        monos = draw(st.lists(mono, min_size=1, max_size=7))
+        return ring, MonomialIdeal.from_monos(ring, monos).polys()
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        pool = list(monomials_of_degree(nvars, draw(st.integers(2, 3))))
+        support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        gens.append(ring.from_terms({m: draw(st.sampled_from([-2, -1, 1, 3])) for m in support}))
+    return ring, gens

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from golodlab import (
+    BettiTable,
     GroebnerBasis,
     KoszulComplex,
     KoszulElement,
@@ -13,12 +15,14 @@ from golodlab import (
     grevlex,
     koszul_betti,
     parse_poly,
+    quotient_betti,
     taylor_betti,
 )
 
-from golodlab.rings import monomials_of_degree
+from golodlab.errors import InconsistencyError
+from golodlab.rings import mono_deg, mono_lcm, monomials_of_degree
 
-from conftest import mk_ring, random_homogeneous_ideal, random_monomial_ideal
+from conftest import mk_ring, random_homogeneous_ideal, random_monomial_ideal, small_ideals
 
 
 def quotient_of(I):
@@ -111,14 +115,22 @@ def test_koszul_betti_on_m2(quot_m2):
 
 
 def test_strand_homology_dimensions(quot_m2):
+    """R/(x^2, xy, y^2) is multigraded: one generator in each degree-2
+    multidegree, one syzygy in each of (2, 1) and (1, 2)."""
     kz = KoszulComplex(quot_m2)
-    assert kz.betti_entry(1, 2) == 3
-    assert kz.betti_entry(2, 3) == 2
-    assert kz.betti_entry(1, 1) == 0
-    assert kz.betti_entry(2, 2) == 0
-    H = kz.homology(1, 2)
-    assert H.dim == 3 and len(H.reps) == 3
-    for z in H.reps:
+    assert kz.multigraded
+    for alpha in ((2, 0), (1, 1), (0, 2)):
+        assert kz.betti_entry(1, alpha) == 1
+    assert kz.betti_entry(2, (2, 1)) == 1
+    assert kz.betti_entry(2, (1, 2)) == 1
+    assert kz.betti_entry(1, (1, 0)) == 0
+    assert kz.betti_entry(2, (1, 1)) == 0
+    assert kz.betti_entry(1, (2, 1)) == 0
+    reps = kz.homology(1, (1, 1))
+    assert len(reps) == 1
+    assert kz.betti_entry(1, (1, 1)) == 1
+    assert kz.class_of(reps[0]).key == (1, 1)
+    for z in reps:
         assert z.is_cycle()
         assert not kz.is_boundary(z)
 
@@ -172,7 +184,10 @@ def test_homology_basis_above_the_taylor_cap():
     assert len(quot.gb.initial_ideal().gens) == 20
     B = koszul_betti(quot)
     assert B.totals() == (1, 20, 36, 17)
-    assert len(KoszulComplex(quot).homology_basis()) == sum(B.totals()[1:]) == 73
+    basis = KoszulComplex(quot).homology_basis()
+    assert len(basis) == sum(B.totals()[1:]) == 73
+    # (1, 9) precedes (2, 3): strands come in (i, j) order
+    assert [(h.hom_degree, h.key, h.rep.terms) for h in basis] == oracle_classes(quot)
 
 
 def test_cycle_check_guards_class_construction(quot_m2):
@@ -191,3 +206,86 @@ def test_element_text_round_trip(quot_m2):
         z = random_element(rng, quot_m2, max_deg=1)
         back = KoszulElement.from_text(quot_m2, z.to_text())
         assert back == z
+
+
+# ---------------------------------------------------------------------------
+# the strand walk homology_basis made before it read the quotient's own
+# Betti table, kept as an oracle: every multidegree of the lcm lattice with
+# i up to its support size (monomial quotients), or the support of the table
+# of R/in(I) (graded quotients), zero strands included
+
+
+def oracle_strands(quot) -> list:
+    if quot.is_monomial:
+        gens = list(quot.gb.lts)
+        seen = frontier = set(gens)
+        while frontier:
+            frontier = {mono_lcm(a, g) for a in frontier for g in gens} - seen
+            seen = seen | frontier
+        return [
+            (i, alpha)
+            for alpha in sorted(seen, key=lambda m: (mono_deg(m), m))
+            for i in range(1, sum(1 for e in alpha if e >= 1) + 1)
+        ]
+    return [(i, j) for (i, j) in quotient_betti(quot.gb.initial_quotient()).support() if i]
+
+
+def oracle_classes(quot) -> list:
+    """(hom degree, key, rep terms) per class, on a complex of its own."""
+    kz = KoszulComplex(quot)
+    return [(i, key, rep.terms) for i, key in oracle_strands(quot) for rep in kz.homology(i, key)]
+
+
+def _gorenstein_plus_quartic():
+    """beta_{1,4} and beta_{2,3} are both nonzero, so (i, j) order and
+    (j, i) order differ."""
+    ring = mk_ring(4)
+    gens = ("x1^2", "x1*x3", "-x1*x2+x3^2", "x2*x3", "x2^2", "x4^4")
+    return ring, [parse_poly(g, ring) for g in gens]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals())
+@example(_gorenstein_plus_quartic())
+def test_homology_basis_matches_the_superset_walk(ideal):
+    ring, gens = ideal
+    quot = GroebnerBasis(ring, grevlex(ring), gens).quotient()
+    basis = quot.koszul().homology_basis()
+    assert [(h.hom_degree, h.key, h.rep.terms) for h in basis] == oracle_classes(quot)
+
+
+def _support(quot):
+    B = quotient_betti(quot)
+    table = B.multigraded if quot.koszul().multigraded else B.entries
+    return sorted(s for s in table if s[0] >= 1)
+
+
+def test_homology_runs_only_on_support_strands(quot_m2, gorenstein_gb, monkeypatch):
+    calls = []
+    homology = KoszulComplex.homology
+
+    def counted(self, i, key):
+        calls.append((i, key))
+        return homology(self, i, key)
+
+    monkeypatch.setattr(KoszulComplex, "homology", counted)
+    for quot in (quot_m2, QuotientRing(gorenstein_gb)):
+        calls.clear()
+        quot.koszul().homology_basis()
+        assert sorted(calls) == _support(quot)
+        assert len(calls) < len(oracle_strands(quot))
+
+
+def test_corrupted_betti_table_is_caught(quot_m2, gorenstein_gb):
+    """The strand walk cross-checks every dimension against the table."""
+    mono = quotient_of(quot_m2.gb.initial_ideal())
+    B = quotient_betti(mono)
+    for bad in ({(1, (1, 1)): 2}, {(1, (1, 0)): 1}):
+        mono._betti = BettiTable(B.entries, multigraded={**B.multigraded, **bad})
+        with pytest.raises(InconsistencyError, match="Betti table"):
+            KoszulComplex(mono).homology_basis()
+    graded = QuotientRing(gorenstein_gb)
+    B = quotient_betti(graded)
+    graded._betti = BettiTable({**B.entries, (2, 3): B.entries[(2, 3)] + 1})
+    with pytest.raises(InconsistencyError, match="Betti table"):
+        KoszulComplex(graded).homology_basis()

@@ -24,9 +24,8 @@ from golodlab import (
     massey_product,
 )
 from golodlab.errors import CapExceededError, InconsistencyError
-from golodlab.rings import monomials_of_degree
 
-from conftest import mk_ring
+from conftest import mk_ring, small_ideals
 
 
 def quotient_of(I, order=None):
@@ -152,7 +151,7 @@ def test_massey_undefined_when_pairwise_product_survives():
     ring = mk_ring(2, ("x", "y"))
     quot = quotient_of(MonomialIdeal.from_monos(ring, [(2, 0), (0, 2)]))
     kz = KoszulComplex(quot)
-    h = kz.homology_basis(max_hom=1)
+    h = kz.homology_basis()
     ones = [c for c in h if c.hom_degree == 1]
     assert len(ones) == 2
     r = massey_product(kz, [ones[0], ones[1], ones[0]])
@@ -195,6 +194,14 @@ def test_rainbow_table_on_2x3_minors():
     assert len(tbl.basis) == total
     # no tuple value of length >= 2 is stored: the operation is trivial
     assert all(len(lam) == 1 for lam in tbl.values)
+    # the counts of valid tuples are recounted, not read from the file
+    data = tbl.to_json()
+    assert MasseyTable.from_json(data).counts == tbl.counts
+    for p, count in (("2", 99), ("2", 0), ("3", 1)):
+        bad = json.loads(json.dumps(data))
+        bad["counts"][p] = count
+        with pytest.raises(InconsistencyError, match="tuple counts"):
+            MasseyTable.from_json(bad)
     # a value stored for a tuple the table does not claim is an error
     a, b = tbl.keys[0], tbl.keys[1]
     tbl.values[(a, a)] = tbl.values[(a,)].wedge(tbl.values[(b,)])
@@ -294,23 +301,6 @@ def _sparse(quot, p_max):
 
 def assert_builders_agree(ring, gens, p_max, cap):
     assert _outcome(_sparse, ring, gens, p_max, cap) == _outcome(_dense, ring, gens, p_max, cap)
-
-
-@st.composite
-def small_ideals(draw):
-    """A monomial or a graded ideal over QQ in 3 or 4 variables."""
-    nvars = draw(st.integers(3, 4))
-    ring = mk_ring(nvars)
-    if draw(st.booleans()):
-        mono = st.tuples(*[st.integers(0, 2)] * nvars).filter(lambda e: 2 <= sum(e) <= 3)
-        monos = draw(st.lists(mono, min_size=1, max_size=7))
-        return ring, MonomialIdeal.from_monos(ring, monos).polys()
-    gens = []
-    for _ in range(draw(st.integers(1, 5))):
-        pool = list(monomials_of_degree(nvars, draw(st.integers(2, 3))))
-        support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
-        gens.append(ring.from_terms({m: draw(st.sampled_from([-2, -1, 1, 3])) for m in support}))
-    return ring, gens
 
 
 @settings(max_examples=40, deadline=None)

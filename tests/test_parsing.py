@@ -68,6 +68,14 @@ def test_bad_number_reports_line(bad):
     assert ei.value.line == 2
 
 
+@pytest.mark.parametrize("weights", ["1,2", "1,1"])
+def test_weights_directive_is_rejected(weights):
+    """Rings are standard graded: a weight vector is refused, not ignored."""
+    with pytest.raises(ParseError, match="weights are not supported") as ei:
+        parse_ideal_text("ring: QQ[x,y]\nweights: %s\nideal: x^2 - y\n" % weights)
+    assert ei.value.line == 2
+
+
 def test_missing_directives_rejected():
     with pytest.raises(ParseError):
         parse_ideal_text("ideal: x^2\n")
