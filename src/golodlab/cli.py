@@ -18,6 +18,7 @@ input).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -294,7 +295,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and kept: parse_args leaves
+    it unchanged."""
     p = _Parser(prog="golodlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:

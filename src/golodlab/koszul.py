@@ -355,7 +355,8 @@ class KoszulComplex:
 
         The strands are the support of the quotient's Betti table, visited
         in (deg alpha, alpha, i) order when multigraded and in (i, j) order
-        otherwise; each strand's dimension must match its table entry.
+        otherwise; each strand's dimension must match its table entry, and
+        a multigraded table must sum to its (i, j) entries.
         """
         for g in self.quot.gb.gens:
             if not g.is_homogeneous():
@@ -365,6 +366,17 @@ class KoszulComplex:
         B = quotient_betti(self.quot)
         if self.multigraded:
             table = B.multigraded
+            # a strand the multigraded table omits would go unvisited
+            sums = {}
+            for (i, alpha), b in table.items():
+                key = (i, mono_deg(alpha))
+                sums[key] = sums.get(key, 0) + b
+            for key in sorted(sums.keys() | B.entries.keys()):
+                if sums.get(key, 0) != B.entries.get(key, 0):
+                    raise InconsistencyError(
+                        "the multigraded Betti table sums to %d at %r, the table says %d"
+                        % (sums.get(key, 0), key, B.entries.get(key, 0))
+                    )
             strands = sorted(
                 (s for s in table if s[0] >= 1), key=lambda s: (mono_deg(s[1]), s[1], s[0])
             )

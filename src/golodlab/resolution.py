@@ -10,9 +10,19 @@ degree j-1 column.  These images span the degree-j part of
 them, extend the basis exactly when they are minimal generators of F_s.
 By exactness the dependencies among the same images are ker d_s in degree
 j, which step s+1 reads as its kernel vectors, so no kernel is computed
-twice.  Monomial quotients are sliced by multidegree, where every slice of
-A is at most one-dimensional, so the linear algebra stays tiny; other
-quotients are sliced by total degree.
+twice.  A column whose image is zero is its own dependency and is never
+eliminated.  Monomial quotients are sliced by multidegree, where every
+slice of A is at most one-dimensional, so the linear algebra stays tiny;
+other quotients are sliced by total degree.
+
+The images lie in ker d_{s-1}, so a slice with kernel basis kvecs has
+exactly len(kvecs) - rank new generators.  Kernel vectors are inserted in
+order only until that many have extended the basis; once the number still
+needed equals the number left, the rest are taken without elimination.
+The generators are those a full insertion would choose.  A negative count
+means an image left the kernel and raises InconsistencyError, a free
+exactness check in every degree up to the step's ceiling.  Above the
+ceiling no kernel was recorded, so the count is not checked there.
 
 serre_bound expands (1+t)^n / (1 - sum_{i>=1} dim_k H_i(K^A) t^{i+1}), as
 the totals of the same expansion kept bigraded in an auxiliary
@@ -28,7 +38,9 @@ so the Serre block and the ladder rules before it share one table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import comb
+from operator import add
 
 from .errors import CapExceededError, InconsistencyError, InputError
 from .fields import QQ
@@ -146,10 +158,26 @@ class PoincareData:
         return None
 
 
-def _shift_by_var(quot, field_, vec: dict, v: int) -> dict:
+def _shift_by_var(quot, vec: dict, v: int) -> dict:
+    """x_v * vec, accumulated term by term as axpy would, without building
+    a vector per term."""
     out = {}
+    get, pop = out.get, out.pop
+    mult_var = quot.mult_var
+    p = quot.field.char
     for (t, m), c in vec.items():
-        axpy(out, c, {(t, m2): c2 for m2, c2 in quot.mult_var(v, m).items()}, field_)
+        for m2, c2 in mult_var(v, m).items():
+            k = (t, m2)
+            if p:
+                s = (get(k, 0) + c * c2) % p
+            else:
+                s = get(k, 0) + c * c2
+                if s.__class__ is Fraction and s.denominator == 1:
+                    s = s.numerator
+            if s:
+                out[k] = s
+            else:
+                pop(k, None)
     return out
 
 
@@ -176,10 +204,10 @@ def _column_images(quot, gens, prev_images, j, splits):
             col = (t, m)
             prev = prev_images.get((t, m1))
             if prev:
-                img = _shift_by_var(quot, quot.field, prev, v)
+                img = _shift_by_var(quot, prev, v)
                 if img:
                     images[col] = img
-            g = tuple(a + b for a, b in zip(gen.grade, m)) if quot.is_monomial else j
+            g = tuple(map(add, gen.grade, m)) if quot.is_monomial else j
             slices.setdefault(g, []).append(col)
     return images, slices
 
@@ -201,6 +229,7 @@ def poincare_coeffs(quot, N: int, D: int) -> PoincareData:
     if D < 1:
         raise InputError("internal degree cap must be at least 1")
     field_ = quot.field
+    one_c = field_.one
     multi = quot.is_monomial
     nvars = quot.ring.nvars
 
@@ -240,15 +269,30 @@ def poincare_coeffs(quot, N: int, D: int) -> PoincareData:
                 elim = Eliminator(field_)
                 deps = []
                 for col in slices.get(g, ()):
-                    dep = elim.insert(images.get(col, {}), col if track else None)
-                    if track and dep is not None:
-                        deps.append(dep)
+                    img = images.get(col)
+                    if img:
+                        dep = elim.insert(img, col if track else None)
+                        if track and dep is not None:
+                            deps.append(dep)
+                    elif track:
+                        deps.append({col: one_c})
                 if deps:
                     new_kernels.setdefault(j, {})[g] = deps
                 # the columns span (x_1..x_n) ker d_{step-1} in this slice, so
-                # the kernel vectors that extend it are minimal generators
-                for vec in kvecs:
-                    if elim.insert(vec) is None:
+                # the kernel vectors that extend it are minimal generators,
+                # exactly len(kvecs) - rank of them
+                need = len(kvecs) - elim.rank
+                if need < 0 and j <= jmax:
+                    raise InconsistencyError(
+                        "resolution of k not exact at step %d, degree %d: the "
+                        "images have rank %d in a kernel of dimension %d"
+                        % (step, j, elim.rank, len(kvecs))
+                    )
+                for i, vec in enumerate(kvecs):
+                    if need <= 0:
+                        break
+                    if need == len(kvecs) - i or elim.insert(vec) is None:
+                        need -= 1
                         images[(len(gens), one)] = vec
                         gens.append(_Gen(j, g))
                         graded[(step, j)] = graded.get((step, j), 0) + 1

@@ -157,3 +157,34 @@ def test_batch_runs_every_input_and_returns_worst_code(tmp_path, capsys):
     assert sorted(p.name for p in outdir.iterdir()) == sorted(
         hashlib.sha256(t.encode()).hexdigest()[:16] + ".json" for t in inputs.values()
     )
+
+
+def test_parser_built_once_serves_every_call(capsys):
+    """main keeps one parser for the process; a usage error (exit 1) and
+    the jobs after it read exactly as they do with a fresh parser."""
+    jobs = [
+        ["golod", "--bogus"],
+        ["golod", "--ideal", "x^2,xy", "--json"],
+        ["betti", "--ideal", "x^2,y^2"],
+        ["golod", "--ideal", "x^2,xy", "--json"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli._build_parser.cache_clear()
+    kept = [run(argv) for argv in jobs]
+    fresh = []
+    for argv in jobs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [1, 0, 0, 0]
+    assert kept[0][2].startswith("usage: golodlab") and "--bogus" in kept[0][2]
+    assert kept[1] == kept[3]
+    assert cli._build_parser() is cli._build_parser()

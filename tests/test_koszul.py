@@ -289,3 +289,17 @@ def test_corrupted_betti_table_is_caught(quot_m2, gorenstein_gb):
     graded._betti = BettiTable({**B.entries, (2, 3): B.entries[(2, 3)] + 1})
     with pytest.raises(InconsistencyError, match="Betti table"):
         KoszulComplex(graded).homology_basis()
+
+
+def test_strand_missing_from_the_multigraded_table_is_caught():
+    """A multigraded table must sum to its (i, j) entries: a strand it omits
+    would otherwise be skipped by the walk and lose its classes."""
+    ring = mk_ring(2, ("x", "y"))
+    quot = quotient_of(MonomialIdeal.from_monos(ring, [(2, 0), (1, 1), (0, 2)]))
+    B = quotient_betti(quot)
+    assert len(KoszulComplex(quot).homology_basis()) == 5
+    multigraded = dict(B.multigraded)
+    del multigraded[(2, (1, 2))]
+    quot._betti = BettiTable(B.entries, multigraded=multigraded)
+    with pytest.raises(InconsistencyError, match="sums to 1 at \\(2, 3\\), the table says 2"):
+        KoszulComplex(quot).homology_basis()

@@ -7,8 +7,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from golodlab import GF, QQ, CapExceededError, GroebnerBasis, PolyRing, QuotientRing, grevlex
-from golodlab.koszul import koszul_betti
+from golodlab import GF, QQ, CapExceededError, GroebnerBasis, InconsistencyError, PolyRing, QuotientRing, grevlex
+from golodlab import resolution
+from golodlab.koszul import koszul_betti, quotient_betti
 from golodlab.linalg import Eliminator, axpy, kernel_basis
 from golodlab.parsing import infer_ring_from_text, parse_poly
 from golodlab.resolution import bigraded_golod_series, poincare_coeffs
@@ -225,3 +226,68 @@ def test_graded_quotients_match_oracle(seed, N, D, prime):
     if quot.gb.is_zero_ideal() or any(mono_deg(l) == 0 for l in quot.gb.lts):
         return
     _compare(quot, N, D)
+
+
+# ---------------------------------------------------------------------------
+# the default N=8 on heavier inputs, the work done, and the exactness check
+
+GORENSTEIN3 = "x1^2, x1*x3, -x1*x2+x3^2, x2*x3, x2^2"
+
+
+@pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
+@pytest.mark.parametrize(
+    "text, D",
+    [
+        (GORENSTEIN3, 48),
+        ("4*t*f^2+2*t*c*f, -c^2*f, 6*c*f^2-3*t*c*f, -3*t*c*f+9*f^3", 72),
+        ("x^2, x*y, y^3, y*z^2", 72),
+    ],
+    ids=["gorenstein3", "tcf_cubics", "x2_xy_y3_yz2"],
+)
+def test_default_length_matches_oracle(text, D, field):
+    """N=8 with the CLI's default cap D = 3 * (top generator degree) * N."""
+    _compare(quotient(text, field), 8, D)
+
+
+def test_inserts_only_nonzero_vectors_and_stops_at_the_rank(monkeypatch):
+    """Zero images are recorded without elimination, and each slice inserts
+    kernel vectors only until its count of new generators is met."""
+    quot = quotient(GORENSTEIN3)
+    quotient_betti(quot)  # its strands insert zero columns of their own
+
+    sizes = []
+    insert = Eliminator.insert
+
+    def counting(self, vec, tag=None):
+        sizes.append(len(vec))
+        return insert(self, vec, tag)
+
+    monkeypatch.setattr(Eliminator, "insert", counting)
+    P = poincare_coeffs(quot, 8, 48)
+    assert P.coefficients == (1, 3, 8, 21, 55, 144, 377, 987, 2584)
+    assert 0 not in sizes
+    # inserting every column image and kernel vector took 19887
+    assert len(sizes) == 5767
+
+
+def test_a_dropped_kernel_vector_breaks_exactness(monkeypatch):
+    """Over k[x,y,z]/(xy, z^2), step 2 records in degree 4 the kernel vector
+    of column (1, y*z), in a slice where step 3 finds no new generator.
+    Without it the step-3 images there have rank above the kernel's
+    recorded dimension, which the count of new generators catches."""
+    dropped = []
+
+    class Dropping(Eliminator):
+        def insert(self, vec, tag=None):
+            dep = super().insert(vec, tag)
+            if dep is not None and tag == (1, (0, 1, 1)) and not dropped:
+                dropped.append(dep)
+                return None
+            return dep
+
+    quot = quotient("x*y, z^2")
+    assert poincare_coeffs(quot, 4, 20).coefficients == ci_series(3, 2, 4)
+    monkeypatch.setattr(resolution, "Eliminator", Dropping)
+    with pytest.raises(InconsistencyError, match="not exact at step 3, degree 4"):
+        poincare_coeffs(quot, 4, 20)
+    assert dropped
