@@ -104,33 +104,27 @@ class FiberInvariantResult:
 def fiber_invariant(gb: GroebnerBasis):
     """Does beta_{ij}(R/I) = beta_{ij}(R/in(I)) hold entrywise?
 
-    Fast paths, in order: monomial ideals are their own initial ideal; an
-    initial ideal with linear resolution forbids consecutive cancellations;
-    a linear-resolution ideal with squarefree initial ideal.  Otherwise the
-    two tables are compared exactly.  Both are the tables that gb's
-    quotients own, so later rules reuse them.
+    R/I is built first, so an inhomogeneous ideal is rejected there.  Fast
+    paths, in order: monomial ideals are their own initial ideal; an
+    initial ideal with linear resolution (one generator degree, linear
+    syzygies) forbids consecutive cancellations; a linear-resolution ideal
+    with squarefree initial ideal.  Otherwise the two tables are compared
+    exactly.  Both are the tables that gb's quotients own, so later rules
+    reuse them.
     """
-    for g in gb.gens:
-        if not g.is_homogeneous():
-            raise InputError("fiber invariance needs a homogeneous ideal")
-    if all(g.is_monomial() for g in gb.gens):
+    quot = gb.quotient()
+    if quot.is_monomial:
         return FiberInvariantResult(True, fast_path="monomial ideal equals its initial ideal")
-    inI = gb.initial_ideal()
     binit = quotient_betti(gb.initial_quotient())
-    if inI.is_equigenerated() and has_linear_resolution(binit):
+    if has_linear_resolution(binit):
         return FiberInvariantResult(
             True,
             fast_path="initial ideal has linear resolution, so no consecutive "
             "cancellation can occur",
             betti_initial=binit,
         )
-    bI = quotient_betti(gb.quotient())
-    ideal_linear = False
-    try:
-        ideal_linear = has_linear_resolution(bI)
-    except InputError:
-        ideal_linear = False
-    if ideal_linear and inI.is_squarefree():
+    bI = quotient_betti(quot)
+    if has_linear_resolution(bI) and gb.initial_ideal().is_squarefree():
         if bI != binit:
             raise InconsistencyError(
                 "linear resolution with squarefree initial ideal, yet the "
@@ -253,8 +247,6 @@ def _evidence_json(ev):
 
 def _check_input(gb: GroebnerBasis):
     for g in gb.gens:
-        if not g.is_homogeneous():
-            raise InputError("certificate needs a homogeneous ideal")
         d = g.total_degree()
         if d == 0:
             raise InputError("the ideal is the whole ring: no certificate")
@@ -316,9 +308,9 @@ def _serre_block(quot, config: AnalyzerConfig):
 def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None):
     """Run the rule ladder on the ideal presented by a Groebner basis."""
     config = config or AnalyzerConfig()
+    quot = gb.quotient()
     _check_input(gb)
     ring = gb.ring
-    quot = gb.quotient()
     caps = []
 
     verdict = rule = witness = None
@@ -326,9 +318,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
     outcome = None
     pending = None  # NotGolod transfer waiting on the direct-witness search
 
-    I_mono = None
-    if quot.is_monomial and gb.lts:
-        I_mono = MonomialIdeal.from_monos(ring, gb.lts)
+    I_mono = gb.initial_ideal() if quot.is_monomial and gb.lts else None
 
     # Rules fire by verdict priority, but the expensive direct search of
     # rule 1 is deferred: when a proof rule's exactly-checked hypotheses
@@ -342,20 +332,19 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
         det = detect_rainbow(I_mono)
         if det.status == "bound_exceeded":
             caps.append("rainbow color search bound")
-        if det.status == "found" and I_mono.is_equigenerated():
-            if has_linear_resolution(quotient_betti(quot)):
-                table = None
-                try:
-                    table = build_rainbow_table(quot, det.structure, p_max=config.p_max)
-                except CapExceededError:
-                    caps.append("rainbow tuple cap")
-                verdict, rule = "GolodProven", "RainbowLinear"
-                evidence = {
-                    "structure": det.structure.describe(),
-                    "generator_degree": I_mono.gen_degrees()[0],
-                    "linear_resolution": True,
-                    "massey_table": _table_summary(table),
-                }
+        if det.status == "found" and has_linear_resolution(quotient_betti(quot)):
+            table = None
+            try:
+                table = build_rainbow_table(quot, det.structure, p_max=config.p_max)
+            except CapExceededError:
+                caps.append("rainbow tuple cap")
+            verdict, rule = "GolodProven", "RainbowLinear"
+            evidence = {
+                "structure": det.structure.describe(),
+                "generator_degree": I_mono.gen_degrees()[0],
+                "linear_resolution": True,
+                "massey_table": _table_summary(table),
+            }
 
     # rule 3: power of a monomial ideal
     if verdict is None and I_mono is not None:

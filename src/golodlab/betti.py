@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError
-
 
 @dataclass
 class BettiTable:
@@ -58,18 +56,12 @@ class BettiTable:
         return "\n".join(out)
 
 
-def has_linear_resolution(B: BettiTable, gen_degree: Optional[int] = None) -> bool:
+def has_linear_resolution(B: BettiTable) -> bool:
     """True when every syzygy step is linear: beta_{i,j} != 0 forces
-    j = i + d - 1 for i >= 1, with d the (single) generator degree."""
-    gens = sorted(j for (i, j) in B.entries if i == 1)
-    if not gens:
+    j = i + d - 1 for i >= 1, with d the least generator degree.  So mixed
+    generator degrees give False, since such a resolution is not linear."""
+    d = min((j for (i, j) in B.entries if i == 1), default=None)
+    if d is None:
         # zero ideal resolves to nothing past homological degree 0
         return True
-    if gen_degree is None:
-        gen_degree = gens[0]
-    if any(j != gen_degree for j in gens):
-        raise InputError("mixed generator degrees: linearity is undefined")
-    for (i, j) in B.entries:
-        if i >= 1 and j != i + gen_degree - 1:
-            return False
-    return True
+    return all(j == i + d - 1 for (i, j) in B.entries if i >= 1)

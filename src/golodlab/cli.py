@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .analyzer import (
@@ -35,12 +35,12 @@ from .analyzer import (
     golod_certificate,
 )
 from .betti import BettiTable
-from .determinantal import LadderMatrix, verify_sparse_theorems
+from .determinantal import LadderMatrix, certificate_config, verify_sparse_theorems
 from .errors import CapExceededError, InconsistencyError, InputError
 from .groebner import GroebnerBasis
 from .koszul import quotient_betti
 from .massey import build_trivial_table
-from .monomial import MonomialIdeal, detect_rainbow, display_sorted
+from .monomial import detect_rainbow, display_sorted
 from .orders import TermOrder, grevlex
 from .parsing import (
     IdealFile,
@@ -120,15 +120,14 @@ def _resolve_order(spec: JobSpec, f: IdealFile) -> TermOrder:
     return f.order if f.order is not None else grevlex(f.ring)
 
 
+def _overrides(spec: JobSpec) -> dict:
+    """The caps given on the command line, by AnalyzerConfig field."""
+    kw = {"N": spec.N, "p_max": spec.p_max, "D": spec.D}
+    return {k: v for k, v in kw.items() if v is not None}
+
+
 def _config(spec: JobSpec) -> AnalyzerConfig:
-    kw = {}
-    if spec.N is not None:
-        kw["N"] = spec.N
-    if spec.p_max is not None:
-        kw["p_max"] = spec.p_max
-    if spec.D is not None:
-        kw["D"] = spec.D
-    return AnalyzerConfig(**kw)
+    return AnalyzerConfig(**_overrides(spec))
 
 
 def _betti_json(B: BettiTable) -> dict:
@@ -184,7 +183,7 @@ def run_job(spec: JobSpec) -> Report:
     if spec.command == "rainbow":
         if not all(g.is_monomial() for g in gb.gens):
             raise InputError("rainbow detection works on monomial ideals; run `initial` first")
-        det = detect_rainbow(MonomialIdeal.from_monos(f.ring, gb.lts))
+        det = detect_rainbow(gb.initial_ideal())
         payload = dict(header, status=det.status)
         if det.reason:
             payload["reason"] = det.reason
@@ -245,11 +244,7 @@ def _run_minors(spec: JobSpec) -> Report:
             raise InputError("bad --shape %r, expected RxC like 2x3" % spec.shape)
         X = LadderMatrix.generic(int(m[0]), int(m[1]))
     t_max = spec.t_max if spec.t_max is not None else 2
-    cfg = None
-    if spec.N is not None or spec.p_max is not None:
-        cfg = AnalyzerConfig(
-            N=spec.N or 4, p_max=spec.p_max or 3, with_serre=False
-        )
+    cfg = replace(certificate_config(X), **_overrides(spec))
     rep = verify_sparse_theorems(X, t_max=t_max, cert_config=cfg)
     lines = [
         "matrix %dx%d mask %s, %d minors, t <= %d"
@@ -336,12 +331,21 @@ def _spec_from_args(args, ideal: Optional[str] = None) -> JobSpec:
     )
 
 
-def _exit_code_of(exc: BaseException) -> int:
-    if isinstance(exc, InputError):
-        return 1
-    if isinstance(exc, CapExceededError):
-        return 2
-    return 3  # InconsistencyError and anything unexpected: a bug
+# exit code and stderr prefix by exception type
+_EXITS = (
+    (InputError, 1, "error: "),
+    (CapExceededError, 2, "caps exceeded: "),
+    (InconsistencyError, 3, "internal inconsistency (this is a bug): "),
+)
+
+
+def _exit_of(exc: Exception):
+    """(exit code, stderr prefix) of an exception a job raised.  Any other
+    exception is a bug: exit 3 and prefix None."""
+    for cls, code, prefix in _EXITS:
+        if isinstance(exc, cls):
+            return code, prefix
+    return 3, None
 
 
 def _run_batch(args) -> int:
@@ -371,7 +375,7 @@ def _run_batch(args) -> int:
             body = rep.render(args.json)
             code = rep.exit_code
         except Exception as e:  # one bad input must not stop the batch
-            code = _exit_code_of(e)
+            code = _exit_of(e)[0]
             body = (
                 json.dumps({"error": str(e), "exit_code": code}, indent=2, sort_keys=True)
                 if args.json
@@ -397,19 +401,13 @@ def main(argv=None) -> int:
         else:
             print(body)
         return rep.exit_code
-    except InconsistencyError as e:
-        print("internal inconsistency (this is a bug): %s" % e, file=sys.stderr)
-        return 3
-    except CapExceededError as e:
-        print("caps exceeded: %s" % e, file=sys.stderr)
-        return 2
-    except InputError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
     except Exception as e:
-        traceback.print_exc()
-        print("internal error (this is a bug): %s" % e, file=sys.stderr)
-        return 3
+        code, prefix = _exit_of(e)
+        if prefix is None:
+            traceback.print_exc()
+            prefix = "internal error (this is a bug): "
+        print(prefix + str(e), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

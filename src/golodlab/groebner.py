@@ -153,8 +153,8 @@ def _interreduce(G, order):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis with its ring and order; it owns R/I and
-    R/in(I), each built on first request."""
+    """A reduced Groebner basis with its ring and order; it owns in(I), R/I
+    and R/in(I), each built on first request."""
 
     def __init__(self, ring: PolyRing, order: TermOrder, gens, reduce: bool = True):
         self.ring = ring
@@ -165,6 +165,7 @@ class GroebnerBasis:
                 raise InputError("generator from a different ring")
         self.gens = buchberger(gens, order) if reduce else tuple(gens)
         self.lts = tuple(order.leading_mono(g) for g in self.gens)
+        self._initial_ideal = None
         self._quotient = None
         self._initial_quotient = None
 
@@ -175,7 +176,9 @@ class GroebnerBasis:
         return self.nf(f).is_zero()
 
     def initial_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal.from_monos(self.ring, self.lts)
+        if self._initial_ideal is None:
+            self._initial_ideal = MonomialIdeal.from_monos(self.ring, self.lts)
+        return self._initial_ideal
 
     def quotient(self) -> "QuotientRing":
         if self._quotient is None:
@@ -214,12 +217,17 @@ def ideal_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
 class QuotientRing:
     """R/I presented by a Groebner basis; standard monomials as k-basis.
 
-    Multiplication is by normal form and memoized, since the Koszul and
-    resolution strands hit the same products constantly.  It owns its
-    Koszul complex and its Betti table (kept by `koszul.quotient_betti`).
+    It rejects an inhomogeneous ideal with an InputError.  This is the one
+    homogeneity check: the Koszul, Betti, Massey and resolution layers all
+    take a quotient.  Multiplication is by normal form and memoized, since
+    the Koszul and resolution strands hit the same products constantly.  It
+    owns its Koszul complex and its Betti table (kept by
+    `koszul.quotient_betti`).
     """
 
     def __init__(self, gb: GroebnerBasis):
+        if not all(g.is_homogeneous() for g in gb.gens):
+            raise InputError("R/I needs a homogeneous ideal")
         self.gb = gb
         self.ring = gb.ring
         self.field = gb.ring.field

@@ -358,11 +358,6 @@ class KoszulComplex:
         otherwise; each strand's dimension must match its table entry, and
         a multigraded table must sum to its (i, j) entries.
         """
-        for g in self.quot.gb.gens:
-            if not g.is_homogeneous():
-                raise InputError(
-                    "homology basis of a non-monomial quotient needs a homogeneous ideal"
-                )
         B = quotient_betti(self.quot)
         if self.multigraded:
             table = B.multigraded
@@ -439,9 +434,6 @@ def koszul_betti(quot) -> BettiTable:
             for i in range(1, sum(1 for e in alpha if e >= 1) + 1)
         ]
     else:
-        for g in quot.gb.gens:
-            if not g.is_homogeneous():
-                raise InputError("koszul_betti needs a homogeneous ideal")
         strands = [s for s in quotient_betti(quot.gb.initial_quotient()).support() if s[0] >= 1]
     for i, key in strands:
         b = kz.betti_entry(i, key)

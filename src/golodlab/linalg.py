@@ -65,7 +65,6 @@ class Eliminator:
         # pivot index -> (row, hist); over F_p row[pivot] == -1, over QQ the
         # row and hist are int vectors with content 1 and row[pivot] > 0
         self.rows = {}
-        self.n_inserted = 0
         self._untagged = False  # some row carries no history
 
     @property
@@ -158,7 +157,6 @@ class Eliminator:
         F = self.field
         if F.char:
             residual, hist = self._reduce_fp(vec, tag)
-            self.n_inserted += 1
             if not residual:
                 return {} if hist is None else hist
             pivot = min(residual)
@@ -168,7 +166,6 @@ class Eliminator:
                 hist = axpy({}, c, hist, F)
         else:
             residual, hist, s = self._reduce_qq(vec, tag)
-            self.n_inserted += 1
             if not residual:
                 return {} if hist is None else _unscale(hist, s)
             pivot = min(residual)

@@ -371,15 +371,12 @@ class MasseyTable:
         return self
 
     def to_json(self) -> dict:
-        from .parsing import poly_str
+        from .parsing import poly_str, ring_str
 
         ring = self.quot.ring
         gens = [poly_str(g, self.quot.gb.order) for g in self.quot.gb.gens]
         return {
-            "ring": "%s[%s]" % (
-                "QQ" if ring.field.char == 0 else "F%d" % ring.field.char,
-                ",".join(ring.names),
-            ),
+            "ring": ring_str(ring),
             "order": self.order_descriptor or self.quot.gb.order.descriptor(ring),
             "groebner": gens,
             "mode": self.mode,

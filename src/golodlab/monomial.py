@@ -97,9 +97,6 @@ class MonomialIdeal:
     def gen_degrees(self):
         return tuple(mono_deg(g) for g in self.gens)
 
-    def is_equigenerated(self) -> bool:
-        return len(set(self.gen_degrees())) <= 1
-
     def polys(self):
         return [self.ring.monomial(g) for g in self.gens]
 

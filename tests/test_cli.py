@@ -188,3 +188,27 @@ def test_parser_built_once_serves_every_call(capsys):
     assert kept[0][2].startswith("usage: golodlab") and "--bogus" in kept[0][2]
     assert kept[1] == kept[3]
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("command", ["golod", "betti", "massey", "fiber-inv"])
+def test_inhomogeneous_ideal_is_rejected_by_the_quotient(command, capsys):
+    code, out, err = _run([command, "--ideal", "x^2+y"], capsys)
+    assert (code, out, err) == (1, "", "error: R/I needs a homogeneous ideal\n")
+
+
+@pytest.mark.parametrize("command", ["gb", "initial"])
+def test_inhomogeneous_ideal_needs_no_quotient_for_gb_and_initial(command, capsys):
+    code, out, err = _run([command, "--ideal", "x^2+y"], capsys)
+    assert code == 0 and out and err == ""
+
+
+def test_minors_given_the_default_N_reports_the_default_config(capsys):
+    """At 12 variables the battery defaults p_max to 2; passing --N 4, the
+    default N, must not bring in a different p_max."""
+    runs = []
+    for extra in ([], ["--N", "4"]):
+        code, out, _ = _run(["minors", "--shape", "3x4", "--t", "1", "--json"] + extra, capsys)
+        assert code == 0
+        runs.append({t: c["config"] for t, c in json.loads(out)["diagonal"]["certificates"].items()})
+    assert runs[0] == runs[1]
+    assert {c["p_max"] for c in runs[0].values()} == {2}
