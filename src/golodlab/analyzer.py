@@ -18,11 +18,11 @@ given with a term order:
   6. otherwise GolodUpTo(N): trivial products, a trivial Massey operation
      through p_max, and Serre-bound equality through t^N, as evidence only.
 
-Every certificate carries the Poincare/Serre coefficient block, and the
-Serre inequality is asserted on it; equality through the exponent where a
-NotGolod witness forces a gap, or a proven Golod rule combined with a strict
-gap, raises InconsistencyError since only an implementation fault can
-produce either.
+Every certificate carries the Poincare/Serre coefficient block, as far as
+its work budget reaches, and the Serre inequality is asserted on it;
+equality through the exponent where a NotGolod witness forces a gap, or a
+proven Golod rule combined with a strict gap, raises InconsistencyError
+since only an implementation fault can produce either.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .koszul import STRAND_BUDGET, quotient_betti
 from .massey import TUPLE_CAP, MasseyTable, build_rainbow_table, build_trivial_table
 from .monomial import MonomialIdeal, detect_rainbow, polarize
 from .orders import lex
-from .resolution import poincare_coeffs, serre_bound
+from .resolution import POINCARE_BUDGET, poincare_coeffs
 
 __all__ = [
     "AnalyzerConfig",
@@ -52,29 +52,24 @@ __all__ = [
 class AnalyzerConfig:
     """Caps for the certificate pipeline.
 
-    D defaults to 3 * maxGenDegree * N, generous enough that the bigraded
-    ceiling of the Golod series always fits below it on desk-scale input.
+    N is the length of the Poincare/Serre block, which stops short of it
+    when the resolution of k uses up resolution.POINCARE_BUDGET.
     with_serre turns off the Poincare block; inner certificates built by the
     transfer rules run without it, the wrapping certificate has its own.
-    The Massey tuple cap and the Koszul strand budget are fixed
-    (massey.TUPLE_CAP, koszul.STRAND_BUDGET) and reported with the rest.
+    The Massey tuple cap, the Koszul strand budget and the Poincare work
+    budget are fixed (massey.TUPLE_CAP, koszul.STRAND_BUDGET,
+    resolution.POINCARE_BUDGET) and reported with the rest.
     """
 
     N: int = 8
     p_max: int = 4
-    D: Optional[int] = None
     with_serre: bool = True
-
-    def cap_for(self, max_gen_degree: int) -> int:
-        if self.D is not None:
-            return self.D
-        return 3 * max(1, max_gen_degree) * self.N
 
     def to_json(self) -> dict:
         return {
             "N": self.N,
             "p_max": self.p_max,
-            "D": self.D,
+            "poincare_budget": POINCARE_BUDGET,
             "tuple_cap": TUPLE_CAP,
             "strand_budget": STRAND_BUDGET,
         }
@@ -201,8 +196,8 @@ class GolodCertificate:
     def summary(self) -> str:
         if self.verdict == "GolodProven":
             return "GolodProven(%s)" % self.rule
-        if self.verdict == "GolodUpTo":
-            return "GolodUpTo(%d)" % self.config.N
+        if self.verdict == "GolodUpTo":  # as far as the Serre block reached
+            return "GolodUpTo(%d)" % (self.serre["N"] if self.serre else self.config.N)
         return "NotGolod(%s)" % self.rule
 
 
@@ -247,10 +242,7 @@ def _evidence_json(ev):
 
 def _check_input(gb: GroebnerBasis):
     for g in gb.gens:
-        d = g.total_degree()
-        if d == 0:
-            raise InputError("the ideal is the whole ring: no certificate")
-        if d == 1:
+        if g.total_degree() == 1:
             raise InputError(
                 "generators must lie in the square of the maximal ideal; "
                 "split off linear forms before certifying"
@@ -279,30 +271,6 @@ def _check_polarization(pol, quot, pol_quot):
             "polarized quotient and R/I have different Betti tables, so the "
             "variable differences are not a regular sequence"
         )
-
-
-def _serre_block(quot, config: AnalyzerConfig):
-    """(serre dict, PoincareData, caps_flag)."""
-    maxdeg = max((g.total_degree() for g in quot.gb.gens), default=1)
-    D = config.cap_for(maxdeg)
-    try:
-        P = poincare_coeffs(quot, config.N, D)
-    except CapExceededError:
-        bound = serre_bound(quot, config.N)
-        return (
-            {"poincare": None, "bound": list(bound), "N": config.N, "D": D},
-            None,
-            True,
-        )
-    serre = {
-        "poincare": list(P.coefficients),
-        "bound": list(P.bound),
-        "N": config.N,
-        "D": D,
-    }
-    if not P.certified_complete:
-        serre["certified_complete"] = False
-    return serre, P, False
 
 
 def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None):
@@ -427,23 +395,24 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
             rule, evidence, witness = pending
             verdict = "NotGolod"
 
-    # Poincare/Serre block, with its hard assertions
-    serre = None
-    pdata = None
+    # Poincare/Serre block, with its hard assertions; it reaches t^pdata.N,
+    # short of t^config.N when it runs out of work budget
+    serre = pdata = None
     if config.with_serre:
-        serre, pdata, capped = _serre_block(quot, config)
-        if capped:
-            caps.append("poincare internal-degree cap")
+        pdata = poincare_coeffs(quot, config.N)
+        serre = {"poincare": list(pdata.coefficients), "bound": list(pdata.bound), "N": pdata.N}
+        if pdata.N < config.N:
+            caps.append("poincare work budget")
     if pdata is not None:
         if verdict == "NotGolod" and rule in ("HomologyProduct", "MasseyProduct"):
             # a nonzero product of classes in H_{i_1}..H_{i_p} forces a gap
             # at t^(sum i_k + p - 1); equality below that is no contradiction
             gap_at = sum(c.hom_degree for c in witness["classes"]) + witness["length"] - 1
-            if config.N >= gap_at and pdata.is_equality():
+            if pdata.N >= gap_at and pdata.is_equality():
                 raise InconsistencyError(
                     "Serre equality through t^%d next to a nonzero (Massey) "
                     "product witness, which forces a gap at t^%d: "
-                    "implementation fault" % (config.N, gap_at)
+                    "implementation fault" % (pdata.N, gap_at)
                 )
         if verdict == "GolodProven" and not pdata.is_equality():
             raise InconsistencyError(
@@ -472,7 +441,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
                 "N": config.N,
                 "products_vanish": outcome is not None,
                 "massey_vanish_to": config.p_max if outcome is not None else None,
-                "serre_equality_to": config.N if pdata is not None else None,
+                "serre_equality_to": pdata.N if pdata is not None else None,
                 "massey_table": _table_summary(outcome.table) if outcome is not None else None,
             }
 

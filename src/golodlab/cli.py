@@ -55,7 +55,6 @@ COMMANDS = ("gb", "initial", "betti", "fiber-inv", "rainbow", "massey", "golod",
 # documented configuration caps; jobs outside them are input errors
 MAX_N = 16
 MAX_P = 8
-MAX_D = 1000
 MAX_T = 3
 
 
@@ -67,7 +66,6 @@ class JobSpec:
     json_out: bool = False
     N: Optional[int] = None
     p_max: Optional[int] = None
-    D: Optional[int] = None
     t_max: Optional[int] = None
     shape: Optional[str] = None
     mask: Optional[str] = None
@@ -83,7 +81,6 @@ class JobSpec:
         for name, val, cap in (
             ("N", self.N, MAX_N),
             ("p_max", self.p_max, MAX_P),
-            ("D", self.D, MAX_D),
             ("t_max", self.t_max, MAX_T),
         ):
             if val is not None and not (1 <= val <= cap):
@@ -122,7 +119,7 @@ def _resolve_order(spec: JobSpec, f: IdealFile) -> TermOrder:
 
 def _overrides(spec: JobSpec) -> dict:
     """The caps given on the command line, by AnalyzerConfig field."""
-    kw = {"N": spec.N, "p_max": spec.p_max, "D": spec.D}
+    kw = {"N": spec.N, "p_max": spec.p_max}
     return {k: v for k, v in kw.items() if v is not None}
 
 
@@ -312,7 +309,6 @@ def _build_parser() -> _Parser:
             sp.add_argument("--order", help="term order descriptor, e.g. 'lex', 'lex x>y', 'grevlex', 'weight 1,2 lex x>y', 'diagonal 2x3'")
             sp.add_argument("--N", type=int, help="Poincare/Serre truncation (<= %d)" % MAX_N)
             sp.add_argument("--p-max", type=int, dest="p_max", help="Massey length cap (<= %d)" % MAX_P)
-            sp.add_argument("--D", type=int, help="internal degree cap for the small resolution (<= %d)" % MAX_D)
     return p
 
 
@@ -324,7 +320,6 @@ def _spec_from_args(args, ideal: Optional[str] = None) -> JobSpec:
         json_out=args.json,
         N=getattr(args, "N", None),
         p_max=getattr(args, "p_max", None),
-        D=getattr(args, "D", None),
         t_max=getattr(args, "t_max", None),
         shape=getattr(args, "shape", None),
         mask=getattr(args, "mask", None),

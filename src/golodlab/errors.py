@@ -1,5 +1,8 @@
 """Shared exception types. CLI exit codes key off these."""
 
+# the one message for a unit generator, from R/I and from a monomial ideal
+UNIT_IDEAL = "unit generator: the ideal is the whole ring"
+
 
 class GolodlabError(Exception):
     pass

@@ -6,7 +6,7 @@ serialization and equality tests lean on that.
 """
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import UNIT_IDEAL, InputError
 from .koszul import KoszulComplex
 from .linalg import axpy
 from .monomial import MonomialIdeal
@@ -217,17 +217,20 @@ def ideal_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
 class QuotientRing:
     """R/I presented by a Groebner basis; standard monomials as k-basis.
 
-    It rejects an inhomogeneous ideal with an InputError.  This is the one
-    homogeneity check: the Koszul, Betti, Massey and resolution layers all
-    take a quotient.  Multiplication is by normal form and memoized, since
-    the Koszul and resolution strands hit the same products constantly.  It
-    owns its Koszul complex and its Betti table (kept by
+    It rejects an inhomogeneous ideal and the whole ring with an InputError.
+    These are the one homogeneity check and the one unit-ideal check of
+    every command that needs R/I: the Koszul, Betti, Massey and resolution
+    layers all take a quotient.  Multiplication is by normal form and
+    memoized, since the Koszul and resolution strands hit the same products
+    constantly.  It owns its Koszul complex and its Betti table (kept by
     `koszul.quotient_betti`).
     """
 
     def __init__(self, gb: GroebnerBasis):
         if not all(g.is_homogeneous() for g in gb.gens):
             raise InputError("R/I needs a homogeneous ideal")
+        if not all(any(l) for l in gb.lts):
+            raise InputError(UNIT_IDEAL)
         self.gb = gb
         self.ring = gb.ring
         self.field = gb.ring.field
@@ -290,22 +293,3 @@ class QuotientRing:
                     axpy(nxt, c, self.mult_var(i, mm), F)
                 cur = nxt
         return cur
-
-    def is_artinian(self) -> bool:
-        """True iff every variable has a pure power among the leading terms."""
-        n = self.ring.nvars
-        for i in range(n):
-            if not any(
-                l[i] > 0 and all(l[j] == 0 for j in range(n) if j != i) for l in self.gb.lts
-            ):
-                return False
-        return True
-
-    def top_degree(self) -> int:
-        """For Artinian quotients: the largest d with nonzero component."""
-        if not self.is_artinian():
-            raise InputError("top degree asked of a non-Artinian quotient")
-        d = 0
-        while self.dim_k(d + 1) > 0:
-            d += 1
-        return d

@@ -4,7 +4,9 @@ Vectors are dicts mapping an arbitrary hashable, orderable index to a nonzero
 field element, so strand bases (wedge set, monomial) can be used directly
 without integer reindexing.  `axpy` is the one sparse accumulate kernel:
 every "add a multiple of one vector into another, dropping zeros" in the
-package goes through it.
+package goes through it, except `resolution._shift_by_var`, a deliberate
+inlined copy that multiplies by a variable without building a vector per
+term.
 
 The Eliminator keeps its rows in echelon form with combination tracking:
 inserting a vector either extends the basis or returns the dependency,

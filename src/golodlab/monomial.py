@@ -8,7 +8,7 @@ import string
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceededError, InconsistencyError, InputError
+from .errors import UNIT_IDEAL, CapExceededError, InconsistencyError, InputError
 from .rings import (
     Mono,
     PolyRing,
@@ -55,23 +55,8 @@ class MonomialIdeal:
             if len(m) != ring.nvars:
                 raise InputError("exponent tuple length mismatch")
             if all(e == 0 for e in m):
-                raise InputError("unit generator: the ideal is the whole ring")
+                raise InputError(UNIT_IDEAL)
         return cls(ring, minimalize(monos))
-
-    @classmethod
-    def from_polys(cls, polys) -> "MonomialIdeal":
-        monos = []
-        ring = None
-        for p in polys:
-            if p.is_zero():
-                continue
-            if not p.is_monomial():
-                raise InputError("generator %r is not a monomial" % p)
-            ring = p.ring
-            monos.append(next(iter(p.terms)))
-        if ring is None:
-            raise InputError("no nonzero generators")
-        return cls.from_monos(ring, monos)
 
     def contains(self, m: Mono) -> bool:
         return any(mono_divides(g, m) for g in self.gens)

@@ -29,30 +29,38 @@ the totals of the same expansion kept bigraded in an auxiliary
 internal-degree variable.  The bigraded expansion also gives
 a provable internal-degree ceiling for each homological step of the minimal
 resolution of k: the resolution constructed by Golod's process is graded and
-its ranks dominate the minimal one in each bidegree.  That ceiling both limits
-the degree loops and turns the internal-degree cap into a certificate: when
-the cap covers the ceiling, the reported coefficients are provably complete.
+its ranks dominate the minimal one in each bidegree.  Each step's degree loop
+stops at that ceiling, so every step that finishes is complete.  What bounds
+the whole walk is work: the steps share POINCARE_BUDGET Eliminator inserts,
+a count rather than a time so the result is deterministic, and the walk
+stops where they run out, keeping every step whose generators were all found.
 Both read the Betti table that the quotient owns (`koszul.quotient_betti`),
 so the Serre block and the ladder rules before it share one table.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from operator import add
 
-from .errors import CapExceededError, InconsistencyError, InputError
+from .errors import InconsistencyError, InputError
 from .fields import QQ
 from .koszul import quotient_betti
 from .linalg import Eliminator, axpy
 
 __all__ = [
+    "POINCARE_BUDGET",
     "PoincareData",
     "bigraded_golod_series",
     "serre_bound",
     "poincare_coeffs",
 ]
+
+# Eliminator inserts that one poincare_coeffs call may make, over all its
+# steps; every corpus job needs far fewer (at most about 25,000)
+POINCARE_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +142,14 @@ class PoincareData:
     """Total Betti numbers of k over a quotient, with the Serre-side bound.
 
     coefficients[i] = rank of the i-th module in the minimal resolution of k,
-    bound[i] the matching Golod-series coefficient.  `graded` records the
-    internal-degree splitting.  `certified_complete` is True when the bigraded
-    bound vanishes above the cap D for every step, which proves no generator
-    was missed; otherwise the run survived the at-cap check only.
+    bound[i] the matching Golod-series coefficient, for i = 0..N.  `graded`
+    records the internal-degree splitting.
     """
 
     coefficients: tuple
     bound: tuple
     N: int
-    D: int
     graded: dict = field(default=None, repr=False)
-    certified_complete: bool = True
 
     def is_equality(self) -> bool:
         return self.coefficients == self.bound
@@ -212,22 +216,24 @@ def _column_images(quot, gens, prev_images, j, splits):
     return images, slices
 
 
-def poincare_coeffs(quot, N: int, D: int) -> PoincareData:
+class _BudgetSpent(Exception):
+    """POINCARE_BUDGET is used up; poincare_coeffs keeps the finished steps."""
+
+
+def poincare_coeffs(quot, N: int) -> PoincareData:
     """Total Betti numbers c_0..c_N of the residue field over quot.
 
-    D caps the internal degree searched for syzygy generators.  The bigraded
-    Golod bound tells each step where its generators must stop; when D covers
-    that ceiling the result is provably complete.  When it does not, degrees
-    are computed up to D, and either a minimal generator appearing at D itself
-    or a step whose admissible degree window lies entirely beyond D raises
-    CapExceededError rather than silently truncating.  The Serre inequality
-    is asserted on every coefficient; a violation raises InconsistencyError
-    since it can only come from a computation bug.
+    The bigraded Golod bound tells each step where its generators must stop,
+    so every step is computed completely.  The steps share POINCARE_BUDGET
+    Eliminator inserts.  When these run out during step s, the result keeps
+    the steps whose generators were all found: 0..s if only the kernel of
+    d_s (read by step s+1) was left, else 0..s-1.  N and the bound are cut
+    to the steps kept.  The Serre inequality is asserted in every bidegree;
+    a violation raises InconsistencyError since it can only come from a
+    computation bug.
     """
     if N < 0:
         raise InputError("negative homological bound")
-    if D < 1:
-        raise InputError("internal degree cap must be at least 1")
     field_ = quot.field
     one_c = field_.one
     multi = quot.is_monomial
@@ -236,95 +242,85 @@ def poincare_coeffs(quot, N: int, D: int) -> PoincareData:
     big = bigraded_golod_series(nvars, quotient_betti(quot), N)
     bound = tuple(sum(d.values()) for d in big)
     # provable ceiling on internal degrees of step-i generators
-    tops = [max(d, default=-1) for d in big]
-    certified = all(tops[i] <= D for i in range(N + 1))
-    jmaxes = [min(D, top) for top in tops] + [-1]
+    tops = [max(d, default=-1) for d in big] + [-1]
+    spent = 0
+
+    def insert(elim, vec, tag=None):
+        nonlocal spent
+        spent += 1
+        if spent > POINCARE_BUDGET:
+            raise _BudgetSpent
+        return elim.insert(vec, tag)
+
+    coefficients = []
+    graded = {}
+
+    def close(step, gens):
+        """Record step's generators, checked against the bigraded bound."""
+        for j, c in Counter(gen.deg for gen in gens).items():
+            if c > big[step].get(j, 0):
+                raise InconsistencyError(
+                    "Serre bound violated at (%d, %d): %d > %d"
+                    % (step, j, c, big[step].get(j, 0))
+                )
+            graded[(step, j)] = c
+        coefficients.append(len(gens))
 
     one = tuple([0] * nvars)  # the monomial 1
     gens = [_Gen(0, one if multi else 0)]  # generators of F_0
     lo = 1  # one above the lowest generator degree of F_{step-1}
-    kernels = {}  # degree <= jmax -> grade -> kernel vectors of d_{step-1}
-    coefficients = [1]
-    graded = {(0, 0): 1}
+    kernels = {}  # degree <= top -> grade -> kernel vectors of d_{step-1}
     splits = {}  # see _column_images
 
-    for step in range(N + 1):
-        top, jmax, jnext = tops[step], jmaxes[step], jmaxes[step + 1]
-        if step:  # F_0 is given: its degree ceiling is 0
-            if top > D and coefficients[-1] and lo > jmax:
-                raise CapExceededError(
-                    "internal degree cap D=%d leaves homological step %d entirely "
-                    "unexplored (generators can appear up to degree %d)" % (D, step, top)
-                )
-            gens = []  # generators of F_step, found degree by degree below
-        new_kernels, images = {}, {}
-        for j in range(lo, max(jmax, jnext) + 1):
-            images, slices = _column_images(quot, gens, images, j, splits)
-            track = j <= jnext
-            found = kernels.pop(j, {})
-            for g in sorted(slices.keys() | found.keys()):
-                kvecs = found.get(g, ())
-                if not (track or kvecs):
-                    continue
-                elim = Eliminator(field_)
-                deps = []
-                for col in slices.get(g, ()):
-                    img = images.get(col)
-                    if img:
-                        dep = elim.insert(img, col if track else None)
-                        if track and dep is not None:
-                            deps.append(dep)
-                    elif track:
-                        deps.append({col: one_c})
-                if deps:
-                    new_kernels.setdefault(j, {})[g] = deps
-                # the columns span (x_1..x_n) ker d_{step-1} in this slice, so
-                # the kernel vectors that extend it are minimal generators,
-                # exactly len(kvecs) - rank of them
-                need = len(kvecs) - elim.rank
-                if need < 0 and j <= jmax:
-                    raise InconsistencyError(
-                        "resolution of k not exact at step %d, degree %d: the "
-                        "images have rank %d in a kernel of dimension %d"
-                        % (step, j, elim.rank, len(kvecs))
-                    )
-                for i, vec in enumerate(kvecs):
-                    if need <= 0:
-                        break
-                    if need == len(kvecs) - i or elim.insert(vec) is None:
-                        need -= 1
-                        images[(len(gens), one)] = vec
-                        gens.append(_Gen(j, g))
-                        graded[(step, j)] = graded.get((step, j), 0) + 1
-        kernels = new_kernels
-        if step:
-            if jmax == D and top > D and any(g.deg == D for g in gens):
-                raise CapExceededError(
-                    "internal degree cap D=%d hit at homological step %d: "
-                    "syzygy generators appear at the cap itself" % (D, step)
-                )
-            for (ii, jj) in list(graded):
-                if ii == step:
-                    s_ij = big[step].get(jj, 0)
-                    if graded[(ii, jj)] > s_ij:
+    try:
+        for step in range(N + 1):
+            jmax, jnext = tops[step], tops[step + 1]
+            if step:  # F_0 is given
+                gens = []  # generators of F_step, found degree by degree below
+            new_kernels, images = {}, {}
+            for j in range(lo, max(jmax, jnext) + 1):
+                images, slices = _column_images(quot, gens, images, j, splits)
+                track = j <= jnext
+                found = kernels.pop(j, {})
+                for g in sorted(slices.keys() | found.keys()):
+                    kvecs = found.get(g, ())
+                    if not (track or kvecs):
+                        continue
+                    elim = Eliminator(field_)
+                    deps = []
+                    for col in slices.get(g, ()):
+                        img = images.get(col)
+                        if img:
+                            dep = insert(elim, img, col if track else None)
+                            if track and dep is not None:
+                                deps.append(dep)
+                        elif track:
+                            deps.append({col: one_c})
+                    if deps:
+                        new_kernels.setdefault(j, {})[g] = deps
+                    # the columns span (x_1..x_n) ker d_{step-1} in this slice,
+                    # so the kernel vectors that extend it are minimal
+                    # generators, exactly len(kvecs) - rank of them
+                    need = len(kvecs) - elim.rank
+                    if need < 0 and j <= jmax:
                         raise InconsistencyError(
-                            "Serre bound violated at (%d, %d): %d > %d"
-                            % (ii, jj, graded[(ii, jj)], s_ij)
+                            "resolution of k not exact at step %d, degree %d: the "
+                            "images have rank %d in a kernel of dimension %d"
+                            % (step, j, elim.rank, len(kvecs))
                         )
-            coefficients.append(len(gens))
-        lo = gens[0].deg + 1 if gens else 1
+                    for i, vec in enumerate(kvecs):
+                        if need <= 0:
+                            break
+                        if need == len(kvecs) - i or insert(elim, vec) is None:
+                            need -= 1
+                            images[(len(gens), one)] = vec
+                            gens.append(_Gen(j, g))
+            kernels = new_kernels
+            close(step, gens)
+            lo = gens[0].deg + 1 if gens else 1
+    except _BudgetSpent:
+        if j > jmax:  # step's generators are all found; only ker d_step was left
+            close(step, gens)
 
-    coefficients = tuple(coefficients)
-    for i, (c, s) in enumerate(zip(coefficients, bound)):
-        if c > s:
-            raise InconsistencyError(
-                "Serre bound violated at coefficient %d: %d > %d" % (i, c, s)
-            )
-    return PoincareData(
-        coefficients=coefficients,
-        bound=bound,
-        N=N,
-        D=D,
-        graded=graded,
-        certified_complete=certified,
-    )
+    N = len(coefficients) - 1
+    return PoincareData(tuple(coefficients), bound[: N + 1], N, graded)

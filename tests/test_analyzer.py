@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from golodlab import analyzer, cli
+from golodlab import analyzer, cli, resolution
 
 from conftest import FIXTURES
 
@@ -43,3 +43,27 @@ def test_equality_at_the_forced_gap_raises(argv, monkeypatch, capsys):
     assert code == 3
     assert cert is None
     assert "forces a gap" in err
+
+
+@pytest.mark.parametrize(
+    "ideal, budget, verdict, rule",
+    [
+        ("x^2,y^2", 6, "NotGolod", "HomologyProduct"),
+        ("2*x^2*y-6*x*y*z-2*x*z^2,9*x*y,-6*x^2*z", 38, "GolodUpTo", None),
+    ],
+)
+def test_a_block_cut_by_the_budget_reports_its_own_length(ideal, budget, verdict, rule, monkeypatch, capsys):
+    """Each budget stops the Serre block at t^2.  For x^2,y^2 that is below
+    the gap its product witness forces at t^3, so equality is no
+    contradiction; the verdict stands and the cut is reported as a cap."""
+    monkeypatch.setattr(resolution, "POINCARE_BUDGET", budget)
+    code, cert, _ = _golod([ideal], capsys)
+    assert code == 0
+    assert (cert["verdict"], cert["rule"], cert["caps_exceeded"]) == (verdict, rule, True)
+    serre = cert["serre"]
+    assert serre["N"] == 2 and len(serre["poincare"]) == len(serre["bound"]) == 3
+    assert serre["poincare"] == serre["bound"]
+    if verdict == "GolodUpTo":
+        assert cert["evidence"]["serre_equality_to"] == 2
+        assert cli.main(["golod", "--ideal", ideal]) == 0
+        assert capsys.readouterr().out.startswith("GolodUpTo(2)\n")

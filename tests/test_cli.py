@@ -20,7 +20,10 @@ GORENSTEIN3_F32003 = (
     "ideal: x1^2, x1*x3, -x1*x2+x3^2, x2*x3, x2^2"
 )
 
-# golden file stem -> argv (without --json); each job runs in under a second
+XYZ4 = "x^4,x^3*y,x^3*z,x^2*y^2,x^2*y*z,x^2*z^2,x*y^3,x*y^2*z,x*y*z^2,x*z^3,y^4,y^3*z,y^2*z^2,y*z^3,z^4"
+
+# golden file stem -> argv (without --json); each job but the budget case
+# runs in under a second
 CASES = {
     "golod_gorenstein3": ["golod", "--ideal", str(FIXTURES / "gorenstein3.txt")],
     "golod_x2_y2": ["golod", "--ideal", "x^2,y^2"],
@@ -35,7 +38,9 @@ CASES = {
     "minors_2x4": ["minors", "--shape", "2x4"],
     "minors_3x4": ["minors", "--shape", "3x4"],
     "golod_graded_upto": ["golod", "--ideal", "2*x^2*y-6*x*y*z-2*x*z^2,9*x*y,-6*x^2*z"],
-    "golod_x2_yz_cap": ["golod", "--ideal", "x^2-y*z,y^2-x*z,z^2-x*y", "--D", "3"],
+    # (x,y,z)^4, the slowest case: the Serre block runs out of work budget
+    # after t^7
+    "golod_xyz4_budget": ["golod", "--ideal", XYZ4],
     "betti_x2_xy_y3_yz2": ["betti", "--ideal", "x^2,xy,y^3,yz^2"],
     "fiber_inv_gorenstein3": ["fiber-inv", "--ideal", str(FIXTURES / "gorenstein3.txt")],
     "massey_gorenstein3": ["massey", "--ideal", str(FIXTURES / "gorenstein3.txt")],
@@ -58,7 +63,7 @@ RULES = {
     "golod_xy_z2": ("GolodProven", "FiberInvariantTransfer"),
     "golod_gorenstein3_f32003": ("NotGolod", "HomologyProduct"),
     "golod_graded_upto": ("GolodUpTo", None),
-    "golod_x2_yz_cap": ("GolodProven", "FiberInvariantTransfer"),
+    "golod_xyz4_budget": ("GolodProven", "MonomialPower"),
     "golod_graded_fractions": ("NotGolod", "HomologyProduct"),
     "golod_x3_y3_z3_xyz": ("NotGolod", "HomologyProduct"),
 }
@@ -107,7 +112,9 @@ def test_json_matches_golden_bytes_and_schema(name, capsys):
     if name in RULES:
         top = payload["certificate"]
         assert (top["verdict"], top["rule"]) == RULES[name]
-        assert top["caps_exceeded"] is (name == "golod_x2_yz_cap")
+        assert top["caps_exceeded"] is (name == "golod_xyz4_budget")
+        if name == "golod_xyz4_budget":
+            assert top["serre"]["N"] == 7
 
 
 def test_golden_cases_cover_every_golden_file():
@@ -194,6 +201,18 @@ def test_parser_built_once_serves_every_call(capsys):
 def test_inhomogeneous_ideal_is_rejected_by_the_quotient(command, capsys):
     code, out, err = _run([command, "--ideal", "x^2+y"], capsys)
     assert (code, out, err) == (1, "", "error: R/I needs a homogeneous ideal\n")
+
+
+@pytest.mark.parametrize("command", ["golod", "betti", "initial", "massey", "fiber-inv"])
+def test_unit_ideal_is_rejected_with_one_message(command, capsys):
+    """x+1, x generate the whole ring: the reduced basis is {1}."""
+    code, out, err = _run([command, "--ideal", "ring: QQ[x,y]\nideal: x+1, x"], capsys)
+    assert (code, out, err) == (1, "", "error: unit generator: the ideal is the whole ring\n")
+
+
+def test_unit_ideal_basis_is_printed_by_gb(capsys):
+    code, out, err = _run(["gb", "--ideal", "ring: QQ[x,y]\nideal: x+1, x"], capsys)
+    assert (code, out, err) == (0, "1\n", "")
 
 
 @pytest.mark.parametrize("command", ["gb", "initial"])

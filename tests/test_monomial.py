@@ -129,7 +129,7 @@ def test_rainbow_honest_negative_on_obstructed_complex():
     from golodlab import parse_ideal_text
 
     f = parse_ideal_text((FIXTURES / "reiner_welker.txt").read_text())
-    I = MonomialIdeal.from_polys(f.gens)
+    I = MonomialIdeal.from_monos(f.ring, [m for g in f.gens for m in g.terms])
     P = polarize(I)
     assert P.ring.nvars == I.ring.nvars  # already squarefree
     res = detect_rainbow(P.ideal)

@@ -1,13 +1,13 @@
 """The stepwise resolution of k: closed-form Poincare series, the Serre
-bound, the internal-degree cap, and agreement with a straightforward
-stepwise resolution kept here as an oracle."""
+bound, the work budget, and agreement with a straightforward stepwise
+resolution kept here as an oracle."""
 
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from golodlab import GF, QQ, CapExceededError, GroebnerBasis, InconsistencyError, PolyRing, QuotientRing, grevlex
+from golodlab import GF, QQ, GroebnerBasis, InconsistencyError, PolyRing, QuotientRing, grevlex
 from golodlab import resolution
 from golodlab.koszul import koszul_betti, quotient_betti
 from golodlab.linalg import Eliminator, axpy, kernel_basis
@@ -66,9 +66,9 @@ def _oracle_shift(quot, vec, v):
     return out
 
 
-def oracle_resolution(quot, N, D):
-    """(coefficients, graded) of the minimal resolution of k, or raises
-    CapExceededError under the same rules as poincare_coeffs."""
+def oracle_resolution(quot, N):
+    """(coefficients, graded) of the minimal resolution of k through step N,
+    each step searched up to its bigraded ceiling."""
     field_ = quot.field
     multi = quot.is_monomial
     nvars = quot.ring.nvars
@@ -78,12 +78,10 @@ def oracle_resolution(quot, N, D):
     coefficients = [1]
     graded = {(0, 0): 1}
     for step in range(1, N + 1):
-        top = tops[step]
-        jmax = min(D, top)
         kernels = {}
         new_gens = []
         lo = min(g[0] for g in current) + 1 if current else 1
-        for j in range(lo, jmax + 1):
+        for j in range(lo, tops[step] + 1):
             for g, cols in sorted(_oracle_slices(quot, current, j, multi).items()):
                 images = [_oracle_image(quot, current[t][2], m) for (t, m) in cols]
                 combos = kernel_basis(images, field_)
@@ -107,10 +105,6 @@ def oracle_resolution(quot, N, D):
                         new_gens.append((j, g, vec))
                         graded[(step, j)] = graded.get((step, j), 0) + 1
                     tag += 1
-        if top > D and current and lo > jmax:
-            raise CapExceededError("step %d unexplored" % step)
-        if jmax == D and top > D and any(g[0] == D for g in new_gens):
-            raise CapExceededError("generators at the cap at step %d" % step)
         coefficients.append(len(new_gens))
         current = new_gens
     return tuple(coefficients), graded
@@ -133,15 +127,14 @@ def oracle_resolution(quot, N, D):
 )
 def test_complete_intersection_closed_form(text, n, c, field):
     quot = quotient(text, field)
-    P = poincare_coeffs(quot, 6, 40)
+    P = poincare_coeffs(quot, 6)
     assert P.coefficients == ci_series(n, c, 6)
-    assert P.certified_complete
 
 
 def test_non_monomial_ci_is_sliced_by_total_degree():
     quot = quotient("x^2-y^2, x*y")
     assert not quot.is_monomial
-    P = poincare_coeffs(quot, 5, 30)
+    P = poincare_coeffs(quot, 5)
     assert set(j for (_, j) in P.graded) == set(range(6))
     # a quadratic complete intersection is Koszul: step i sits in degree i
     assert all(i == j for (i, j) in P.graded)
@@ -149,74 +142,66 @@ def test_non_monomial_ci_is_sliced_by_total_degree():
 
 @pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
 def test_golod_quotient_meets_the_serre_bound(field):
-    P = poincare_coeffs(quotient("x^2, x*y", field), 8, 48)
+    P = poincare_coeffs(quotient("x^2, x*y", field), 8)
     assert P.is_equality()
     assert P.first_gap() is None
     assert P.coefficients[:4] == (1, 2, 3, 5)
 
 
 def test_not_golod_quotient_shows_the_first_gap():
-    P = poincare_coeffs(quotient("x^2, y^2"), 5, 30)
+    P = poincare_coeffs(quotient("x^2, y^2"), 5)
     assert P.coefficients == (1, 2, 3, 4, 5, 6)
     assert P.bound[:4] == (1, 2, 3, 5)
     assert P.first_gap() == 3
 
 
 # ---------------------------------------------------------------------------
-# the internal-degree cap
+# the work budget
 
 
-def test_cap_below_a_whole_step_raises():
-    with pytest.raises(CapExceededError, match="entirely unexplored"):
-        poincare_coeffs(quotient("x^2, y^2"), 4, 2)
-
-
-def test_generators_at_the_cap_raise():
-    with pytest.raises(CapExceededError, match="at the cap itself"):
-        poincare_coeffs(quotient("x^2, y^2"), 3, 3)
-
-
-def test_cap_below_the_ceiling_is_not_certified():
-    quot = quotient("x^2, y^2")
-    P = poincare_coeffs(quot, 6, 7)
-    assert not P.certified_complete
-    assert P.coefficients == ci_series(2, 2, 6)
-    assert poincare_coeffs(quot, 6, 40).certified_complete
+def test_a_spent_budget_keeps_a_prefix_of_the_steps(monkeypatch):
+    """Every budget below the 5767 inserts gorenstein3 needs through t^8
+    returns the first steps of the full run and cuts the bound to match."""
+    quot = quotient(GORENSTEIN3)
+    full = poincare_coeffs(quot, 8)
+    reached = []
+    for budget in (0, 20, 100, 400, 1000, 2500, 5766, 5767):
+        monkeypatch.setattr(resolution, "POINCARE_BUDGET", budget)
+        P = poincare_coeffs(quot, 8)
+        n = len(P.coefficients)
+        assert P.N == n - 1
+        assert P.coefficients == full.coefficients[:n]
+        assert P.bound == full.bound[:n]
+        assert P.graded == {k: v for k, v in full.graded.items() if k[0] < n}
+        reached.append(P.N)
+    # a step is kept once its generators are found, even when the budget
+    # then runs out on the kernel the next step reads: with 0 inserts the
+    # variables, found without elimination, still make step 1
+    assert reached == [1, 3, 3, 5, 6, 7, 7, 8]
 
 
 # ---------------------------------------------------------------------------
 # agreement with the oracle
 
 
-def _compare(quot, N, D):
-    try:
-        expected = oracle_resolution(quot, N, D)
-    except CapExceededError:
-        with pytest.raises(CapExceededError):
-            poincare_coeffs(quot, N, D)
-        return
-    P = poincare_coeffs(quot, N, D)
-    assert (P.coefficients, P.graded) == expected
+def _compare(quot, N):
+    P = poincare_coeffs(quot, N)
+    assert (P.coefficients, P.graded) == oracle_resolution(quot, N)
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5), D=st.integers(2, 9))
-def test_monomial_quotients_match_oracle(seed, N, D):
+@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5))
+def test_monomial_quotients_match_oracle(seed, N):
     rng = seeded(seed)
     I = random_monomial_ideal(rng, rng.randint(1, 3), 3, max_gens=4)
     ring = I.ring
     quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), I.polys()))
-    _compare(quot, N, D)
+    _compare(quot, N)
 
 
 @settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(0, 10 ** 9),
-    N=st.integers(1, 5),
-    D=st.integers(2, 9),
-    prime=st.booleans(),
-)
-def test_graded_quotients_match_oracle(seed, N, D, prime):
+@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5), prime=st.booleans())
+def test_graded_quotients_match_oracle(seed, N, prime):
     rng = seeded(seed)
     ring = PolyRing(("x", "y", "z"), F32003 if prime else QQ)
     gens = random_homogeneous_ideal(rng, ring, max_deg=2, n_gens=3)
@@ -225,7 +210,7 @@ def test_graded_quotients_match_oracle(seed, N, D, prime):
     quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), gens))
     if quot.gb.is_zero_ideal() or any(mono_deg(l) == 0 for l in quot.gb.lts):
         return
-    _compare(quot, N, D)
+    _compare(quot, N)
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +221,17 @@ GORENSTEIN3 = "x1^2, x1*x3, -x1*x2+x3^2, x2*x3, x2^2"
 
 @pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
 @pytest.mark.parametrize(
-    "text, D",
+    "text",
     [
-        (GORENSTEIN3, 48),
-        ("4*t*f^2+2*t*c*f, -c^2*f, 6*c*f^2-3*t*c*f, -3*t*c*f+9*f^3", 72),
-        ("x^2, x*y, y^3, y*z^2", 72),
+        GORENSTEIN3,
+        "4*t*f^2+2*t*c*f, -c^2*f, 6*c*f^2-3*t*c*f, -3*t*c*f+9*f^3",
+        "x^2, x*y, y^3, y*z^2",
     ],
     ids=["gorenstein3", "tcf_cubics", "x2_xy_y3_yz2"],
 )
-def test_default_length_matches_oracle(text, D, field):
-    """N=8 with the CLI's default cap D = 3 * (top generator degree) * N."""
-    _compare(quotient(text, field), 8, D)
+def test_default_length_matches_oracle(text, field):
+    """The CLI's default length N=8."""
+    _compare(quotient(text, field), 8)
 
 
 def test_inserts_only_nonzero_vectors_and_stops_at_the_rank(monkeypatch):
@@ -263,7 +248,7 @@ def test_inserts_only_nonzero_vectors_and_stops_at_the_rank(monkeypatch):
         return insert(self, vec, tag)
 
     monkeypatch.setattr(Eliminator, "insert", counting)
-    P = poincare_coeffs(quot, 8, 48)
+    P = poincare_coeffs(quot, 8)
     assert P.coefficients == (1, 3, 8, 21, 55, 144, 377, 987, 2584)
     assert 0 not in sizes
     # inserting every column image and kernel vector took 19887
@@ -286,8 +271,8 @@ def test_a_dropped_kernel_vector_breaks_exactness(monkeypatch):
             return dep
 
     quot = quotient("x*y, z^2")
-    assert poincare_coeffs(quot, 4, 20).coefficients == ci_series(3, 2, 4)
+    assert poincare_coeffs(quot, 4).coefficients == ci_series(3, 2, 4)
     monkeypatch.setattr(resolution, "Eliminator", Dropping)
     with pytest.raises(InconsistencyError, match="not exact at step 3, degree 4"):
-        poincare_coeffs(quot, 4, 20)
+        poincare_coeffs(quot, 4)
     assert dropped
