@@ -29,13 +29,11 @@ from .fields import GF, QQ, Field
 from .groebner import GroebnerBasis, QuotientRing, buchberger, normal_form
 from .koszul import HomologyClass, KoszulComplex, KoszulElement, koszul_betti, quotient_betti
 from .massey import (
-    MasseyResult,
     MasseyTable,
     TrivialMasseyOutcome,
     build_rainbow_table,
     build_trivial_table,
     homology_product,
-    massey_product,
 )
 from .monomial import (
     MonomialIdeal,
@@ -78,7 +76,6 @@ __all__ = [
     "KoszulComplex",
     "KoszulElement",
     "LadderMatrix",
-    "MasseyResult",
     "MasseyTable",
     "MonomialIdeal",
     "ParseError",
@@ -108,7 +105,6 @@ __all__ = [
     "infer_ring_from_text",
     "koszul_betti",
     "lex",
-    "massey_product",
     "maximal_minors",
     "normal_form",
     "parse_ideal_text",

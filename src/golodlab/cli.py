@@ -301,13 +301,14 @@ def _build_parser() -> _Parser:
             sp.add_argument("--shape", help="generic matrix RxC, e.g. 2x3")
             sp.add_argument("--mask", help="ladder pattern, rows of 0/1 joined by '/', e.g. 111/011")
             sp.add_argument("--t", type=int, dest="t_max", help="verify powers up to this exponent (<= %d)" % MAX_T)
-            sp.add_argument("--N", type=int, help="series truncation for certificates")
-            sp.add_argument("--p-max", type=int, dest="p_max", help="Massey length cap for certificates")
         else:
             sp.add_argument("--ideal", help="fixture path or inline generator list")
             sp.add_argument("--batch", help="directory of fixture files; outputs named by input hash")
             sp.add_argument("--order", help="term order descriptor, e.g. 'lex', 'lex x>y', 'grevlex', 'weight 1,2 lex x>y', 'diagonal 2x3'")
+        # only the commands that read a cap take its flag
+        if name in ("golod", "minors"):
             sp.add_argument("--N", type=int, help="Poincare/Serre truncation (<= %d)" % MAX_N)
+        if name in ("golod", "massey", "minors"):
             sp.add_argument("--p-max", type=int, dest="p_max", help="Massey length cap (<= %d)" % MAX_P)
     return p
 

@@ -78,6 +78,11 @@ class LadderMatrix:
             raise InputError("empty matrix pattern")
         if rows > cols:
             raise InputError("need rows <= cols for maximal minors by columns")
+        if rows == 1:
+            raise InputError(
+                "the maximal minors of a one-row matrix are its entries, which "
+                "are linear: give at least two rows"
+            )
         _validate_ladder(mask)
         names = []
         cell_var = {}

@@ -71,14 +71,6 @@ class KoszulElement:
         return cls(quot, {})
 
     @classmethod
-    def from_poly(cls, quot, poly, S=()) -> "KoszulElement":
-        S = tuple(sorted(S))
-        if len(set(S)) != len(S):
-            return cls.zero(quot)
-        nf = quot.nf(poly)
-        return cls(quot, {(S, m): c for m, c in nf.terms.items()})
-
-    @classmethod
     def wedge_monomial(cls, quot, S) -> "KoszulElement":
         """e_S with coefficient 1."""
         S = tuple(sorted(S))
@@ -166,14 +158,6 @@ class KoszulElement:
             poly = self.quot.ring.from_terms(groups[S])
             out.append([list(S), poly_str(poly, None)])
         return out
-
-    @classmethod
-    def from_text(cls, quot, data) -> "KoszulElement":
-        from .parsing import parse_poly
-        acc = cls.zero(quot)
-        for S, txt in data:
-            acc = acc + cls.from_poly(quot, parse_poly(txt, quot.ring), tuple(S))
-        return acc
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -401,10 +385,14 @@ def quotient_betti(quot) -> BettiTable:
     """Betti table of A = R/I over R: the one place an engine is chosen.
 
     A monomial quotient whose minimal generators fit under the Taylor cap
-    uses taylor_betti, which is the faster engine there; every other
-    quotient uses koszul_betti, the only engine that runs above the cap.
-    Both give multidegrees exactly when A's complex is multigraded.  The
-    table is kept on the quotient; the engines keep nothing.
+    uses taylor_betti; every other quotient uses koszul_betti, the only
+    engine that runs above the cap.  Taylor is the faster engine on the
+    monomial quotients the benchmark corpora build (each of the 211
+    distinct ones at seed 1, best of three on a fresh quotient), but not on
+    every quotient under the cap: on (x,y,z)^4, 15 generators, taylor_betti
+    takes 0.7 s and koszul_betti 0.004 s (AMD EPYC, Python 3.11).  Both
+    give multidegrees exactly when A's complex is multigraded.  The table
+    is kept on the quotient; the engines keep nothing.
     """
     if quot._betti is None:
         I = quot.gb.initial_ideal()

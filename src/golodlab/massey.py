@@ -1,34 +1,27 @@
 """Massey operations on Koszul homology.
 
-Two layers:
+MasseyTable / build_trivial_table / build_rainbow_table: a trivial Massey
+operation as a table of values mu(tuple), every defining equation
 
-* massey_product: the p-ary Massey product of homology classes, computed by
-  solving the defining system interval by interval.  With all shorter
-  products vanishing the p-fold product is a single class, so the answer is
-  UniqueZero, UniqueNonzero, or Undefined (with the obstructing interval).
+    d mu(h_1..h_p) = sum_{i=1}^{p-1} bar(mu(h_1..h_i)) ^ mu(h_{i+1}..h_p)
 
-* MasseyTable / build_trivial_table / build_rainbow_table: a trivial Massey
-  operation as a table of values mu(tuple), every defining equation
+machine-verified exactly, with bar(a) = (-1)^(|a|+1) a.  The rainbow
+builder stores closed-form values for pairs of variable-disjoint labels
+whose merged label is complete, solves longer tuples strand by strand, and
+records which tuples needed solving; the general builder solves for every
+value, and its first unsolvable equation is a nonzero product or Massey
+product.
 
-      d mu(h_1..h_p) = sum_{i=1}^{p-1} bar(mu(h_1..h_i)) ^ mu(h_{i+1}..h_p)
-
-  machine-verified exactly, with bar(a) = (-1)^(|a|+1) a.  The rainbow
-  builder stores closed-form values for pairs of variable-disjoint labels
-  whose merged label is complete, solves longer tuples strand by strand,
-  and records which tuples needed solving; the general builder solves for
-  every value.
-
-  Tables are sparse: only nonzero values are stored, and a missing tuple
-  has value 0.  A tuple is a *candidate* when some cut has stored values on
-  both sides.  Any other tuple has value 0 and a zero side at every cut, so
-  its defining equation reads 0 = 0 identically; the builders solve, and
-  MasseyTable.verify re-checks, only the stored and the candidate tuples.
-  The number of tuples a table covers at each length is kept in `counts`.
+Tables are sparse: only nonzero values are stored, and a missing tuple has
+value 0.  A tuple is a *candidate* when some cut has stored values on both
+sides.  Any other tuple has value 0 and a zero side at every cut, so its
+defining equation reads 0 = 0 identically; the builders solve, and
+MasseyTable.verify re-checks, only the stored and the candidate tuples.
+The number of tuples a table covers at each length is kept in `counts`.
 """
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -218,65 +211,7 @@ def candidate_tuples(stored, p: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Massey products of a specific tuple
-
-
-@dataclass
-class MasseyResult:
-    kind: str  # "UniqueZero" | "UniqueNonzero" | "Undefined"
-    rep: Optional[KoszulElement] = None
-    obstruction_interval: Optional[tuple] = None
-    obstruction: Optional[KoszulElement] = None
-
-
-def massey_product(kz: KoszulComplex, classes, p_cap: int = 6) -> MasseyResult:
-    """p-ary Massey product of the given HomologyClass list.
-
-    Solves a defining system over contiguous sub-intervals, lowest internal
-    degree first within each solve (the strand split in boundary_preimage).
-    An unsolvable proper sub-interval means B_{p-1} fails there: Undefined,
-    with the obstructing interval and its nonzero class reported.  The full
-    product is then the class of sum bar(a_{1k}) ^ a_{k+1,p}.
-    """
-    p = len(classes)
-    if p < 2:
-        raise InputError("Massey products need at least two classes")
-    if p > p_cap:
-        raise CapExceededError("Massey order %d exceeds cap %d" % (p, p_cap))
-    reps = [h.rep if isinstance(h, HomologyClass) else h for h in classes]
-    if p == 2:
-        w = reps[0].wedge(reps[1])
-        if w.is_zero() or kz.is_boundary(w):
-            return MasseyResult("UniqueZero")
-        return MasseyResult("UniqueNonzero", rep=w)
-
-    values = {}
-    for i, r in enumerate(reps):
-        values[(i,)] = r
-    # intervals by length; the full interval is excluded (it is the product)
-    for length in range(2, p):
-        for start in range(0, p - length + 1):
-            lam = tuple(range(start, start + length))
-            rhs = equation_rhs(values, lam)
-            if rhs.is_zero():
-                values[lam] = KoszulElement.zero(kz.quot)
-                continue
-            if not rhs.is_cycle():
-                raise InconsistencyError("Massey RHS failed to be a cycle")
-            u = kz.boundary_preimage(rhs)
-            if u is None:
-                return MasseyResult(
-                    "Undefined",
-                    obstruction_interval=(start, start + length - 1),
-                    obstruction=rhs,
-                )
-            values[lam] = u
-    product = equation_rhs(values, tuple(range(p)))
-    if not product.is_cycle():
-        raise InconsistencyError("Massey product element failed to be a cycle")
-    if product.is_zero() or kz.is_boundary(product):
-        return MasseyResult("UniqueZero")
-    return MasseyResult("UniqueNonzero", rep=product)
+# homology products
 
 
 def homology_product(kz: KoszulComplex, h1, h2) -> Optional[KoszulElement]:
@@ -303,7 +238,6 @@ class MasseyTable:
     p_max: int
     # length -> number of tuples the table covers (zero counts omitted)
     counts: dict = field(default_factory=dict)
-    order_descriptor: str = ""
     verified: bool = False
     # tuples whose value could not come from the closed form and was solved
     # as a boundary preimage instead; kept for reporting
@@ -369,99 +303,6 @@ class MasseyTable:
                     )
         self.verified = True
         return self
-
-    def to_json(self) -> dict:
-        from .parsing import poly_str, ring_str
-
-        ring = self.quot.ring
-        gens = [poly_str(g, self.quot.gb.order) for g in self.quot.gb.gens]
-        return {
-            "ring": ring_str(ring),
-            "order": self.order_descriptor or self.quot.gb.order.descriptor(ring),
-            "groebner": gens,
-            "mode": self.mode,
-            "p_max": self.p_max,
-            "counts": {str(p): c for p, c in sorted(self.counts.items())},
-            "basis": [
-                {
-                    "key": _key_to_json(k),
-                    "hom_degree": h.hom_degree,
-                    "strand": list(h.key) if isinstance(h.key, tuple) else h.key,
-                    "rep": h.rep.to_text(),
-                }
-                for k, h in zip(self.keys, self.basis)
-            ],
-            "values": [
-                {"tuple": [_key_to_json(k) for k in lam], "value": v.to_text()}
-                for lam, v in sorted(
-                    self.values.items(), key=lambda kv: (len(kv[0]), str(kv[0]))
-                )
-            ],
-            "findings": [
-                {
-                    "tuple": [_key_to_json(k) for k in f["tuple"]],
-                    "reason": f["reason"],
-                }
-                for f in self.findings
-            ],
-            "verified": self.verified,
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "MasseyTable":
-        """Rebuild and exactly re-verify; `verified` is only trusted after
-        the re-check, never read from the file."""
-        from .groebner import GroebnerBasis
-        from .parsing import parse_order, parse_poly, parse_ring
-
-        if isinstance(data, str):
-            data = json.loads(data)
-        ring = parse_ring(data["ring"])
-        order = parse_order(data["order"], ring)
-        gens = [parse_poly(t, ring) for t in data["groebner"]]
-        quot = GroebnerBasis(ring, order, gens).quotient()
-        kz = quot.koszul()
-        keys, basis = [], []
-        for b in data["basis"]:
-            k = _key_from_json(b["key"])
-            rep = KoszulElement.from_text(quot, b["rep"])
-            keys.append(k)
-            basis.append(kz.class_of(rep, label=k if isinstance(k, tuple) else None))
-        values = {}
-        for v in data["values"]:
-            lam = tuple(_key_from_json(k) for k in v["tuple"])
-            values[lam] = KoszulElement.from_text(quot, v["value"])
-        findings = [
-            {
-                "tuple": tuple(_key_from_json(k) for k in f["tuple"]),
-                "reason": f["reason"],
-            }
-            for f in data.get("findings", [])
-        ]
-        table = cls(
-            quot=quot,
-            mode=data["mode"],
-            basis=basis,
-            keys=keys,
-            values=values,
-            p_max=data["p_max"],
-            counts={int(p): c for p, c in data["counts"].items()},
-            order_descriptor=data["order"],
-            findings=findings,
-        )
-        return table.verify()
-
-
-def _key_to_json(k):
-    if isinstance(k, int):
-        return k
-    return [list(b) for b in k]
-
-
-def _key_from_json(k):
-    if isinstance(k, int):
-        return k
-    return tuple(tuple(b) for b in k)
 
 
 # ---------------------------------------------------------------------------

@@ -226,11 +226,6 @@ def detect_rainbow(I: MonomialIdeal) -> RainbowDetectResult:
     within the stated bounds.  Variables outside every generator are appended
     to the first class.
     """
-    if I.ring.colors is not None:
-        st = RainbowStructure(I.ring, I.ring.colors)
-        if validate_rainbow(I, st):
-            return RainbowDetectResult("found", st)
-        return RainbowDetectResult("not_found", reason="declared classes are not rainbow")
     degs = set(I.gen_degrees())
     if len(degs) != 1:
         return RainbowDetectResult("not_found", reason="generators not equigenerated")

@@ -2,7 +2,6 @@
 
     ring: QQ[x1,x2,x3]
     order: lex x1>x2>x3
-    colors: x11,x12 | x21,x22
     ideal: x1^2, x1*x3, -x1*x2+x3^2, x2*x3, x2^2
 
 Polynomials are sums of signed terms; a term is a product of an optional
@@ -193,12 +192,11 @@ class IdealFile:
 
 def parse_ideal_text(text: str) -> IdealFile:
     """Parse a full ideal file: directives 'ring:', optional 'order:',
-    'colors:', then 'ideal:' whose generator list may continue over
-    following lines.  Rings are standard graded, so 'weights:' is an
-    error."""
+    then 'ideal:' whose generator list may continue over following lines.
+    Rings are standard graded, so 'weights:' is an error; rainbow color
+    classes are searched for, never declared, so 'colors:' is one too."""
     ring = None
     order_text = None
-    colors_text = None
     gen_text = None
     gen_line = None
     lines = text.splitlines()
@@ -220,7 +218,7 @@ def parse_ideal_text(text: str) -> IdealFile:
         elif key == "weights":
             raise ParseError("weights are not supported: rings are standard graded", line=i)
         elif key == "colors":
-            colors_text = val
+            raise ParseError("colors are not supported: rainbow classes are searched for", line=i)
         elif key == "ideal":
             gen_line = i
             chunks = [val]
@@ -233,11 +231,6 @@ def parse_ideal_text(text: str) -> IdealFile:
             gen_text = " ".join(chunks)
     if ring is None:
         raise ParseError("missing ring declaration")
-    if colors_text is not None:
-        classes = []
-        for cls in colors_text.split("|"):
-            classes.append(tuple(ring.var_index(s.strip()) for s in cls.split(",") if s.strip()))
-        ring = PolyRing(ring.names, ring.field, colors=tuple(classes))
     order = parse_order(order_text, ring) if order_text else None
     if gen_text is None:
         raise ParseError("missing ideal directive")
@@ -252,11 +245,6 @@ def _split_gens(text: str):
 
 def ideal_file_str(f: IdealFile) -> str:
     lines = ["ring: %s" % ring_str(f.ring)]
-    if f.ring.colors is not None:
-        lines.append(
-            "colors: %s"
-            % " | ".join(",".join(f.ring.names[i] for i in cls) for cls in f.ring.colors)
-        )
     if f.order is not None:
         lines.append("order: %s" % f.order.descriptor(f.ring))
     lines.append("ideal: %s" % ", ".join(poly_str(g, f.order) for g in f.gens))

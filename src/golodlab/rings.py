@@ -8,7 +8,6 @@ object and nothing mutates .terms after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InputError, RingMismatchError
 from .fields import QQ, Field
@@ -65,24 +64,14 @@ def monomials_of_degree(n: int, d: int):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """k[x_1..x_n], standard graded, with named variables and optional
-    color classes.
-
-    colors, when present, partition the variable indices into ordered
-    classes; used by the rainbow machinery.
-    """
+    """k[x_1..x_n], standard graded, with named variables."""
 
     names: tuple
     field: Field = QQ
-    colors: Optional[tuple] = None  # tuple of tuples of variable indices
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise InputError("duplicate variable names: %r" % (self.names,))
-        if self.colors is not None:
-            seen = [i for cls in self.colors for i in cls]
-            if sorted(seen) != sorted(set(seen)):
-                raise InputError("color classes must be disjoint")
 
     @property
     def nvars(self) -> int:

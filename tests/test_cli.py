@@ -221,6 +221,33 @@ def test_inhomogeneous_ideal_needs_no_quotient_for_gb_and_initial(command, capsy
     assert code == 0 and out and err == ""
 
 
+# the commands that read each cap flag; no other command takes it
+CAP_READERS = {"--N": ("golod", "minors"), "--p-max": ("golod", "massey", "minors")}
+
+
+@pytest.mark.parametrize("flag", sorted(CAP_READERS))
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_cap_flags_only_on_the_commands_that_read_them(command, flag, capsys):
+    """A cap the job would ignore is a usage error (exit 1), not exit 0."""
+    try:
+        cli._build_parser().parse_args([command, flag, "2"])
+        code = 0
+    except SystemExit as e:
+        code = e.code
+    err = capsys.readouterr().err
+    if command in CAP_READERS[flag]:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1 and "unrecognized arguments: %s 2" % flag in err
+
+
+def test_one_row_minors_name_the_input(capsys):
+    for argv in (["minors", "--shape", "1x5"], ["minors", "--mask", "0111"]):
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the maximal minors of a one-row matrix are its entries")
+
+
 def test_minors_given_the_default_N_reports_the_default_config(capsys):
     """At 12 variables the battery defaults p_max to 2; passing --N 4, the
     default N, must not bring in a different p_max."""

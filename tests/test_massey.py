@@ -1,9 +1,8 @@
-"""Homology products, Massey systems and Massey tables, with the sparse
-trivial-table builder checked against the dense one it replaced."""
+"""Homology products and Massey tables, with the sparse trivial-table
+builder checked against the dense one it replaced."""
 
+import copy
 import itertools
-import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +11,6 @@ from golodlab import (
     GroebnerBasis,
     KoszulComplex,
     KoszulElement,
-    MasseyTable,
     MonomialIdeal,
     QuotientRing,
     build_rainbow_table,
@@ -21,7 +19,6 @@ from golodlab import (
     grevlex,
     homology_product,
     massey,
-    massey_product,
 )
 from golodlab.errors import CapExceededError, InconsistencyError
 
@@ -78,7 +75,7 @@ def test_gorenstein_h1_h2_product_witness(gorenstein_quot):
     assert prod.hom_degree() == degs[0] + degs[1]
 
 
-def test_golod_m2_table_verifies_and_round_trips():
+def test_golod_m2_table_verifies():
     ring = mk_ring(2, ("x", "y"))
     quot = quotient_of(MonomialIdeal.from_monos(ring, [(2, 0), (1, 1), (0, 2)]))
     out = build_trivial_table(quot, p_max=4)
@@ -86,92 +83,85 @@ def test_golod_m2_table_verifies_and_round_trips():
     tbl = out.table
     assert tbl.mode == "all-tuples"
     assert tbl.verified
-    data = tbl.to_json()
-    text = json.dumps(data)
-    back = MasseyTable.from_json(json.loads(text))
-    assert back.verified
-    assert back.keys == tbl.keys
-    assert len(back.values) == len(tbl.values)
-    assert back.counts == tbl.counts == {1: 5, 2: 25, 3: 125, 4: 625}
+    assert _copy(tbl).verify().verified
+    assert tbl.counts == {1: 5, 2: 25, 3: 125, 4: 625}
 
 
-def _triangle_table_json():
+def _copy(tbl):
+    """A deep copy of a table that shares its quotient."""
+    return copy.deepcopy(tbl, {id(tbl.quot): tbl.quot})
+
+
+def _term(quot, S, m, c):
+    return KoszulElement(quot, {(S, m): quot.field.of(c)})
+
+
+def _triangle_table():
     """(xy, yz, xz) over QQ[x,y,z]: five classes, and exactly two stored
     pair values, mu(0, 1) and mu(1, 0)."""
     ring = mk_ring(3, ("x", "y", "z"))
     quot = quotient_of(MonomialIdeal.from_monos(ring, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]))
-    data = build_trivial_table(quot, p_max=3).table.to_json()
-    pairs = [row["tuple"] for row in data["values"] if len(row["tuple"]) == 2]
-    assert pairs == [[0, 1], [1, 0]]
-    return data
+    tbl = build_trivial_table(quot, p_max=3).table
+    assert sorted(lam for lam in tbl.values if len(lam) == 2) == [(0, 1), (1, 0)]
+    return tbl
 
 
-def _rows(data):
-    return {tuple(row["tuple"]): row for row in data["values"]}
+def _corrupt_pair(tbl):
+    tbl.values[(0, 1)] = _term(tbl.quot, (), (0, 0, 0), 1)
 
 
-def _corrupt_pair(data):
-    _rows(data)[(0, 1)]["value"] = [[[], "1"]]
+def _insert_absent_pair(tbl):
+    assert (0, 2) not in tbl.values
+    tbl.values[(0, 2)] = _term(tbl.quot, (0, 1, 2), (0, 0, 0), 1)
 
 
-def _insert_absent_pair(data):
-    assert (0, 2) not in _rows(data)
-    data["values"].append({"tuple": [0, 2], "value": [[[0, 1, 2], "1"]]})
+def _drop_pair(tbl):
+    del tbl.values[(1, 0)]
 
 
-def _drop_pair(data):
-    data["values"].remove(_rows(data)[(1, 0)])
+def _unknown_key(tbl):
+    tbl.values[(0, 5)] = tbl.values[(0, 1)]
 
 
-def _corrupt_singleton(data):
-    _rows(data)[(0,)]["value"] = [[[1], "2*z"]]
+def _noncycle_singleton(tbl):
+    # d(e_x) = x, which is nonzero in the quotient
+    tbl.values[(0,)] = _term(tbl.quot, (0,), (0, 0, 0), 1)
 
 
-def _drop_singleton(data):
-    data["values"].remove(_rows(data)[(2,)])
+def _corrupt_singleton(tbl):
+    # z e_y is a cycle, since yz = 0, but not the class of basis key 0
+    tbl.values[(0,)] = _term(tbl.quot, (1,), (0, 0, 1), 2)
 
 
-def _miscount(data):
-    data["counts"]["3"] = 124
+def _drop_singleton(tbl):
+    del tbl.values[(2,)]
 
 
-def test_from_json_rejects_tampered_value():
-    data = _triangle_table_json()
-    assert MasseyTable.from_json(data).verified
-    for tamper in (
-        _corrupt_pair, _insert_absent_pair, _drop_pair, _corrupt_singleton, _drop_singleton, _miscount,
-    ):
-        bad = json.loads(json.dumps(data))
-        tamper(bad)
-        with pytest.raises(InconsistencyError):
-            MasseyTable.from_json(bad)
+def _miscount(tbl):
+    tbl.counts[3] = 124
 
 
-def test_massey_undefined_when_pairwise_product_survives():
-    ring = mk_ring(2, ("x", "y"))
-    quot = quotient_of(MonomialIdeal.from_monos(ring, [(2, 0), (0, 2)]))
-    kz = KoszulComplex(quot)
-    h = kz.homology_basis()
-    ones = [c for c in h if c.hom_degree == 1]
-    assert len(ones) == 2
-    r = massey_product(kz, [ones[0], ones[1], ones[0]])
-    assert r.kind == "Undefined"
-    assert r.obstruction is not None
-    assert not kz.is_boundary(r.obstruction)
-    assert r.obstruction_interval in ((0, 1), (1, 2))
+# each tamper, and the check of MasseyTable.verify it must trip
+TAMPERS = [
+    (_corrupt_pair, "defining equation fails"),
+    (_insert_absent_pair, "defining equation fails"),
+    (_drop_pair, "defining equation fails"),
+    (_unknown_key, "missing from basis"),
+    (_noncycle_singleton, "is not a cycle"),
+    (_corrupt_singleton, "does not represent its basis class"),
+    (_drop_singleton, "has no value for basis key"),
+    (_miscount, "tuple counts"),
+]
 
 
-def test_binary_massey_equals_homology_product(gorenstein_quot):
-    kz = KoszulComplex(gorenstein_quot)
-    basis = kz.homology_basis()
-    for a in basis[:4]:
-        for b in basis[:4]:
-            prod = homology_product(kz, a, b)
-            r = massey_product(kz, [a, b])
-            if prod is None:
-                assert r.kind == "UniqueZero"
-            else:
-                assert r.kind == "UniqueNonzero"
+@pytest.mark.parametrize("tamper, message", TAMPERS, ids=[t.__name__[1:] for t, _ in TAMPERS])
+def test_verify_rejects_tampered_table(tamper, message):
+    tbl = _triangle_table()
+    assert _copy(tbl).verify().verified
+    bad = _copy(tbl)
+    tamper(bad)
+    with pytest.raises(InconsistencyError, match=message):
+        bad.verify()
 
 
 def test_rainbow_table_on_2x3_minors():
@@ -194,14 +184,12 @@ def test_rainbow_table_on_2x3_minors():
     assert len(tbl.basis) == total
     # no tuple value of length >= 2 is stored: the operation is trivial
     assert all(len(lam) == 1 for lam in tbl.values)
-    # the counts of valid tuples are recounted, not read from the file
-    data = tbl.to_json()
-    assert MasseyTable.from_json(data).counts == tbl.counts
-    for p, count in (("2", 99), ("2", 0), ("3", 1)):
-        bad = json.loads(json.dumps(data))
-        bad["counts"][p] = count
+    # the counts of valid tuples are recounted, not trusted
+    for p, count in ((2, 99), (2, 0), (3, 1)):
+        bad = _copy(tbl)
+        bad.counts[p] = count
         with pytest.raises(InconsistencyError, match="tuple counts"):
-            MasseyTable.from_json(bad)
+            bad.verify()
     # a value stored for a tuple the table does not claim is an error
     a, b = tbl.keys[0], tbl.keys[1]
     tbl.values[(a, a)] = tbl.values[(a,)].wedge(tbl.values[(b,)])

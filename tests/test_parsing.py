@@ -68,11 +68,16 @@ def test_bad_number_reports_line(bad):
     assert ei.value.line == 2
 
 
-@pytest.mark.parametrize("weights", ["1,2", "1,1"])
-def test_weights_directive_is_rejected(weights):
-    """Rings are standard graded: a weight vector is refused, not ignored."""
-    with pytest.raises(ParseError, match="weights are not supported") as ei:
-        parse_ideal_text("ring: QQ[x,y]\nweights: %s\nideal: x^2 - y\n" % weights)
+@pytest.mark.parametrize("directive, message", [
+    ("weights: 1,2", "weights are not supported"),
+    ("weights: 1,1", "weights are not supported"),
+    ("colors: x | y", "colors are not supported"),
+], ids=["1,2", "1,1", "colors"])
+def test_weights_directive_is_rejected(directive, message):
+    """Rings are standard graded and rainbow classes are searched for: a
+    weight vector or a color partition is refused, not ignored."""
+    with pytest.raises(ParseError, match=message) as ei:
+        parse_ideal_text("ring: QQ[x,y]\n%s\nideal: x^2 - y\n" % directive)
     assert ei.value.line == 2
 
 
