@@ -12,7 +12,12 @@ from golodlab import resolution
 from golodlab.koszul import koszul_betti, quotient_betti
 from golodlab.linalg import Eliminator, axpy, kernel_basis
 from golodlab.parsing import infer_ring_from_text, parse_poly
-from golodlab.resolution import bigraded_golod_series, poincare_coeffs
+from golodlab.resolution import (
+    Multidegrees,
+    bigraded_golod_series,
+    multigraded_golod_series,
+    poincare_coeffs,
+)
 from golodlab.rings import mono_deg
 
 from conftest import random_homogeneous_ideal, random_monomial_ideal, seeded
@@ -189,14 +194,39 @@ def _compare(quot, N):
     assert (P.coefficients, P.graded) == oracle_resolution(quot, N)
 
 
+def _monomial_quotient(rng, nvars, field=QQ):
+    I = random_monomial_ideal(rng, nvars, 3, max_gens=4)
+    ring = PolyRing(I.ring.names, field)
+    return QuotientRing(GroebnerBasis(ring, grevlex(ring), [ring.monomial(m) for m in I.gens]))
+
+
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5))
-def test_monomial_quotients_match_oracle(seed, N):
+@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5), prime=st.booleans())
+def test_monomial_quotients_match_oracle(seed, N, prime):
     rng = seeded(seed)
-    I = random_monomial_ideal(rng, rng.randint(1, 3), 3, max_gens=4)
-    ring = I.ring
-    quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), I.polys()))
-    _compare(quot, N)
+    _compare(_monomial_quotient(rng, rng.randint(1, 3), F32003 if prime else QQ), N)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 4), prime=st.booleans())
+def test_four_variable_monomial_quotients_match_oracle(seed, N, prime):
+    _compare(_monomial_quotient(seeded(seed), 4, F32003 if prime else QQ), N)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), nvars=st.integers(1, 4), N=st.integers(0, 7))
+def test_multigraded_series_sums_to_the_bigraded_one(seed, nvars, N):
+    quot = _monomial_quotient(seeded(seed), nvars)
+    table = quotient_betti(quot)
+    big = bigraded_golod_series(nvars, table, N)
+    grades = Multidegrees(nvars, max(max(d, default=0) for d in big) + 1)
+    summed = [{} for _ in big]
+    for step, coeffs in enumerate(multigraded_golod_series(table, grades, N)):
+        for g, c in coeffs.items():
+            d = grades.degree(g)
+            assert sum(grades.unpack(g)) == d  # no digit carried
+            summed[step][d] = summed[step].get(d, 0) + c
+    assert summed == big
 
 
 @settings(max_examples=20, deadline=None)
@@ -255,24 +285,75 @@ def test_inserts_only_nonzero_vectors_and_stops_at_the_rank(monkeypatch):
     assert len(sizes) == 5767
 
 
+def test_monomial_walk_insert_count(monkeypatch):
+    """Slices keyed by generator, visited only where the multigraded bound
+    is nonzero.  The walk by total degree made 12829 inserts here."""
+    quot = quotient("x^2, x*y, y^3, y*z^2")
+    quotient_betti(quot)
+    calls = [0]
+    insert = Eliminator.insert
+
+    def counting(self, vec, tag=None):
+        calls[0] += 1
+        return insert(self, vec, tag)
+
+    monkeypatch.setattr(Eliminator, "insert", counting)
+    P = poincare_coeffs(quot, 8)
+    assert P.coefficients == (1, 3, 7, 17, 41, 99, 239, 577, 1393)
+    assert calls[0] == 6220
+
+
+def test_a_lowered_multigraded_coefficient_breaks_the_serre_check(monkeypatch):
+    """x^2, x*y is Golod, so its resolution of k meets the multigraded bound
+    in every multidegree; one coefficient lowered from c >= 2 to c - 1
+    keeps every slice of the walk and fails the check in `close`."""
+    real = resolution.multigraded_golod_series
+    lowered = []
+
+    def lower(table, grades, N):
+        series = real(table, grades, N)
+        for step, coeffs in enumerate(series):
+            for g, c in sorted(coeffs.items()):
+                if c >= 2 and not lowered:
+                    coeffs[g] = c - 1
+                    lowered.append((step, grades.unpack(g), c))
+        return series
+
+    quot = quotient("x^2, x*y")
+    assert poincare_coeffs(quot, 5).is_equality()
+    monkeypatch.setattr(resolution, "multigraded_golod_series", lower)
+    with pytest.raises(InconsistencyError, match="Serre bound violated") as err:
+        poincare_coeffs(quot, 5)
+    step, alpha, c = lowered[0]
+    assert "at step %d, grade %s: %d > %d" % (step, alpha, c, c - 1) in str(err.value)
+
+
 def test_a_dropped_kernel_vector_breaks_exactness(monkeypatch):
-    """Over k[x,y,z]/(xy, z^2), step 2 records in degree 4 the kernel vector
-    of column (1, y*z), in a slice where step 3 finds no new generator.
-    Without it the step-3 images there have rank above the kernel's
-    recorded dimension, which the count of new generators catches."""
-    dropped = []
+    """Over k[x,y,z]/(xy, z^2), step 3 records a two-dimensional kernel in
+    multidegree (1, 2, 2), which the step-4 images span, so step 4 finds no
+    new generator there.  Without one of its vectors the images have rank
+    above the kernel's recorded dimension, which the count of new
+    generators catches."""
+    where, dropped = [None], []
+    walk = resolution._MonomialSlices.__call__
+
+    def watched(self, step, prev, gens, kernels):
+        for item in walk(self, step, prev, gens, kernels):
+            where[0] = (step, self.label(item[1]))
+            yield item
 
     class Dropping(Eliminator):
         def insert(self, vec, tag=None):
             dep = super().insert(vec, tag)
-            if dep is not None and tag == (1, (0, 1, 1)) and not dropped:
+            if dep is not None and where[0] == (3, (1, 2, 2)) and not dropped:
                 dropped.append(dep)
                 return None
             return dep
 
     quot = quotient("x*y, z^2")
     assert poincare_coeffs(quot, 4).coefficients == ci_series(3, 2, 4)
+    monkeypatch.setattr(resolution._MonomialSlices, "__call__", watched)
     monkeypatch.setattr(resolution, "Eliminator", Dropping)
-    with pytest.raises(InconsistencyError, match="not exact at step 3, degree 4"):
+    with pytest.raises(InconsistencyError, match=r"not exact at step 4, degree 5, grade \(1, 2, 2\)"):
         poincare_coeffs(quot, 4)
     assert dropped
