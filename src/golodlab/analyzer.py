@@ -92,9 +92,6 @@ class FiberInvariantResult:
     betti_ideal: Optional[BettiTable] = None
     betti_initial: Optional[BettiTable] = None
 
-    def __bool__(self) -> bool:
-        return self.invariant
-
 
 def fiber_invariant(gb: GroebnerBasis):
     """Does beta_{ij}(R/I) = beta_{ij}(R/in(I)) hold entrywise?
@@ -325,27 +322,19 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
                 "exponent": t,
             }
 
-    inner_config = replace(config, with_serre=False)
-
+    # rules 4 and 5 each pick a transfer: the rule, what the inner ideal
+    # is, its Groebner basis and the evidence for the hypotheses
+    transfer = None
     # rule 4: fiber-invariant transfer to the initial ideal
     if verdict is None and not quot.is_monomial:
         fi = fiber_invariant(gb)
         if fi.invariant:
-            inner_cert = golod_certificate(gb.initial_quotient().gb, inner_config)
-            if inner_cert.caps_exceeded:
-                caps.append("inner certificate caps")
-            ev = {
-                "fiber_invariance": fi.fast_path or "entrywise Betti comparison",
-                "inner": inner_cert,
-            }
-            if inner_cert.verdict == "GolodProven":
-                verdict, rule, evidence = "GolodProven", "FiberInvariantTransfer", ev
-            elif inner_cert.verdict == "NotGolod":
-                pending = (
-                    "FiberInvariantTransfer",
-                    ev,
-                    {"kind": "transfer", "via": "initial ideal", "inner": inner_cert.witness},
-                )
+            transfer = (
+                "FiberInvariantTransfer",
+                "initial ideal",
+                gb.initial_quotient().gb,
+                {"fiber_invariance": fi.fast_path or "entrywise Betti comparison"},
+            )
 
     # rule 5: polarization transfer for non-squarefree monomial ideals
     if verdict is None and I_mono is not None and not I_mono.is_squarefree():
@@ -355,22 +344,23 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
         # the check covers every degree; the evidence reports the fixed
         # degree max deg(I) + s + 2, s the number of differences
         verified_to = max(I_mono.gen_degrees()) + len(pol.differences) + 2
-        inner_cert = golod_certificate(pol_gb, inner_config)
+        transfer = (
+            "PolarizationTransfer",
+            "polarization",
+            pol_gb,
+            {"polarized_variables": pol.ring.nvars, "regular_sequence_verified_to": verified_to},
+        )
+
+    if transfer is not None:
+        t_rule, via, inner_gb, ev = transfer
+        inner_cert = golod_certificate(inner_gb, replace(config, with_serre=False))
         if inner_cert.caps_exceeded:
             caps.append("inner certificate caps")
-        ev = {
-            "polarized_variables": pol.ring.nvars,
-            "regular_sequence_verified_to": verified_to,
-            "inner": inner_cert,
-        }
+        ev["inner"] = inner_cert
         if inner_cert.verdict == "GolodProven":
-            verdict, rule, evidence = "GolodProven", "PolarizationTransfer", ev
+            verdict, rule, evidence = "GolodProven", t_rule, ev
         elif inner_cert.verdict == "NotGolod":
-            pending = (
-                "PolarizationTransfer",
-                ev,
-                {"kind": "transfer", "via": "polarization", "inner": inner_cert.witness},
-            )
+            pending = (t_rule, ev, {"kind": "transfer", "via": via, "inner": inner_cert.witness})
 
     # rule 1: the direct search for a nonzero product or Massey product,
     # attempted whenever no proof rule has already decided

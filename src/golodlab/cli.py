@@ -25,7 +25,6 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .analyzer import (
     AnalyzerConfig,
@@ -59,35 +58,6 @@ MAX_T = 3
 
 
 @dataclass
-class JobSpec:
-    command: str
-    ideal: Optional[str] = None  # path or inline generator list
-    order: Optional[str] = None
-    json_out: bool = False
-    N: Optional[int] = None
-    p_max: Optional[int] = None
-    t_max: Optional[int] = None
-    shape: Optional[str] = None
-    mask: Optional[str] = None
-
-    def validate(self):
-        if self.command not in COMMANDS:
-            raise InputError("unknown command %r" % self.command)
-        if self.command == "minors":
-            if not (self.shape or self.mask):
-                raise InputError("minors needs --shape RxC or --mask rows-of-01")
-        elif self.ideal is None:
-            raise InputError("command %s needs --ideal" % self.command)
-        for name, val, cap in (
-            ("N", self.N, MAX_N),
-            ("p_max", self.p_max, MAX_P),
-            ("t_max", self.t_max, MAX_T),
-        ):
-            if val is not None and not (1 <= val <= cap):
-                raise InputError("%s must be between 1 and %d" % (name, cap))
-
-
-@dataclass
 class Report:
     text: str
     payload: dict
@@ -99,8 +69,8 @@ class Report:
         return self.text
 
 
-def _load_ideal(spec: JobSpec) -> IdealFile:
-    src = spec.ideal
+def _load_ideal(args) -> IdealFile:
+    src = args.ideal
     if os.path.exists(src):
         with open(src) as fh:
             return parse_ideal_text(fh.read())
@@ -111,20 +81,20 @@ def _load_ideal(spec: JobSpec) -> IdealFile:
     return f
 
 
-def _resolve_order(spec: JobSpec, f: IdealFile) -> TermOrder:
-    if spec.order:
-        return parse_order(spec.order, f.ring)
+def _resolve_order(args, f: IdealFile) -> TermOrder:
+    if args.order:
+        return parse_order(args.order, f.ring)
     return f.order if f.order is not None else grevlex(f.ring)
 
 
-def _overrides(spec: JobSpec) -> dict:
+def _overrides(args) -> dict:
     """The caps given on the command line, by AnalyzerConfig field."""
-    kw = {"N": spec.N, "p_max": spec.p_max}
+    kw = {"N": args.N, "p_max": args.p_max}
     return {k: v for k, v in kw.items() if v is not None}
 
 
-def _config(spec: JobSpec) -> AnalyzerConfig:
-    return AnalyzerConfig(**_overrides(spec))
+def _config(args) -> AnalyzerConfig:
+    return AnalyzerConfig(**_overrides(args))
 
 
 def _betti_json(B: BettiTable) -> dict:
@@ -138,34 +108,46 @@ def _betti_json(B: BettiTable) -> dict:
     }
 
 
-def run_job(spec: JobSpec) -> Report:
-    spec.validate()
-    if spec.command == "minors":
-        return _run_minors(spec)
-    f = _load_ideal(spec)
-    order = _resolve_order(spec, f)
+def run_job(args) -> Report:
+    """Run the job that the parsed arguments describe."""
+    if args.command == "minors":
+        if not (args.shape or args.mask):
+            raise InputError("minors needs --shape RxC or --mask rows-of-01")
+    elif args.ideal is None:
+        raise InputError("command %s needs --ideal" % args.command)
+    for name, val, low, cap in (
+        ("N", args.N, 1, MAX_N),
+        ("p_max", args.p_max, 2, MAX_P),
+        ("t_max", args.t_max, 1, MAX_T),
+    ):
+        if val is not None and not (low <= val <= cap):
+            raise InputError("%s must be between %d and %d" % (name, low, cap))
+    if args.command == "minors":
+        return _run_minors(args)
+    f = _load_ideal(args)
+    order = _resolve_order(args, f)
     gb = GroebnerBasis(f.ring, order, f.gens)
     header = {
-        "command": spec.command,
+        "command": args.command,
         "ring": [str(n) for n in f.ring.names],
         "order": order.descriptor(f.ring),
     }
-    if spec.command == "gb":
+    if args.command == "gb":
         gens = sorted(gb.gens, key=lambda p: order.key(order.leading_mono(p)), reverse=True)
         lines = [poly_str(p, order) for p in gens]
         return Report(
             "\n".join(lines),
             dict(header, generators=lines, leading_terms=[f.ring.mono_str(order.leading_mono(p)) for p in gens]),
         )
-    if spec.command == "initial":
+    if args.command == "initial":
         I = gb.initial_ideal()
         monos = display_sorted(I.gens)
         names = [f.ring.mono_str(m) for m in monos]
         return Report(", ".join(names), dict(header, generators=names))
-    if spec.command == "betti":
+    if args.command == "betti":
         B = quotient_betti(gb.quotient())
         return Report(B.grid_str(), dict(header, **_betti_json(B)))
-    if spec.command == "fiber-inv":
+    if args.command == "fiber-inv":
         fi = fiber_invariant(gb)
         lines = ["fiber invariant: %s" % ("yes" if fi.invariant else "no")]
         if fi.fast_path:
@@ -177,7 +159,7 @@ def run_job(spec: JobSpec) -> Report:
             payload["betti_ideal"] = _betti_json(fi.betti_ideal)
             payload["betti_initial"] = _betti_json(fi.betti_initial)
         return Report("\n".join(lines), payload)
-    if spec.command == "rainbow":
+    if args.command == "rainbow":
         if not all(g.is_monomial() for g in gb.gens):
             raise InputError("rainbow detection works on monomial ideals; run `initial` first")
         det = detect_rainbow(gb.initial_ideal())
@@ -195,8 +177,8 @@ def run_job(spec: JobSpec) -> Report:
         else:
             text = "rainbow: %s%s" % (det.status, "\n%s" % det.reason if det.reason else "")
         return Report(text, payload)
-    if spec.command == "massey":
-        cfg = _config(spec)
+    if args.command == "massey":
+        cfg = _config(args)
         outcome = build_trivial_table(gb.quotient(), p_max=cfg.p_max)
         tbl = _table_summary(outcome.table)
         payload = dict(header, table=tbl, witness=_witness_json(outcome.witness))
@@ -216,32 +198,31 @@ def run_job(spec: JobSpec) -> Report:
                 "stops here" % (w["kind"], w["length"])
             )
         return Report("\n".join(lines), payload)
-    if spec.command == "golod":
-        cert = golod_certificate(gb, _config(spec))
-        payload = dict(header, certificate=cert.to_json())
-        lines = [cert.summary(), "rule: %s" % cert.rule]
-        if cert.witness is not None:
-            w = _witness_json(cert.witness)
-            lines.append("witness: %s" % json.dumps(w, sort_keys=True))
-        if cert.serre:
-            lines.append("poincare: %s" % cert.serre.get("poincare"))
-            lines.append("serre bound: %s" % cert.serre.get("bound"))
-        if cert.caps_exceeded:
-            lines.append("caps exceeded: partial evidence")
-        return Report("\n".join(lines), payload)
-    raise InputError("unknown command %r" % spec.command)
+    # golod
+    cert = golod_certificate(gb, _config(args))
+    payload = dict(header, certificate=cert.to_json())
+    lines = [cert.summary(), "rule: %s" % cert.rule]
+    if cert.witness is not None:
+        w = _witness_json(cert.witness)
+        lines.append("witness: %s" % json.dumps(w, sort_keys=True))
+    if cert.serre:
+        lines.append("poincare: %s" % cert.serre.get("poincare"))
+        lines.append("serre bound: %s" % cert.serre.get("bound"))
+    if cert.caps_exceeded:
+        lines.append("caps exceeded: partial evidence")
+    return Report("\n".join(lines), payload)
 
 
-def _run_minors(spec: JobSpec) -> Report:
-    if spec.mask:
-        X = LadderMatrix.from_text(spec.mask)
+def _run_minors(args) -> Report:
+    if args.mask:
+        X = LadderMatrix.from_text(args.mask)
     else:
-        m = spec.shape.lower().split("x")
+        m = args.shape.lower().split("x")
         if len(m) != 2 or not all(s.isdigit() for s in m):
-            raise InputError("bad --shape %r, expected RxC like 2x3" % spec.shape)
+            raise InputError("bad --shape %r, expected RxC like 2x3" % args.shape)
         X = LadderMatrix.generic(int(m[0]), int(m[1]))
-    t_max = spec.t_max if spec.t_max is not None else 2
-    cfg = replace(certificate_config(X), **_overrides(spec))
+    t_max = args.t_max if args.t_max is not None else 2
+    cfg = replace(certificate_config(X), **_overrides(args))
     rep = verify_sparse_theorems(X, t_max=t_max, cert_config=cfg)
     lines = [
         "matrix %dx%d mask %s, %d minors, t <= %d"
@@ -293,6 +274,11 @@ def _build_parser() -> _Parser:
     it unchanged."""
     p = _Parser(prog="golodlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
+    # every field a subcommand lacks reads as unset, so a parsed namespace
+    # is the job
+    p.set_defaults(
+        ideal=None, batch=None, order=None, shape=None, mask=None, t_max=None, N=None, p_max=None
+    )
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--json", action="store_true", help="machine output, sorted keys")
@@ -306,25 +292,11 @@ def _build_parser() -> _Parser:
             sp.add_argument("--batch", help="directory of fixture files; outputs named by input hash")
             sp.add_argument("--order", help="term order descriptor, e.g. 'lex', 'lex x>y', 'grevlex', 'weight 1,2 lex x>y', 'diagonal 2x3'")
         # only the commands that read a cap take its flag
-        if name in ("golod", "minors"):
+        if name == "golod":
             sp.add_argument("--N", type=int, help="Poincare/Serre truncation (<= %d)" % MAX_N)
         if name in ("golod", "massey", "minors"):
-            sp.add_argument("--p-max", type=int, dest="p_max", help="Massey length cap (<= %d)" % MAX_P)
+            sp.add_argument("--p-max", type=int, dest="p_max", help="Massey length cap (2 to %d)" % MAX_P)
     return p
-
-
-def _spec_from_args(args, ideal: Optional[str] = None) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        ideal=ideal if ideal is not None else getattr(args, "ideal", None),
-        order=getattr(args, "order", None),
-        json_out=args.json,
-        N=getattr(args, "N", None),
-        p_max=getattr(args, "p_max", None),
-        t_max=getattr(args, "t_max", None),
-        shape=getattr(args, "shape", None),
-        mask=getattr(args, "mask", None),
-    )
 
 
 # exit code and stderr prefix by exception type
@@ -367,7 +339,7 @@ def _run_batch(args) -> int:
         ext = ".json" if args.json else ".out"
         dest = os.path.join(outdir, tag + ext)
         try:
-            rep = run_job(_spec_from_args(args, ideal=path))
+            rep = run_job(argparse.Namespace(**dict(vars(args), ideal=path)))
             body = rep.render(args.json)
             code = rep.exit_code
         except Exception as e:  # one bad input must not stop the batch
@@ -387,9 +359,9 @@ def _run_batch(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "batch", None):
+        if args.batch:
             return _run_batch(args)
-        rep = run_job(_spec_from_args(args))
+        rep = run_job(args)
         body = rep.render(args.json)
         if args.out:
             with open(args.out, "w") as fh:

@@ -4,8 +4,8 @@ Coefficients are plain values, not wrapped objects.  Over QQ a value is an
 `int` when it is integral and a `Fraction` otherwise, so the common integral
 case runs on machine-level int arithmetic; never a float.  Over F_p values
 are ints in [0, p).  The Field instance is the arithmetic of the polynomial
-layers; the hot loops of `linalg` (`axpy`, the Eliminator's fraction-free QQ
-rows) branch on `char` once and do their arithmetic inline.
+layers; the hot loops of `linalg` (`axpy` and the Eliminator's one reduction)
+branch on `char` once and do their arithmetic inline.
 """
 from __future__ import annotations
 

@@ -194,9 +194,6 @@ class GroebnerBasis:
             self._initial_quotient = gb.quotient()
         return self._initial_quotient
 
-    def is_zero_ideal(self) -> bool:
-        return not self.gens
-
     def __eq__(self, other):
         return (
             isinstance(other, GroebnerBasis)
@@ -260,12 +257,6 @@ class QuotientRing:
             out.sort()
             self._std[d] = tuple(out)
         return self._std[d]
-
-    def dim_k(self, d: int) -> int:
-        return len(self.std_monomials(d))
-
-    def hilbert(self, d: int) -> int:
-        return self.dim_k(d)
 
     def contains_mono(self, m: Mono) -> bool:
         return any(mono_divides(l, m) for l in self.gb.lts)

@@ -36,7 +36,7 @@ from typing import Optional
 
 from .betti import BettiTable
 from .errors import CapExceededError, InconsistencyError, InputError
-from .linalg import Eliminator, axpy, kernel_basis, solve_columns
+from .linalg import Eliminator, axpy, kernel_basis, rank_of, solve_columns
 from .rings import mono_deg, mono_lcm
 from .taylor import TAYLOR_MAX_GENS, taylor_betti
 
@@ -250,12 +250,6 @@ class KoszulComplex:
             axpy(out, c, {(rest, m2): c2 for m2, c2 in self.quot.mult_var(l, m).items()}, fld)
         return out
 
-    def diff_rank(self, basis: list) -> int:
-        elim = Eliminator(self.field)
-        for pair in basis:
-            elim.insert(self.diff_vector(pair))
-        return elim.rank
-
     def homology(self, i: int, key) -> list:
         """Cycles whose classes form a basis of H_i on the strand."""
         if (i, key) not in self._homology:
@@ -279,8 +273,8 @@ class KoszulComplex:
         here = self.strand_basis(i, key)
         if not here:
             return 0
-        r_here = self.diff_rank(here)
-        r_up = self.diff_rank(self.strand_basis(i + 1, key))
+        r_here = rank_of(map(self.diff_vector, here), self.field)
+        r_up = rank_of(map(self.diff_vector, self.strand_basis(i + 1, key)), self.field)
         return len(here) - r_here - r_up
 
     def boundary_preimage(self, z: KoszulElement) -> Optional[KoszulElement]:

@@ -13,18 +13,21 @@ The Eliminator keeps its rows in echelon form with combination tracking:
 inserting a vector either extends the basis or returns the dependency,
 which is how kernels and linear solves fall out.  Each row is stored at its
 pivot, the row's smallest index, and a new row is never used to rewrite the
-older ones.  `reduce` eliminates pivots in ascending order from a heap:
-subtracting a row can only bring in larger indices, and any of those that is
-itself a pivot is pushed and eliminated in turn.  Over F_p a row is scaled
-so that its pivot entry is -1.  Over QQ a row and its history have int
-entries of common content 1 and a positive pivot entry: `reduce` clears the
-input's denominators once, then each pivot step is fraction-free
-(residual = (r/g)*residual - (c/g)*row with g = gcd(c, r)), and the total
-multiplier is divided out only where values leave the Eliminator.  Once the
-vectors that extend the basis are fixed, the residual of a reduction, the
-dependency an insert returns, the vectors of `kernel_basis` and the
-solutions of `solve_columns` are all unique, so results are deterministic
-for a fixed insertion order and the same for either row scaling.
+older ones.  One fraction-free reduction serves both fields.  It eliminates
+pivots in ascending order from a heap: subtracting a row can only bring in
+larger indices, and any of those that is itself a pivot is pushed and
+eliminated in turn.  A pivot step with residual entry c and row entry r is
+residual = a*residual - b*row.  Over F_p every row has pivot entry 1, so
+a = 1 and b = c.  Over QQ a row and its history are int vectors of content
+1 with a positive pivot entry; the input's denominators are cleared once,
+each step takes g = gcd(c, r), a = r/g and b = c/g, and the product s of
+all the scales is divided out only where values leave the Eliminator.  The
+one step that depends on the field is how `insert` scales a new row: by the
+inverse of its pivot entry over F_p, by its content and sign over QQ.
+Once the vectors that extend the basis are fixed, the residual of a
+reduction, the dependency an insert returns, the vectors of `kernel_basis`
+and the solutions of `solve_columns` are all unique, so results are
+deterministic for a fixed insertion order and the same for any row scaling.
 """
 from __future__ import annotations
 
@@ -65,7 +68,7 @@ def axpy(dst: dict, c, src: dict, field) -> dict:
 class Eliminator:
     def __init__(self, field):
         self.field = field
-        # pivot index -> (row, hist); over F_p row[pivot] == -1, over QQ the
+        # pivot index -> (row, hist); over F_p row[pivot] == 1, over QQ the
         # row and hist are int vectors with content 1 and row[pivot] > 0
         self.rows = {}
         self._untagged = False  # some row carries no history
@@ -74,51 +77,20 @@ class Eliminator:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict, tag=None):
-        """Return (residual, hist): residual = vec reduced mod the row space,
-        zero at every pivot; hist expresses residual as tag + combination of
-        previously inserted tags (hist maps tag -> coefficient).  Without a
-        tag no history is kept and hist is None."""
-        if self.field.char:
-            return self._reduce_fp(vec, tag)
-        residual, hist, s = self._reduce_qq(vec, tag)
-        return _unscale(residual, s), (None if hist is None else _unscale(hist, s))
-
-    def _reduce_fp(self, vec, tag):
+    def _reduce(self, vec, tag):
+        """Fraction-free reduction: returns (residual, hist, s) with
+        residual = s * (vec reduced) and hist = s * (its history); s is
+        hist[tag] when tagged, and always 1 over F_p."""
         if tag is not None and self._untagged:
             raise ValueError("history asked after an untagged vector extended the basis")
         F = self.field
+        qq = not F.char
         rows = self.rows
-        residual = dict(vec)
-        hist = None if tag is None else {tag: F.one}
-        heap = [p for p in residual if p in rows]
-        heapify(heap)
-        while heap:
-            p = heappop(heap)
-            c = residual.get(p)
-            if c is None:  # already eliminated
-                continue
-            row, rhist = rows[p]
-            for k in row:
-                if k not in residual and k in rows:
-                    heappush(heap, k)
-            axpy(residual, c, row, F)
-            if hist is not None:
-                axpy(hist, c, rhist, F)
-        return residual, hist
-
-    def _reduce_qq(self, vec, tag):
-        """Fraction-free reduction: returns int vectors (residual, hist) and
-        the multiplier s with residual = s * (vec reduced), hist = s * (its
-        history); s is hist[tag] when tagged."""
-        if tag is not None and self._untagged:
-            raise ValueError("history asked after an untagged vector extended the basis")
-        F = self.field
-        rows = self.rows
-        s = 1  # lcm of the denominators, then times every pivot step's scale
-        for v in vec.values():
-            if v.__class__ is Fraction:
-                s = lcm(s, v.denominator)
+        s = 1  # over QQ: lcm of the denominators, then times every step's a
+        if qq:
+            for v in vec.values():
+                if v.__class__ is Fraction:
+                    s = lcm(s, v.denominator)
         if s == 1:
             residual = dict(vec)
         else:
@@ -135,21 +107,32 @@ class Eliminator:
             for k in row:
                 if k not in residual and k in rows:
                     heappush(heap, k)
-            # residual = a*residual - (c/g)*row clears p, with a = r/g > 0
-            r = row[p]
-            g = gcd(c, r)
-            a = r // g
-            if a != 1:
-                s *= a
-                for k in residual:
-                    residual[k] *= a
-                if hist is not None:
-                    for k in hist:
-                        hist[k] *= a
-            axpy(residual, -(c // g), row, F)
+            # residual = a*residual - b*row clears p: over F_p a = 1 and
+            # b = c; over QQ a = r/g > 0 and b = c/g with g = gcd(c, r)
+            if qq:
+                r = row[p]
+                g = gcd(c, r)
+                a = r // g
+                if a != 1:
+                    s *= a
+                    for k in residual:
+                        residual[k] *= a
+                    if hist is not None:
+                        for k in hist:
+                            hist[k] *= a
+                c //= g
+            axpy(residual, -c, row, F)
             if hist is not None:
-                axpy(hist, -(c // g), rhist, F)
+                axpy(hist, -c, rhist, F)
         return residual, hist, s
+
+    def reduce(self, vec: dict, tag=None):
+        """Return (residual, hist): residual = vec reduced mod the row space,
+        zero at every pivot; hist expresses residual as tag + combination of
+        previously inserted tags (hist maps tag -> coefficient).  Without a
+        tag no history is kept and hist is None."""
+        residual, hist, s = self._reduce(vec, tag)
+        return _unscale(residual, s), (None if hist is None else _unscale(hist, s))
 
     def insert(self, vec: dict, tag=None):
         """Insert a vector. Returns None if it extended the basis, else the
@@ -157,21 +140,17 @@ class Eliminator:
 
         Without a tag no history is kept: a dependent vector returns {}, and
         a row it adds carries none, so no tagged vector may follow it."""
+        residual, hist, s = self._reduce(vec, tag)
+        if not residual:
+            return {} if hist is None else _unscale(hist, s)
+        pivot = min(residual)
         F = self.field
-        if F.char:
-            residual, hist = self._reduce_fp(vec, tag)
-            if not residual:
-                return {} if hist is None else hist
-            pivot = min(residual)
-            c = F.neg(F.inv(residual[pivot]))
+        if F.char:  # pivot entry 1
+            c = F.inv(residual[pivot])
             row = axpy({}, c, residual, F)
             if hist is not None:
                 hist = axpy({}, c, hist, F)
-        else:
-            residual, hist, s = self._reduce_qq(vec, tag)
-            if not residual:
-                return {} if hist is None else _unscale(hist, s)
-            pivot = min(residual)
+        else:  # content 1, positive pivot entry
             g = gcd(*residual.values(), *(hist.values() if hist is not None else ()))
             if residual[pivot] < 0:
                 g = -g
@@ -184,9 +163,7 @@ class Eliminator:
         return None
 
     def contains(self, vec: dict) -> bool:
-        if self.field.char:
-            return not self._reduce_fp(vec, None)[0]
-        return not self._reduce_qq(vec, None)[0]
+        return not self._reduce(vec, None)[0]
 
 
 def _unscale(vec: dict, s: int) -> dict:

@@ -58,9 +58,6 @@ class MonomialIdeal:
                 raise InputError(UNIT_IDEAL)
         return cls(ring, minimalize(monos))
 
-    def contains(self, m: Mono) -> bool:
-        return any(mono_divides(g, m) for g in self.gens)
-
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.ring != other.ring:
             raise InputError("ideals in different rings")

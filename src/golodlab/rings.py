@@ -35,10 +35,6 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_gcd(a: Mono, b: Mono) -> Mono:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(a: Mono) -> int:
     return sum(a)
 

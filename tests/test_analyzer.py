@@ -1,15 +1,19 @@
-"""The consistency check between a NotGolod witness and the Serre block."""
+"""The consistency check between a NotGolod witness and the Serre block,
+and the Serre-gap verdict."""
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
-from golodlab import analyzer, cli, resolution
+from golodlab import analyzer, cli, massey, resolution
 
 from conftest import FIXTURES
 
 GORENSTEIN3 = str(FIXTURES / "gorenstein3.txt")
+SCHEMAS = Path(cli.__file__).resolve().parent / "schemas"
 
 
 def _golod(argv, capsys):
@@ -69,3 +73,21 @@ def test_a_block_cut_by_the_budget_reports_its_own_length(ideal, budget, verdict
         assert cert["evidence"]["serre_equality_to"] == 2
         assert cli.main(["golod", "--ideal", ideal]) == 0
         assert capsys.readouterr().out.startswith("GolodUpTo(2)\n")
+
+
+@pytest.mark.parametrize("cap, rule", [(5, "SerreGap"), (12, "HomologyProduct")])
+def test_serre_gap_decides_when_the_direct_search_stops_short(cap, rule, monkeypatch, capsys):
+    """With a tuple cap of 5 the direct search stops before gorenstein3's
+    first nonzero product, and the Serre block finds the Poincare series
+    one below the bound at t^4.  With 12 the search finds the product."""
+    monkeypatch.setattr(massey, "TUPLE_CAP", cap)
+    assert cli.main(["golod", "--ideal", GORENSTEIN3, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    cert = payload["certificate"]
+    assert (cert["verdict"], cert["rule"]) == ("NotGolod", rule)
+    assert cert["caps_exceeded"] is (rule == "SerreGap")
+    if rule == "SerreGap":
+        assert cert["witness"] == {"kind": "serre-gap", "coefficient": 4, "poincare": 55, "bound": 56}
+    for name, doc in (("job_output", payload), ("certificate", cert)):
+        schema = json.loads((SCHEMAS / ("%s.schema.json" % name)).read_text())
+        assert list(Draft202012Validator(schema).iter_errors(doc)) == []

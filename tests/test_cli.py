@@ -221,8 +221,9 @@ def test_inhomogeneous_ideal_needs_no_quotient_for_gb_and_initial(command, capsy
     assert code == 0 and out and err == ""
 
 
-# the commands that read each cap flag; no other command takes it
-CAP_READERS = {"--N": ("golod", "minors"), "--p-max": ("golod", "massey", "minors")}
+# the commands that read each cap flag; no other command takes it (minors
+# takes no --N: its certificates run without a Serre block)
+CAP_READERS = {"--N": ("golod",), "--p-max": ("golod", "massey", "minors")}
 
 
 @pytest.mark.parametrize("flag", sorted(CAP_READERS))
@@ -248,13 +249,16 @@ def test_one_row_minors_name_the_input(capsys):
         assert err.startswith("error: the maximal minors of a one-row matrix are its entries")
 
 
-def test_minors_given_the_default_N_reports_the_default_config(capsys):
-    """At 12 variables the battery defaults p_max to 2; passing --N 4, the
-    default N, must not bring in a different p_max."""
-    runs = []
-    for extra in ([], ["--N", "4"]):
-        code, out, _ = _run(["minors", "--shape", "3x4", "--t", "1", "--json"] + extra, capsys)
-        assert code == 0
-        runs.append({t: c["config"] for t, c in json.loads(out)["diagonal"]["certificates"].items()})
-    assert runs[0] == runs[1]
-    assert {c["p_max"] for c in runs[0].values()} == {2}
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["golod", "--ideal", "2*x^2*y-6*x*y*z-2*x*z^2,9*x*y,-6*x^2*z"],
+        ["massey", "--ideal", str(FIXTURES / "gorenstein3.txt")],
+        ["minors", "--shape", "2x3"],
+    ],
+)
+def test_p_max_below_two_is_an_input_error(argv, capsys):
+    """Length 1 checks no product, so it could only report that products
+    vanish (gorenstein3 has a nonzero one)."""
+    code, out, err = _run(argv + ["--p-max", "1", "--json"], capsys)
+    assert (code, out, err) == (1, "", "error: p_max must be between 2 and 8\n")

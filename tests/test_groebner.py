@@ -19,7 +19,7 @@ from golodlab import (
 )
 from golodlab.groebner import ideal_equal, normal_form, s_polynomial
 from golodlab.monomial import display_sorted
-from golodlab.rings import mono_deg, monomials_of_degree
+from golodlab.rings import mono_deg, mono_divides, monomials_of_degree
 
 from conftest import random_homogeneous_ideal, random_monomial_ideal
 
@@ -109,11 +109,11 @@ def test_hilbert_matches_monomial_count(gorenstein_gb):
     quot = QuotientRing(gorenstein_gb)
     init = MonomialIdeal.from_monos(gorenstein_gb.ring, gorenstein_gb.lts)
     for d in range(7):
-        assert quot.hilbert(d) == sum(
-            1 for m in monomials_of_degree(3, d) if not init.contains(m)
+        assert len(quot.std_monomials(d)) == sum(
+            1 for m in monomials_of_degree(3, d) if not any(mono_divides(g, m) for g in init.gens)
         )
     # Gorenstein Artinian with socle degree 2: 1, 3, 1, 0, ...
-    assert [quot.hilbert(d) for d in range(4)] == [1, 3, 1, 0]
+    assert [len(quot.std_monomials(d)) for d in range(4)] == [1, 3, 1, 0]
 
 
 def test_std_monomials_are_sorted_and_closed(gorenstein_gb):
@@ -160,7 +160,7 @@ def test_monomial_input_is_its_own_basis():
 def test_zero_ideal_and_unit_ideal():
     ring = PolyRing(("x", "y"), QQ)
     gb = GroebnerBasis(ring, lex(ring), [])
-    assert gb.is_zero_ideal()
+    assert not gb.gens
     gb1 = GroebnerBasis(ring, lex(ring), [parse_poly("x + 1", ring), parse_poly("x", ring)])
     assert gb1.contains(ring.one)
 
@@ -173,8 +173,10 @@ def test_quotient_brute_force_dimension():
         gb = GroebnerBasis(I.ring, grevlex(I.ring), I.polys())
         quot = QuotientRing(gb)
         for d in range(5):
-            brute = sum(1 for m in monomials_of_degree(3, d) if not I.contains(m))
-            assert quot.hilbert(d) == brute
+            brute = sum(
+                1 for m in monomials_of_degree(3, d) if not any(mono_divides(g, m) for g in I.gens)
+            )
+            assert len(quot.std_monomials(d)) == brute
 
 
 def _canonical(polys):

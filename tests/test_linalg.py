@@ -1,6 +1,6 @@
 """Sparse exact elimination: ranks, kernels, solves and membership against
-sympy over QQ and brute force over GF(7), and the fraction-free QQ
-Eliminator against a pivot-normalized Fraction one."""
+sympy over QQ and brute force over GF(7), and the Eliminator against the
+algorithm it replaced, rows with pivot entry -1, over QQ and GF(7)."""
 
 import itertools
 from fractions import Fraction
@@ -146,12 +146,15 @@ def test_untagged_inserts_keep_no_history():
 
 
 # ---------------------------------------------------------------------------
-# QQ: the fraction-free Eliminator against a pivot-normalized Fraction oracle
+# The Eliminator against the algorithm it replaced: rows scaled to -1 at
+# their pivot and plain field arithmetic
 
 
-def _oracle_axpy(dst, c, src):
+def _oracle_axpy(dst, c, src, field):
     for k, v in src.items():
         s = dst.get(k, 0) + c * v
+        if field.char:
+            s %= field.char
         if s:
             dst[k] = s
         else:
@@ -160,18 +163,21 @@ def _oracle_axpy(dst, c, src):
 
 
 class OracleEliminator:
-    """Rows scaled to -1 at their pivot, all arithmetic in Fractions: the QQ
-    Eliminator before rows became content-free int vectors."""
+    """Rows scaled to -1 at their pivot: over QQ with all arithmetic in
+    Fractions, the QQ Eliminator before rows became content-free int
+    vectors; over F_p the F_p Eliminator before rows had pivot entry 1."""
 
-    def __init__(self):
+    def __init__(self, field):
+        self.field = field
         self.rows = {}
         self.untagged = False
 
     def reduce(self, vec, tag=None):
         if tag is not None and self.untagged:
             raise ValueError("history after an untagged row")
-        residual = {k: Fraction(v) for k, v in vec.items()}
-        hist = None if tag is None else {tag: Fraction(1)}
+        F = self.field
+        residual = dict(vec) if F.char else {k: Fraction(v) for k, v in vec.items()}
+        hist = None if tag is None else {tag: F.one if F.char else Fraction(1)}
         heap = [p for p in residual if p in self.rows]
         heapify(heap)
         while heap:
@@ -183,9 +189,9 @@ class OracleEliminator:
             for k in row:
                 if k not in residual and k in self.rows:
                     heappush(heap, k)
-            _oracle_axpy(residual, c, row)
+            _oracle_axpy(residual, c, row, F)
             if hist is not None:
-                _oracle_axpy(hist, c, rhist)
+                _oracle_axpy(hist, c, rhist, F)
         return residual, hist
 
     def insert(self, vec, tag=None):
@@ -193,29 +199,30 @@ class OracleEliminator:
         if not residual:
             return {} if hist is None else hist
         pivot = min(residual)
-        c = -1 / residual[pivot]
+        F = self.field
+        c = F.neg(F.inv(residual[pivot]))
         if hist is None:
             self.untagged = True
         else:
-            hist = _oracle_axpy({}, c, hist)
-        self.rows[pivot] = (_oracle_axpy({}, c, residual), hist)
+            hist = _oracle_axpy({}, c, hist, F)
+        self.rows[pivot] = (_oracle_axpy({}, c, residual, F), hist)
         return None
 
 
-def oracle_kernel(columns):
-    e = OracleEliminator()
+def oracle_kernel(columns, field):
+    e = OracleEliminator(field)
     deps = (e.insert(col, j) for j, col in enumerate(columns))
     return [d for d in deps if d is not None]
 
 
-def oracle_solve(columns, b):
-    e = OracleEliminator()
+def oracle_solve(columns, b, field):
+    e = OracleEliminator(field)
     for j, col in enumerate(columns):
         e.insert(col, ("col", j))
     residual, hist = e.reduce(b, ("rhs",))
     if residual:
         return None
-    return {key[1]: -c for key, c in hist.items() if key != ("rhs",)}
+    return {key[1]: field.neg(c) for key, c in hist.items() if key != ("rhs",)}
 
 
 def same(got, want):
@@ -235,7 +242,7 @@ big_entries = st.one_of(
 
 
 @st.composite
-def insert_sequences(draw):
+def insert_sequences(draw, field, entries, coefs):
     """(vector, tagged) pairs; some vectors are combinations of earlier ones,
     and an untagged vector may come before a tagged one."""
     n = draw(st.integers(1, 6))
@@ -244,19 +251,16 @@ def insert_sequences(draw):
         if seq and draw(st.booleans()):
             vec = {}
             for j in draw(st.lists(st.integers(0, len(seq) - 1), min_size=1, max_size=3)):
-                axpy(vec, QQ.of(draw(st.fractions(-5, 5, max_denominator=6))), seq[j][0], QQ)
+                axpy(vec, field.of(draw(coefs)), seq[j][0], field)
         else:
-            vec = sparse(draw(st.lists(big_entries, min_size=n, max_size=n)), QQ)
+            vec = sparse(draw(st.lists(entries, min_size=n, max_size=n)), field)
         seq.append((vec, draw(st.integers(0, 5)) > 0))
-    probe = sparse(draw(st.lists(big_entries, min_size=n, max_size=n)), QQ)
+    probe = sparse(draw(st.lists(entries, min_size=n, max_size=n)), field)
     return seq, probe
 
 
-@settings(max_examples=100, deadline=None)
-@given(insert_sequences())
-def test_qq_eliminator_matches_fraction_oracle(data):
-    seq, probe = data
-    e, o = Eliminator(QQ), OracleEliminator()
+def check_against_oracle(seq, probe, field):
+    e, o = Eliminator(field), OracleEliminator(field)
     for j, (vec, tagged) in enumerate(seq):
         tag = j if tagged else None
         try:
@@ -273,7 +277,19 @@ def test_qq_eliminator_matches_fraction_oracle(data):
             assert same(got_res, want_res) and same(got_hist, want_hist)
         assert e.contains(probe) == (not o.reduce(probe)[0])
     cols = [vec for vec, _ in seq]
-    kernel = kernel_basis(cols, QQ)
-    want = oracle_kernel(cols)
+    kernel = kernel_basis(cols, field)
+    want = oracle_kernel(cols, field)
     assert len(kernel) == len(want) and all(same(k, w) for k, w in zip(kernel, want))
-    assert same(solve_columns(cols, range(len(cols)), probe, QQ), oracle_solve(cols, probe))
+    assert same(solve_columns(cols, range(len(cols)), probe, field), oracle_solve(cols, probe, field))
+
+
+@settings(max_examples=100, deadline=None)
+@given(insert_sequences(QQ, big_entries, st.fractions(-5, 5, max_denominator=6)))
+def test_qq_eliminator_matches_fraction_oracle(data):
+    check_against_oracle(*data, QQ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(insert_sequences(F7, f7_entries, st.integers(0, 6)))
+def test_gf7_eliminator_matches_pivot_minus_one_oracle(data):
+    check_against_oracle(*data, F7)

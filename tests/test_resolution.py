@@ -238,7 +238,7 @@ def test_graded_quotients_match_oracle(seed, N, prime):
     if not gens:
         return
     quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), gens))
-    if quot.gb.is_zero_ideal() or any(mono_deg(l) == 0 for l in quot.gb.lts):
+    if not quot.gb.gens or any(mono_deg(l) == 0 for l in quot.gb.lts):
         return
     _compare(quot, N)
 

@@ -11,7 +11,6 @@ from golodlab.rings import (
     mono_deg,
     mono_div,
     mono_divides,
-    mono_gcd,
     mono_is_squarefree,
     mono_lcm,
     mono_mul,
@@ -83,7 +82,6 @@ def test_monomial_helpers():
     a, b = (2, 1, 0), (0, 1, 3)
     assert mono_mul(a, b) == (2, 2, 3)
     assert mono_lcm(a, b) == (2, 1, 3)
-    assert mono_gcd(a, b) == (0, 1, 0)
     assert mono_deg(a) == 3
     assert mono_divides((0, 1, 0), a)
     assert not mono_divides(a, b)
