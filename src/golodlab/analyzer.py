@@ -99,10 +99,11 @@ def fiber_invariant(gb: GroebnerBasis):
     R/I is built first, so an inhomogeneous ideal is rejected there.  Fast
     paths, in order: monomial ideals are their own initial ideal; an
     initial ideal with linear resolution (one generator degree, linear
-    syzygies) forbids consecutive cancellations; a linear-resolution ideal
-    with squarefree initial ideal.  Otherwise the two tables are compared
-    exactly.  Both are the tables that gb's quotients own, so later rules
-    reuse them.
+    syzygies) forbids consecutive cancellations.  Otherwise the two tables
+    are compared exactly.  Both are the tables that gb's quotients own, so
+    later rules reuse them.  The second path covers every d-linear ideal
+    whose initial ideal is squarefree: such an in(I) has the regularity of
+    I (Conca-Varbaro, Invent. Math. 221, 2020), so it is d-linear too.
     """
     quot = gb.quotient()
     if quot.is_monomial:
@@ -116,18 +117,6 @@ def fiber_invariant(gb: GroebnerBasis):
             betti_initial=binit,
         )
     bI = quotient_betti(quot)
-    if has_linear_resolution(bI) and gb.initial_ideal().is_squarefree():
-        if bI != binit:
-            raise InconsistencyError(
-                "linear resolution with squarefree initial ideal, yet the "
-                "Betti tables differ: computation fault"
-            )
-        return FiberInvariantResult(
-            True,
-            fast_path="ideal has linear resolution and its initial ideal is squarefree",
-            betti_ideal=bI,
-            betti_initial=binit,
-        )
     return FiberInvariantResult(
         bI == binit, fast_path=None, betti_ideal=bI, betti_initial=binit
     )

@@ -174,7 +174,6 @@ class HomologyClass:
     rep: KoszulElement  # a cycle
     hom_degree: int
     key: object  # internal degree (int) or multidegree (tuple)
-    label: object = None  # rainbow color-block data when applicable
 
     def __post_init__(self):
         if not self.rep.is_cycle():
@@ -314,19 +313,12 @@ class KoszulComplex:
         Tor of a monomial quotient is supported on these multidegrees and
         the origin (visible from the Taylor resolution).
         """
-        gens = list(self.quot.gb.lts)
-        seen = set(gens)
-        frontier = list(gens)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    j = mono_lcm(a, g)
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return sorted(seen, key=lambda m: (mono_deg(m), m))
+        joins = set()
+        for g in self.quot.gb.lts:
+            # the joins of subsets of the generators before g, then with g
+            joins |= {mono_lcm(a, g) for a in joins}
+            joins.add(g)
+        return sorted(joins, key=lambda m: (mono_deg(m), m))
 
     def homology_basis(self) -> list:
         """HomologyClass list across all nonvanishing strands of H_{>=1}.
@@ -367,12 +359,12 @@ class KoszulComplex:
             out.extend(HomologyClass(rep, i, key) for rep in reps)
         return out
 
-    def class_of(self, z: KoszulElement, label=None) -> HomologyClass:
+    def class_of(self, z: KoszulElement) -> HomologyClass:
         i = z.hom_degree()
         keys = {self.grade(S, m) for S, m in z.terms}
         if len(keys) != 1:
             raise InputError("representative spans several strands")
-        return HomologyClass(z, i, keys.pop(), label=label)
+        return HomologyClass(z, i, keys.pop())
 
 
 def quotient_betti(quot) -> BettiTable:

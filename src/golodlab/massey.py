@@ -326,7 +326,7 @@ def build_rainbow_table(quot, structure, p_max: int = 4) -> MasseyTable:
     n = len(structure.classes)
     labels = complete_labels(quot, structure)
     kz = quot.koszul()
-    basis = [kz.class_of(label_class(quot, lab), label=lab) for lab in labels]
+    basis = [kz.class_of(label_class(quot, lab)) for lab in labels]
     values = {(lab,): h.rep for lab, h in zip(labels, basis)}
     if n < 2 and p_max >= 2 and labels:
         # a single color class means I is generated by variables; pair

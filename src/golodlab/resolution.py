@@ -37,9 +37,13 @@ kernel.  Elsewhere no kernel was recorded, so the count is not checked.
 
 serre_bound expands (1+t)^n / (1 - sum_{i>=1} dim_k H_i(K^A) t^{i+1}), as
 the totals of the same expansion kept graded in an auxiliary marker: the
-internal degree, or for a monomial quotient the packed multidegree
-(_golod_series serves both).  The Golod construction is graded in the same
-way and its ranks dominate the minimal resolution's in each grade, so the
+internal degree, or for a monomial quotient the packed multidegree.  One
+recurrence (_golod_series) serves both: with D the denominator's sum,
+G = 1/(1 - D) has G_d = [d = 0] + sum_{k>=2} D_k G_{d-k}, and G is then
+multiplied in place by each numerator factor (1 + u^w t).  Nothing
+cancels, since D has no negative coefficient, so every coefficient kept is
+a positive integer.  The Golod construction is graded in the same way and
+its ranks dominate the minimal resolution's in each grade, so the
 graded expansion says where each step's generators can lie.  A
 total-degree step searches every degree up to its ceiling, the largest
 degree with a nonzero coefficient, and records the kernel up to the next
@@ -82,43 +86,9 @@ POINCARE_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
-# series arithmetic: t-truncated power series whose coefficients are
-# polynomials in a grade marker, stored as {grade: int} (QQ values, so axpy
-# accumulates them); a grade is an int that adds under multiplication
-
-
-def _tseries_mul(A, B, N):
-    out = [dict() for _ in range(N + 1)]
-    for i, a in enumerate(A):
-        if i > N or not a:
-            continue
-        for k, b in enumerate(B):
-            if i + k > N:
-                break
-            if not b:
-                continue
-            for ja, ca in a.items():
-                axpy(out[i + k], ca, {ja + jb: cb for jb, cb in b.items()}, QQ)
-    return out
-
-
-def _tseries_geom(M, N):
-    """(1 - M)^{-1} truncated at t^N; M must have no constant t-term."""
-    if M and M[0]:
-        raise InputError("geometric series needs a denominator with constant term 1")
-    out = [dict() for _ in range(N + 1)]
-    out[0] = {0: 1}
-    for d in range(1, N + 1):
-        acc = {}
-        for i in range(1, d + 1):
-            mi = M[i] if i < len(M) else {}
-            if not mi:
-                continue
-            lower = out[d - i]
-            for ja, ca in mi.items():
-                axpy(acc, ca, {ja + jb: cb for jb, cb in lower.items()}, QQ)
-        out[d] = acc
-    return out
+# the Golod series: t-truncated, each coefficient a polynomial in a grade
+# marker stored as {grade: int} (QQ values, so axpy accumulates them); a
+# grade is an int that adds under multiplication
 
 
 def _golod_series(weights, entries, N: int):
@@ -127,18 +97,29 @@ def _golod_series(weights, entries, N: int):
 
     `weights` holds the grade of each variable and `entries` maps (i, a)
     to b_{i,a}, a Koszul-homology Betti number of A over R in grade a; the
-    i = 0 entry is ignored.  Every entry of the minimal resolution of k over
-    A is bounded by the matching coefficient here, with equality exactly for
-    Golod rings.
+    i = 0 entry is ignored.  The denominator is 1 - D with D_k the t^k
+    coefficient of the sum, zero for k < 2, so G = 1/(1 - D) satisfies
+    G_d = [d = 0] + sum_k D_k G_{d-k}.  G is then multiplied in place by
+    each numerator factor, G_d += u^w G_{d-1} for d from N down to 1.
+    Every entry of the minimal resolution of k over A is bounded by the
+    matching coefficient here, with equality exactly for Golod rings.
     """
-    numer = [{0: 1}]
-    for w in weights:
-        numer = _tseries_mul(numer, [{0: 1}, {w: 1}], N)
-    denom = [dict() for _ in range(N + 1)]
+    denom = [{} for _ in range(N + 1)]
     for (i, a), b in entries.items():
-        if i >= 1 and i + 1 <= N:
-            axpy(denom[i + 1], b, {a: 1}, QQ)
-    return _tseries_mul(numer, _tseries_geom(denom, N), N)
+        if 1 <= i < N:
+            denom[i + 1][a] = b
+    series = [{0: 1}]
+    for d in range(1, N + 1):
+        coeff = {}
+        for k in range(2, d + 1):
+            lower = series[d - k]
+            for a, b in denom[k].items():
+                axpy(coeff, b, {a + j: c for j, c in lower.items()}, QQ)
+        series.append(coeff)
+    for w in weights:
+        for d in range(N, 0, -1):
+            axpy(series[d], 1, {j + w: c for j, c in series[d - 1].items()}, QQ)
+    return series
 
 
 def bigraded_golod_series(nvars: int, table, N: int):

@@ -262,3 +262,48 @@ def test_p_max_below_two_is_an_input_error(argv, capsys):
     vanish (gorenstein3 has a nonzero one)."""
     code, out, err = _run(argv + ["--p-max", "1", "--json"], capsys)
     assert (code, out, err) == (1, "", "error: p_max must be between 2 and 8\n")
+
+
+@pytest.mark.parametrize(
+    "ideal, expected",
+    [
+        ("x*y,y*z", {"status": "found", "colors": [["x", "z"], ["y"]], "searched_colors": 2}),
+        ("x^2,y*z", {"status": "not_found", "reason": "generators not squarefree"}),
+        ("x*y,z^3", {"status": "not_found", "reason": "generators not equigenerated"}),
+        (
+            "x*y,y*z,x*z",
+            {
+                "status": "not_found",
+                "reason": "no 2-class rainbow coloring exists",
+                "searched_colors": 2,
+            },
+        ),
+        (
+            "a*b*c*d*e*f*g",
+            {
+                "status": "bound_exceeded",
+                "reason": "would need 7 classes, searched up to 6",
+                "searched_colors": 6,
+            },
+        ),
+    ],
+)
+def test_rainbow_reports_each_status(ideal, expected, capsys):
+    code, out, err = _run(["rainbow", "--ideal", ideal, "--json"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert list(_validator("job_output").iter_errors(payload)) == []
+    assert {k: v for k, v in payload.items() if k not in ("command", "ring", "order")} == expected
+    code, out, _ = _run(["rainbow", "--ideal", ideal], capsys)
+    lines = ["rainbow: %s" % expected["status"]]
+    if "colors" in expected:
+        lines.append("colors: " + " | ".join(",".join(c) for c in expected["colors"]))
+    else:
+        lines.append(expected["reason"])
+    assert (code, out) == (0, "\n".join(lines) + "\n")
+
+
+def test_rainbow_needs_a_monomial_ideal(capsys):
+    code, out, err = _run(["rainbow", "--ideal", "x*y-z^2", "--json"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: rainbow detection works on monomial ideals; run `initial` first\n"

@@ -1,9 +1,11 @@
 """Koszul complex over a quotient: differential laws, strand homology."""
 
+import itertools
 import random
+from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from golodlab import (
     BettiTable,
@@ -22,7 +24,13 @@ from golodlab import (
 from golodlab.errors import InconsistencyError
 from golodlab.rings import mono_deg, mono_lcm, monomials_of_degree
 
-from conftest import mk_ring, random_homogeneous_ideal, random_monomial_ideal, small_ideals
+from conftest import (
+    mk_ring,
+    random_homogeneous_ideal,
+    random_monomial_ideal,
+    seeded,
+    small_ideals,
+)
 
 
 def quotient_of(I):
@@ -162,6 +170,33 @@ def test_koszul_matches_taylor_on_corpus():
         I = random_monomial_ideal(rng, 4, 3, max_gens=5)
         quot = quotient_of(I)
         assert koszul_betti(quot).entries == taylor_betti(I).entries
+
+
+def _subset_lcms(gens):
+    """The lcm of every nonempty subset of gens, in (degree, exponents) order."""
+    joins = {
+        reduce(mono_lcm, sub)
+        for r in range(1, len(gens) + 1)
+        for sub in itertools.combinations(gens, r)
+    }
+    return sorted(joins, key=lambda m: (mono_deg(m), m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), nvars=st.integers(2, 6))
+def test_lcm_lattice_is_every_subset_lcm(seed, nvars):
+    quot = quotient_of(random_monomial_ideal(seeded(seed), nvars, 4, max_gens=8))
+    assert quot.koszul().lcm_lattice() == _subset_lcms(list(quot.gb.lts))
+
+
+def test_lcm_lattice_of_eight_generators():
+    """x_i^2 and the 4-cycle x1x2, x2x3, x3x4, x1x4: 255 subsets."""
+    ring = mk_ring(4)
+    monos = [tuple(2 * (v == i) for v in range(4)) for i in range(4)]
+    monos += [tuple(int(v in (i, (i + 1) % 4)) for v in range(4)) for i in range(4)]
+    quot = quotient_of(MonomialIdeal.from_monos(ring, monos))
+    assert len(quot.gb.lts) == 8
+    assert quot.koszul().lcm_lattice() == _subset_lcms(list(quot.gb.lts))
 
 
 def test_koszul_betti_non_monomial(gorenstein_gb):

@@ -5,9 +5,19 @@ resolution kept here as an oracle."""
 from math import comb
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from golodlab import GF, QQ, GroebnerBasis, InconsistencyError, PolyRing, QuotientRing, grevlex
+from golodlab import (
+    GF,
+    QQ,
+    BettiTable,
+    GroebnerBasis,
+    InconsistencyError,
+    PolyRing,
+    QuotientRing,
+    grevlex,
+)
 from golodlab import resolution
 from golodlab.koszul import koszul_betti, quotient_betti
 from golodlab.linalg import Eliminator, axpy, kernel_basis
@@ -17,6 +27,7 @@ from golodlab.resolution import (
     bigraded_golod_series,
     multigraded_golod_series,
     poincare_coeffs,
+    serre_bound,
 )
 from golodlab.rings import mono_deg
 
@@ -227,6 +238,53 @@ def test_multigraded_series_sums_to_the_bigraded_one(seed, nvars, N):
             assert sum(grades.unpack(g)) == d  # no digit carried
             summed[step][d] = summed[step].get(d, 0) + c
     assert summed == big
+
+
+def sympy_golod_series(nvars, entries, N):
+    """sympy's t-expansion of (1+ut)^n / (1 - sum_{i>=1} b_{i,j} u^j t^{i+1})
+    through t^N, one {j: coefficient} dict per power of t."""
+    t, u = sympy.symbols("t u")
+    denom = 1 - sum(b * u ** j * t ** (i + 1) for (i, j), b in entries.items() if i >= 1)
+    expansion = sympy.series((1 + u * t) ** nvars / denom, t, 0, N + 1).removeO()
+    out = [{} for _ in range(N + 1)]
+    for (d, j), c in sympy.Poly(sympy.expand(expansion), t, u).terms():
+        out[d][j] = int(c)
+    return out
+
+
+@pytest.mark.parametrize(
+    "nvars, entries, N",
+    [
+        (2, {(0, 0): 1}, 6),  # the polynomial ring: (1+ut)^2
+        (1, {(0, 0): 1, (1, 2): 1}, 7),  # k[x]/(x^2): 1/(1-ut)
+        (3, {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 4): 3, (2, 5): 1, (3, 6): 2}, 6),
+        (4, {(0, 0): 1, (1, 3): 4, (2, 4): 1, (4, 9): 5}, 5),
+        (2, {(0, 0): 1, (1, 2): 1, (2, 3): 1}, 0),
+    ],
+)
+def test_bigraded_series_matches_a_sympy_expansion(nvars, entries, N):
+    assert bigraded_golod_series(nvars, BettiTable(entries), N) == sympy_golod_series(
+        nvars, entries, N
+    )
+
+
+def test_bigraded_series_of_real_tables_matches_a_sympy_expansion(gorenstein_gb):
+    for quot in (gorenstein_gb.quotient(), quotient("x^2,xy,y^3,yz^2")):
+        table = quotient_betti(quot)
+        nvars = quot.ring.nvars
+        assert bigraded_golod_series(nvars, table, 8) == sympy_golod_series(
+            nvars, table.entries, 8
+        )
+
+
+def test_serre_bound_is_the_bound_poincare_coeffs_reports():
+    """x^2, y^2 is not Golod, so the bound differs from the coefficients:
+    (1+t)^2 / (1 - 2t^2 - t^3) has the Fibonacci numbers from t^1 on."""
+    quot = quotient("x^2, y^2")
+    P = poincare_coeffs(quot, 8)
+    assert P.N == 8  # the budget did not cut the block
+    assert serre_bound(quot, 8) == P.bound == (1, 2, 3, 5, 8, 13, 21, 34, 55)
+    assert P.bound != P.coefficients
 
 
 @settings(max_examples=20, deadline=None)
