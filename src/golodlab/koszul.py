@@ -24,9 +24,11 @@ Which strands carry homology.  By balancing Tor, the strand (i, key) of
 H_i(K tensor A) is Tor_i^R(A, k)_key, whose dimension is the Betti number
 beta_{i,key} of A over R.  So the support of the Betti table that A owns
 (`quotient_betti`) is exactly the set of strands with homology, and
-`homology_basis` visits only those.  Only `koszul_betti`, which computes
-such a table, scans a superset: the lcm lattice of a monomial quotient, or
-the support of the table of R/in(I) by upper-semicontinuity.
+`homology_basis` visits only those.  Koszul strands compute such a table
+only for a quotient that is not monomial (`koszul_betti`, scanning the
+support of the table of R/in(I), a superset by upper-semicontinuity); a
+monomial quotient's table comes from `taylor.taylor_betti`, strand by strand
+of the Taylor complex, so tabulating it builds no Koszul strand.
 """
 from __future__ import annotations
 
@@ -37,8 +39,9 @@ from typing import Optional
 from .betti import BettiTable
 from .errors import CapExceededError, InconsistencyError, InputError
 from .linalg import Eliminator, axpy, kernel_basis, rank_of, solve_columns
-from .rings import mono_deg, mono_lcm
-from .taylor import TAYLOR_MAX_GENS, taylor_betti
+from .monomial import lcm_lattice
+from .rings import mono_deg
+from .taylor import taylor_betti
 
 Pair = tuple  # (S, m)
 
@@ -307,19 +310,6 @@ class KoszulComplex:
 
     # homology bases over all strands
 
-    def lcm_lattice(self) -> list:
-        """All joins of the leading monomials, sorted by (degree, exponents).
-
-        Tor of a monomial quotient is supported on these multidegrees and
-        the origin (visible from the Taylor resolution).
-        """
-        joins = set()
-        for g in self.quot.gb.lts:
-            # the joins of subsets of the generators before g, then with g
-            joins |= {mono_lcm(a, g) for a in joins}
-            joins.add(g)
-        return sorted(joins, key=lambda m: (mono_deg(m), m))
-
     def homology_basis(self) -> list:
         """HomologyClass list across all nonvanishing strands of H_{>=1}.
 
@@ -370,20 +360,14 @@ class KoszulComplex:
 def quotient_betti(quot) -> BettiTable:
     """Betti table of A = R/I over R: the one place an engine is chosen.
 
-    A monomial quotient whose minimal generators fit under the Taylor cap
-    uses taylor_betti; every other quotient uses koszul_betti, the only
-    engine that runs above the cap.  Taylor is the faster engine on the
-    monomial quotients the benchmark corpora build (each of the 211
-    distinct ones at seed 1, best of three on a fresh quotient), but not on
-    every quotient under the cap: on (x,y,z)^4, 15 generators, taylor_betti
-    takes 0.7 s and koszul_betti 0.004 s (AMD EPYC, Python 3.11).  Both
-    give multidegrees exactly when A's complex is multigraded.  The table
-    is kept on the quotient; the engines keep nothing.
+    A multigraded quotient, which is exactly a monomial one, is tabulated
+    by taylor_betti from its minimal generators; every other quotient by
+    koszul_betti.  The table is kept on the quotient; the engines keep
+    nothing.
     """
     if quot._betti is None:
-        I = quot.gb.initial_ideal()
-        if quot.koszul().multigraded and len(I.gens) <= TAYLOR_MAX_GENS:
-            quot._betti = taylor_betti(I)
+        if quot.koszul().multigraded:
+            quot._betti = taylor_betti(quot.gb.initial_ideal())
         else:
             quot._betti = koszul_betti(quot)
     return quot._betti
@@ -393,10 +377,10 @@ def koszul_betti(quot) -> BettiTable:
     """Betti table of A = R/I over R, read off from Koszul strand homology
     on A's own complex, so strands already built for A are reused.
 
-    A multigraded complex scans the multidegrees of its lcm lattice; any
-    other graded quotient scans the support of the table of R/in(I), which
-    contains the support of R/I's table by upper-semicontinuity of Betti
-    numbers."""
+    A multigraded complex scans the multidegrees of its lcm lattice, which
+    makes it the test oracle for taylor_betti; any other graded quotient
+    scans the support of the table of R/in(I), which contains the support
+    of R/I's table by upper-semicontinuity of Betti numbers."""
     kz = quot.koszul()
     entries = {(0, 0): 1}
     multigraded = None
@@ -404,7 +388,7 @@ def koszul_betti(quot) -> BettiTable:
         multigraded = {(0, quot.ring.zero_mono()): 1}
         strands = [
             (i, alpha)
-            for alpha in kz.lcm_lattice()
+            for alpha in lcm_lattice(quot.gb.lts)
             for i in range(1, sum(1 for e in alpha if e >= 1) + 1)
         ]
     else:

@@ -15,6 +15,7 @@ from .rings import (
     mono_deg,
     mono_divides,
     mono_is_squarefree,
+    mono_lcm,
     mono_mul,
     mono_support,
 )
@@ -41,6 +42,20 @@ def minimalize(monos):
         if not any(mono_divides(p, m) for p in out):
             out.append(m)
     return tuple(sorted(out))
+
+
+def lcm_lattice(gens, limit: Optional[int] = None) -> list:
+    """Every join of the monomials `gens`, sorted by (degree, exponents):
+    the multidegrees, besides the origin, where the Taylor complex on
+    `gens` lives.  CapExceededError once there are more than `limit`."""
+    joins = set()
+    for g in gens:
+        # the joins of subsets of the generators before g, then with g
+        joins |= {mono_lcm(a, g) for a in joins}
+        joins.add(g)
+        if limit is not None and len(joins) > limit:
+            raise CapExceededError("lcm lattice has more than %d elements" % limit)
+    return sorted(joins, key=lambda m: (mono_deg(m), m))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ def mono_div(a: Mono, b: Mono) -> Mono:
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Mono) -> int:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from golodlab import (
     QQ,
+    BettiTable,
     GroebnerBasis,
     MonomialIdeal,
     PolyRing,
@@ -15,7 +16,8 @@ from golodlab import (
     lex,
     parse_poly,
 )
-from golodlab.rings import monomials_of_degree
+from golodlab.linalg import rank_of
+from golodlab.rings import mono_deg, mono_lcm, monomials_of_degree
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -59,6 +61,49 @@ def random_monomial_ideal(rng, nvars, max_deg, max_gens=6):
             m[rng.randrange(nvars)] += 1
         monos.add(tuple(m))
     return MonomialIdeal.from_monos(ring, monos)
+
+
+def taylor_oracle(I):
+    """Betti table of R/I from every one of the 2^r subsets of the r
+    generators: the Taylor complex split into its lcm strands, each strand's
+    homology by rank counting."""
+    gens = I.gens
+    r = len(gens)
+    F = I.ring.field
+    lcm = [I.ring.zero_mono()] * (1 << r)
+    for mask in range(1, 1 << r):
+        low = mask & -mask
+        lcm[mask] = mono_lcm(lcm[mask ^ low], gens[low.bit_length() - 1])
+    strata = {}
+    for mask in range(1 << r):
+        strata.setdefault(lcm[mask], []).append(mask)
+    entries, multigraded = {}, {}
+    for alpha, masks in strata.items():
+        members = set(masks)
+        by_card = {}
+        for m in masks:
+            by_card.setdefault(bin(m).count("1"), []).append(m)
+        # ranks[i]: rank of the strand differential leaving degree i
+        ranks = {}
+        for i in by_card:
+            cols = []
+            for mask in by_card[i]:
+                bits = [b for b in range(r) if mask >> b & 1]
+                col = {
+                    mask ^ (1 << b): F.one if pos % 2 == 0 else F.neg(F.one)
+                    for pos, b in enumerate(bits)
+                    if mask ^ (1 << b) in members
+                }
+                if col:
+                    cols.append(col)
+            ranks[i] = rank_of(cols, F)
+        for i in by_card:
+            h = len(by_card[i]) - ranks[i] - ranks.get(i + 1, 0)
+            if h:
+                d = mono_deg(alpha)
+                entries[(i, d)] = entries.get((i, d), 0) + h
+                multigraded[(i, alpha)] = h
+    return BettiTable(entries, multigraded)
 
 
 def random_homogeneous_poly(rng, ring, deg, n_terms=3):

@@ -21,7 +21,8 @@ from golodlab import (
     taylor_betti,
 )
 
-from golodlab.errors import InconsistencyError
+from golodlab.errors import CapExceededError, InconsistencyError
+from golodlab.monomial import lcm_lattice
 from golodlab.rings import mono_deg, mono_lcm, monomials_of_degree
 
 from conftest import (
@@ -185,8 +186,8 @@ def _subset_lcms(gens):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 9), nvars=st.integers(2, 6))
 def test_lcm_lattice_is_every_subset_lcm(seed, nvars):
-    quot = quotient_of(random_monomial_ideal(seeded(seed), nvars, 4, max_gens=8))
-    assert quot.koszul().lcm_lattice() == _subset_lcms(list(quot.gb.lts))
+    I = random_monomial_ideal(seeded(seed), nvars, 4, max_gens=8)
+    assert lcm_lattice(I.gens) == _subset_lcms(list(I.gens))
 
 
 def test_lcm_lattice_of_eight_generators():
@@ -194,9 +195,13 @@ def test_lcm_lattice_of_eight_generators():
     ring = mk_ring(4)
     monos = [tuple(2 * (v == i) for v in range(4)) for i in range(4)]
     monos += [tuple(int(v in (i, (i + 1) % 4)) for v in range(4)) for i in range(4)]
-    quot = quotient_of(MonomialIdeal.from_monos(ring, monos))
-    assert len(quot.gb.lts) == 8
-    assert quot.koszul().lcm_lattice() == _subset_lcms(list(quot.gb.lts))
+    I = MonomialIdeal.from_monos(ring, monos)
+    assert len(I.gens) == 8
+    lattice = lcm_lattice(I.gens)
+    assert lattice == _subset_lcms(list(I.gens))
+    assert lcm_lattice(I.gens, len(lattice)) == lattice
+    with pytest.raises(CapExceededError):
+        lcm_lattice(I.gens, len(lattice) - 1)
 
 
 def test_koszul_betti_non_monomial(gorenstein_gb):
@@ -210,9 +215,9 @@ def test_koszul_betti_non_monomial(gorenstein_gb):
     assert totals == {0: 1, 1: 5, 2: 5, 3: 1}
 
 
-def test_homology_basis_above_the_taylor_cap():
-    """in(I) has 20 minimal generators, past the Taylor cap, so the support
-    bound of the non-monomial homology basis comes from the Koszul engine."""
+def test_homology_basis_with_a_twenty_generator_initial_ideal():
+    """in(I) has 20 minimal generators, and its table bounds the strands
+    that the non-monomial homology basis visits."""
     ring = mk_ring(3, ("x", "y", "z"))
     gens = [parse_poly("x*y-z^2", ring)] + [ring.monomial(m) for m in monomials_of_degree(3, 9)]
     quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), gens))

@@ -101,6 +101,28 @@ def test_polarize_preserves_betti_numbers():
         assert taylor_betti(I).entries == taylor_betti(P.ideal).entries
 
 
+def test_polarization_check_of_a_twenty_generator_initial_ideal():
+    """x*y - z^2 with the 55 degree-9 monomials: in(I) has 20 generators
+    and polarizes into 27 variables.  The check tabulates R'/J from its
+    strand complexes, and that table is the Koszul table of R/in(I)."""
+    from golodlab import GroebnerBasis, grevlex, koszul_betti, lex, quotient_betti
+    from golodlab.analyzer import _check_polarization
+    from golodlab.rings import monomials_of_degree
+
+    ring = mk_ring(3, ("x", "y", "z"))
+    gens = [parse_poly("x*y-z^2", ring)] + [ring.monomial(m) for m in monomials_of_degree(3, 9)]
+    gb = GroebnerBasis(ring, grevlex(ring), gens)
+    I = gb.initial_ideal()
+    assert len(I.gens) == 20
+    P = polarize(I)
+    assert P.ring.nvars == 27
+    pol_quot = GroebnerBasis(P.ring, lex(P.ring), P.ideal.polys()).quotient()
+    _check_polarization(P, gb.initial_quotient(), pol_quot)
+    B = quotient_betti(pol_quot)
+    assert B == koszul_betti(gb.initial_quotient())
+    assert B.totals() == (1, 20, 36, 17)
+
+
 def test_rainbow_on_generic_2x3_initial_ideal():
     # diagonal initial ideal of the maximal minors: rows are the colors
     from golodlab import GroebnerBasis, diagonal_order

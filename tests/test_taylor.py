@@ -1,23 +1,31 @@
-"""Minimal Betti numbers from the Taylor complex, cross-checked two ways."""
+"""Minimal Betti numbers from the Taylor complex, cross-checked two ways:
+against the walk over every subset of the generators and against the
+Koszul engine."""
 
+import itertools
 import random
 
 import pytest
 
 from golodlab import (
+    GF,
+    QQ,
     CapExceededError,
     GroebnerBasis,
     MonomialIdeal,
+    PolyRing,
     QuotientRing,
+    cli,
     grevlex,
     has_linear_resolution,
     koszul_betti,
     quotient_betti,
+    taylor,
     taylor_betti,
 )
 from golodlab.rings import monomials_of_degree
 
-from conftest import mk_ring, random_monomial_ideal
+from conftest import mk_ring, random_monomial_ideal, seeded, taylor_oracle
 
 
 def test_square_of_maximal_ideal_two_vars():
@@ -86,33 +94,103 @@ def test_projective_dimension_bounded_by_nvars():
         assert B.proj_dim() <= 4
 
 
-def test_generator_cap():
-    """Past the Taylor cap taylor_betti refuses, and quotient_betti, the one
-    engine switch, returns koszul_betti's table instead."""
+def test_twenty_one_generators_need_no_cap():
+    """taylor_betti has no generator cap: it tabulates ideals with 20 and
+    21 generators and agrees with the Koszul engine on both, multidegrees
+    included."""
     ring = mk_ring(5)
     gens = []
     # 20 distinct squarefree-ish monomials in 5 vars, none dividing another
-    import itertools
-
     for c in itertools.combinations(range(5), 3):
-        m = [0] * 5
-        for i in c:
-            m[i] = 2
-        gens.append(tuple(m))
+        gens.append(tuple(2 * (i in c) for i in range(5)))
     for c in itertools.combinations(range(5), 2):
-        m = [0] * 5
-        for i in c:
-            m[i] = 3
-        gens.append(tuple(m))
+        gens.append(tuple(3 * (i in c) for i in range(5)))
     I = MonomialIdeal.from_monos(ring, gens[:20])
     assert len(I.gens) == 20
     ring3 = mk_ring(3, ("x", "y", "z"))
     cube = MonomialIdeal.from_monos(ring3, list(monomials_of_degree(3, 5)))  # (x,y,z)^5
     assert len(cube.gens) == 21
     for J, totals in ((I, (1, 20, 45, 36, 10)), (cube, (1, 21, 35, 15))):
-        with pytest.raises(CapExceededError):
-            taylor_betti(J)
         quot = QuotientRing(GroebnerBasis(J.ring, grevlex(J.ring), J.polys(), reduce=False))
-        B = quotient_betti(quot)
-        assert B == koszul_betti(quot)
+        B = taylor_betti(J)
+        K = koszul_betti(quot)
+        assert B == K and B.multigraded == K.multigraded
+        assert quotient_betti(quot) == B
         assert B.totals() == totals
+
+
+def test_face_budget_exits_2(monkeypatch, capsys):
+    """The lattice elements and faces one table builds are charged against
+    FACE_BUDGET; past it taylor_betti raises CapExceededError and the betti
+    command exits 2.  (x,y,z)^4 has 105 lattice elements and 78 faces."""
+    ring = mk_ring(3, ("x", "y", "z"))
+    I = MonomialIdeal.from_monos(ring, list(monomials_of_degree(3, 4)))
+    text = ",".join(ring.mono_str(g) for g in I.gens)
+    for budget, what in ((150, "Taylor strand budget"), (100, "lcm lattice")):
+        monkeypatch.setattr(taylor, "FACE_BUDGET", budget)
+        with pytest.raises(CapExceededError, match=what):
+            taylor_betti(I)
+        assert cli.main(["betti", "--ideal", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("caps exceeded: " + what)
+    monkeypatch.setattr(taylor, "FACE_BUDGET", 183)
+    assert taylor_betti(I).totals() == (1, 15, 24, 10)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["QQ", "F2", "F3"])
+def test_taylor_agrees_with_both_oracles_in_every_field(field):
+    """Seeded random monomial ideals, squarefree and not, with 3-6
+    variables and up to 8 generators: the strand complexes give the table
+    of the 2^r-subset Taylor walk and of the Koszul engine, multidegrees
+    included."""
+    rng = seeded(83)
+    for _ in range(40):
+        nvars = rng.randint(3, 6)
+        squarefree = rng.random() < 0.5
+        ring = PolyRing(tuple("x%d" % (i + 1) for i in range(nvars)), field)
+        monos = set()
+        for _ in range(rng.randint(1, 8)):
+            d = rng.randint(1, 4)
+            m = [0] * nvars
+            if squarefree:
+                for v in rng.sample(range(nvars), min(d, nvars)):
+                    m[v] = 1
+            else:
+                for _ in range(d):
+                    m[rng.randrange(nvars)] += 1
+            monos.add(tuple(m))
+        I = MonomialIdeal.from_monos(ring, monos)
+        B = taylor_betti(I)
+        quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), I.polys(), reduce=False))
+        for other in (taylor_oracle(I), koszul_betti(quot)):
+            assert B.entries == other.entries
+            assert B.multigraded == other.multigraded
+
+
+# the faces of the 6-vertex triangulation of the real projective plane
+RP2_FACES = ("123", "134", "145", "156", "162", "235", "346", "452", "563", "624")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["QQ", "F2", "F3"])
+def test_rp2_table_depends_on_the_characteristic(field):
+    """The Stanley-Reisner ideal of RP^2: its 10 squarefree cubics are the
+    triples that are not faces.  H~_1(RP^2) = Z/2, so over F2 alone the
+    table gains beta_{3,6} = beta_{4,6} = 1."""
+    ring = PolyRing(tuple("x%d" % v for v in range(1, 7)), field)
+    faces = {frozenset(map(int, f)) for f in RP2_FACES}
+    cubics = [
+        tuple(int(v in t) for v in range(1, 7))
+        for t in itertools.combinations(range(1, 7), 3)
+        if frozenset(t) not in faces
+    ]
+    assert len(cubics) == 10
+    I = MonomialIdeal.from_monos(ring, cubics)
+    B = taylor_betti(I)
+    want = {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+    if field.char == 2:
+        want.update({(3, 6): 1, (4, 6): 1})
+    assert B.entries == want
+    quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), I.polys(), reduce=False))
+    for other in (taylor_oracle(I), koszul_betti(quot)):
+        assert B.entries == other.entries
+        assert B.multigraded == other.multigraded
