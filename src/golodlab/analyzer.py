@@ -16,7 +16,9 @@ given with a term order:
      regular-sequence hypothesis is certified by equal Betti tables of R/I
      and the polarized quotient;
   6. otherwise GolodUpTo(N): trivial products, a trivial Massey operation
-     through p_max, and Serre-bound equality through t^N, as evidence only.
+     through p_max (or through the last length the tuple cap let the
+     search finish), and Serre-bound equality through t^N, as evidence
+     only.
 
 Every certificate carries the Poincare/Serre coefficient block, as far as
 its work budget reaches, and the Serre inequality is asserted on it;
@@ -56,9 +58,12 @@ class AnalyzerConfig:
     when the resolution of k uses up resolution.POINCARE_BUDGET.
     with_serre turns off the Poincare block; inner certificates built by the
     transfer rules run without it, the wrapping certificate has its own.
-    The Massey tuple cap, the Koszul strand budget and the Poincare work
-    budget are fixed (massey.TUPLE_CAP, koszul.STRAND_BUDGET,
-    resolution.POINCARE_BUDGET) and reported with the rest.
+    p_max is the longest Massey tuple searched; the direct search stops
+    short of it once it would visit more than massey.TUPLE_CAP candidate
+    tuples, and its evidence then reports the last length it finished.  The tuple cap,
+    the Koszul strand budget and the Poincare work budget are fixed
+    (massey.TUPLE_CAP, koszul.STRAND_BUDGET, resolution.POINCARE_BUDGET)
+    and reported with the rest.
     """
 
     N: int = 8
@@ -269,7 +274,6 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
 
     verdict = rule = witness = None
     evidence = {}
-    outcome = None
     pending = None  # NotGolod transfer waiting on the direct-witness search
 
     I_mono = gb.initial_ideal() if quot.is_monomial and gb.lts else None
@@ -291,6 +295,8 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
             try:
                 table = build_rainbow_table(quot, det.structure, p_max=config.p_max)
             except CapExceededError:
+                caps.append("rainbow label cap")
+            if table is not None and table.cut:
                 caps.append("rainbow tuple cap")
             verdict, rule = "GolodProven", "RainbowLinear"
             evidence = {
@@ -328,7 +334,8 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
     # rule 5: polarization transfer for non-squarefree monomial ideals
     if verdict is None and I_mono is not None and not I_mono.is_squarefree():
         pol = polarize(I_mono)
-        pol_gb = GroebnerBasis(pol.ring, lex(pol.ring), pol.ideal.polys())
+        # minimal monomial generators are already a reduced basis
+        pol_gb = GroebnerBasis(pol.ring, lex(pol.ring), pol.ideal.polys(), reduce=False)
         _check_polarization(pol, quot, pol_gb.quotient())
         # the check covers every degree; the evidence reports the fixed
         # degree max deg(I) + s + 2, s the number of differences
@@ -354,11 +361,10 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
     # rule 1: the direct search for a nonzero product or Massey product,
     # attempted whenever no proof rule has already decided
     if verdict is None:
-        try:
-            outcome = build_trivial_table(quot, p_max=config.p_max)
-        except CapExceededError:
+        outcome = build_trivial_table(quot, p_max=config.p_max)
+        if outcome.table is not None and outcome.table.cut:
             caps.append("massey tuple cap")
-        if outcome is not None and outcome.witness is not None:
+        if outcome.witness is not None:
             w = outcome.witness
             verdict = "NotGolod"
             rule = "HomologyProduct" if w["kind"] == "product" else "MasseyProduct"
@@ -416,12 +422,15 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
             }
         else:
             verdict = "GolodUpTo"
+            # the lengths the direct search finished; a search cut during
+            # length 2 verified no product
+            table = outcome.table if outcome.table.p_max >= 2 else None
             evidence = {
                 "N": config.N,
-                "products_vanish": outcome is not None,
-                "massey_vanish_to": config.p_max if outcome is not None else None,
+                "products_vanish": table is not None,
+                "massey_vanish_to": table.p_max if table is not None else None,
                 "serre_equality_to": pdata.N if pdata is not None else None,
-                "massey_table": _table_summary(outcome.table) if outcome is not None else None,
+                "massey_table": _table_summary(table),
             }
 
     return GolodCertificate(

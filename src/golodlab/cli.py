@@ -26,6 +26,7 @@ import sys
 import traceback
 from dataclasses import dataclass, replace
 
+from . import massey
 from .analyzer import (
     AnalyzerConfig,
     _table_summary,
@@ -180,7 +181,8 @@ def run_job(args) -> Report:
     if args.command == "massey":
         cfg = _config(args)
         outcome = build_trivial_table(gb.quotient(), p_max=cfg.p_max)
-        tbl = _table_summary(outcome.table)
+        table = outcome.table
+        tbl = _table_summary(table)
         payload = dict(header, table=tbl, witness=_witness_json(outcome.witness))
         lines = []
         if tbl is not None:
@@ -189,15 +191,20 @@ def run_job(args) -> Report:
                 "tuples by length: %s" % tbl["tuples_by_length"],
                 "verified: %s" % tbl["verified"],
             ]
-        if outcome.witness is None:
-            lines.append("all products and Massey products vanish through length %d" % cfg.p_max)
-        else:
+        if outcome.witness is not None:
             w = outcome.witness
             lines.append(
                 "nonzero %s at tuple of length %d: the trivial operation "
                 "stops here" % (w["kind"], w["length"])
             )
-        return Report("\n".join(lines), payload)
+            return Report("\n".join(lines), payload)
+        if table.p_max >= 2:
+            lines.append("all products and Massey products vanish through length %d" % table.p_max)
+        if table.cut:
+            lines.append(
+                "massey tuple cap %d ran out during length %d" % (massey.TUPLE_CAP, table.p_max + 1)
+            )
+        return Report("\n".join(lines), payload, exit_code=2 if table.cut else 0)
     # golod
     cert = golod_certificate(gb, _config(args))
     payload = dict(header, certificate=cert.to_json())

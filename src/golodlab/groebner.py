@@ -172,9 +172,6 @@ class GroebnerBasis:
     def nf(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.gens, self.order)
 
-    def contains(self, f: Polynomial) -> bool:
-        return self.nf(f).is_zero()
-
     def initial_ideal(self) -> MonomialIdeal:
         if self._initial_ideal is None:
             self._initial_ideal = MonomialIdeal.from_monos(self.ring, self.lts)
@@ -204,11 +201,6 @@ class GroebnerBasis:
 
     def __repr__(self):
         return "<GB %d gens over %s>" % (len(self.gens), ",".join(self.ring.names))
-
-
-def ideal_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
-    """Mutual membership; the bases may use different orders."""
-    return all(b.contains(g) for g in a.gens) and all(a.contains(g) for g in b.gens)
 
 
 class QuotientRing:

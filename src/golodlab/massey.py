@@ -18,17 +18,23 @@ sides.  Any other tuple has value 0 and a zero side at every cut, so its
 defining equation reads 0 = 0 identically; the builders solve, and
 MasseyTable.verify re-checks, only the stored and the candidate tuples.
 The number of tuples a table covers at each length is kept in `counts`.
+
+Both builders are bounded by TUPLE_CAP, the number of tuples they visit
+over all lengths: the candidates for the general builder, the valid
+tuples for the rainbow one.  A build that runs out during length p keeps
+the lengths it finished: it returns its table through length p - 1,
+verified and marked `cut`.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import CapExceededError, InconsistencyError, InputError
 from .koszul import HomologyClass, KoszulComplex, KoszulElement
 
-# tuples a table builder may visit before CapExceededError
+# tuples a table builder may visit before it cuts the table short
 TUPLE_CAP = 200_000
 # candidate labels complete_labels may enumerate before CapExceededError
 LABEL_CAP = 100_000
@@ -239,12 +245,26 @@ class MasseyTable:
     # length -> number of tuples the table covers (zero counts omitted)
     counts: dict = field(default_factory=dict)
     verified: bool = False
-    # tuples whose value could not come from the closed form and was solved
-    # as a boundary preimage instead; kept for reporting
+    # tuples whose value was solved as a boundary preimage (in rainbow mode:
+    # for want of a closed form); kept for reporting
     findings: list = field(default_factory=list)
+    # the build ran out of TUPLE_CAP during length p_max + 1
+    cut: bool = False
 
     def key_index(self) -> dict:
         return {k: i for i, k in enumerate(self.keys)}
+
+    def through(self, top: int) -> "MasseyTable":
+        """The tuples of length at most `top`, marked cut: what a build
+        that ran out during length top + 1 finished."""
+        return replace(
+            self,
+            p_max=top,
+            cut=True,
+            values={lam: v for lam, v in self.values.items() if len(lam) <= top},
+            counts={p: c for p, c in self.counts.items() if p <= top},
+            findings=[f for f in self.findings if len(f["tuple"]) <= top],
+        )
 
     def verify(self) -> "MasseyTable":
         """Exact re-verification of the table's defining equations.
@@ -332,15 +352,22 @@ def build_rainbow_table(quot, structure, p_max: int = 4) -> MasseyTable:
         # a single color class means I is generated by variables; pair
         # values need two blocks in each label, so no tuples exist
         raise InputError("rainbow Massey tuples need at least two colors")
-    counts = {1: len(labels)} if labels else {}
-    findings = []
+    table = MasseyTable(
+        quot=quot,
+        mode="rainbow-valid-tuples",
+        basis=basis,
+        keys=list(labels),
+        values=values,
+        p_max=p_max,
+        counts={1: len(labels)} if labels else {},
+    )
     count = 0
     for p in range(2, p_max + 1):
         for lam in valid_tuples(quot, labels, p):
             count += 1
-            counts[p] = counts.get(p, 0) + 1
             if count > TUPLE_CAP:
-                raise CapExceededError("rainbow tuple cap %d exceeded" % TUPLE_CAP)
+                return table.through(p - 1).verify()
+            table.counts[p] = table.counts.get(p, 0) + 1
             if p == 2:
                 value = rainbow_pair_value(quot, *lam)
                 if not value.is_zero():
@@ -356,19 +383,7 @@ def build_rainbow_table(quot, structure, p_max: int = 4) -> MasseyTable:
                     "right-hand side is not a boundary" % (lam,)
                 )
             values[lam] = u
-            findings.append(
-                {"tuple": lam, "reason": "no closed form; solved"}
-            )
-    table = MasseyTable(
-        quot=quot,
-        mode="rainbow-valid-tuples",
-        basis=basis,
-        keys=list(labels),
-        values=values,
-        p_max=p_max,
-        counts=counts,
-        findings=findings,
-    )
+            table.findings.append({"tuple": lam, "reason": "no closed form; solved"})
     return table.verify()
 
 
@@ -391,24 +406,34 @@ def build_trivial_table(quot, p_max: int = 4) -> TrivialMasseyOutcome:
     equation cannot be solved yields a nonzero Massey product (a NotGolod
     witness); p=2 failures are nonzero homology products.
 
-    Only candidate tuples are solved, in itertools.product order, and only
-    nonzero values are stored.  TUPLE_CAP counts every tuple in that order,
-    as if each were visited: a length-p tuple of rank r is reached when the
-    shorter lengths plus r + 1 stay within the cap.
+    Only candidate tuples are visited, in sorted order, and only nonzero
+    values are stored; each solved tuple is recorded in `findings`.
+    TUPLE_CAP counts the candidates visited over all lengths, those whose
+    degree makes the equation 0 = 0 included, so at length 2 the count is
+    the tuple's rank in itertools.product order plus one.  When it runs
+    out during length p, the outcome's table is the one through length
+    p - 1, marked cut; a witness found before that is still returned.
     """
     kz = quot.koszul()
     basis = kz.homology_basis()
     k = len(basis)
     values = {(i,): h.rep for i, h in enumerate(basis)}
+    table = MasseyTable(
+        quot=quot,
+        mode="all-tuples",
+        basis=basis,
+        keys=list(range(k)),
+        values=values,
+        p_max=p_max,
+        counts={p: k ** p for p in range(1, p_max + 1) if k},
+    )
     n = quot.ring.nvars
-    room = TUPLE_CAP
+    visited = 0
     for p in range(2, p_max + 1):
         for lam in candidate_tuples(values, p):
-            rank = 0
-            for i in lam:
-                rank = rank * k + i
-            if rank >= room:
-                break
+            visited += 1
+            if visited > TUPLE_CAP:
+                return TrivialMasseyOutcome(table=table.through(p - 1).verify())
             hom = sum(basis[i].hom_degree for i in lam) + p - 1
             if hom - 1 > n:
                 # the value and every split term live above the top wedge
@@ -432,16 +457,5 @@ def build_trivial_table(quot, p_max: int = 4) -> TrivialMasseyOutcome:
                     },
                 )
             values[lam] = u
-        if k ** p > room:
-            raise CapExceededError("Massey tuple cap %d exceeded" % TUPLE_CAP)
-        room -= k ** p
-    table = MasseyTable(
-        quot=quot,
-        mode="all-tuples",
-        basis=basis,
-        keys=list(range(k)),
-        values=values,
-        p_max=p_max,
-        counts={p: k ** p for p in range(1, p_max + 1) if k},
-    )
+            table.findings.append({"tuple": lam, "reason": "solved"})
     return TrivialMasseyOutcome(table=table.verify())

@@ -33,10 +33,6 @@ class TermOrder:
         # function is chosen once here rather than dispatched per call
         object.__setattr__(self, "key", _key_function(self))
 
-    def compare(self, a: Mono, b: Mono) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def leading_mono(self, f) -> Mono:
         if f.is_zero():
             raise InputError("leading term of the zero polynomial")

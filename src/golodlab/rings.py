@@ -206,19 +206,6 @@ class Polynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def subs(self, target: PolyRing, images: list) -> "Polynomial":
-        """Ring map sending variable i to images[i] (a Polynomial over target)."""
-        if len(images) != self.ring.nvars:
-            raise InputError("need one image per variable")
-        out = target.zero
-        for m, c in self.terms.items():
-            t = target.const(c)
-            for i, e in enumerate(m):
-                if e:
-                    t = t * (images[i] ** e)
-            out = out + t
-        return out
-
     def sorted_terms(self, key=None):
         """Terms sorted descending; default key is plain lex on exponents."""
         if key is None:
@@ -229,11 +216,3 @@ class Polynomial:
         from .parsing import poly_str
 
         return "<%s>" % poly_str(self)
-
-
-def random_monomial(rng, ring: PolyRing, max_deg: int) -> Mono:
-    d = rng.randint(1, max_deg)
-    m = [0] * ring.nvars
-    for _ in range(d):
-        m[rng.randrange(ring.nvars)] += 1
-    return tuple(m)

@@ -50,16 +50,18 @@ def gorenstein_initial_quot(gorenstein_gb):
     return QuotientRing(gb)
 
 
+def random_monomial(rng, ring, max_deg):
+    """Exponent tuple of a monomial of degree in [1, max_deg]."""
+    m = [0] * ring.nvars
+    for _ in range(rng.randint(1, max_deg)):
+        m[rng.randrange(ring.nvars)] += 1
+    return tuple(m)
+
+
 def random_monomial_ideal(rng, nvars, max_deg, max_gens=6):
     """Nonzero monomial ideal with minimal generators, degrees in [1, max_deg]."""
     ring = mk_ring(nvars)
-    monos = set()
-    for _ in range(rng.randint(1, max_gens)):
-        d = rng.randint(1, max_deg)
-        m = [0] * nvars
-        for _ in range(d):
-            m[rng.randrange(nvars)] += 1
-        monos.add(tuple(m))
+    monos = {random_monomial(rng, ring, max_deg) for _ in range(rng.randint(1, max_gens))}
     return MonomialIdeal.from_monos(ring, monos)
 
 

@@ -91,3 +91,33 @@ def test_serre_gap_decides_when_the_direct_search_stops_short(cap, rule, monkeyp
     for name, doc in (("job_output", payload), ("certificate", cert)):
         schema = json.loads((SCHEMAS / ("%s.schema.json" % name)).read_text())
         assert list(Draft202012Validator(schema).iter_errors(doc)) == []
+
+
+# the direct search on this ideal visits 441 pairs, 2,418 triples and 5,080
+# quadruples; a count of every tuple, 21^2 + 21^3 + 21^4 = 204,183, would
+# pass the tuple cap
+SIX_VARIABLES = "x4*x5,x2*x4,x1*x4,x0*x4,x0*x3,x0*x1*x5"
+
+
+@pytest.mark.parametrize(
+    "cap, finished",
+    [(None, 4), (441 + 2_418 + 5_080 - 1, 3), (441 + 100, 2), (440, None)],
+)
+def test_golod_upto_reports_the_lengths_the_direct_search_finished(cap, finished, monkeypatch, capsys):
+    """Uncapped, the search finishes every length through p_max = 4.  A
+    cap that runs out during length p keeps lengths 2..p-1 as evidence and
+    counts as a cap; one that runs out among the pairs verifies nothing."""
+    if cap is not None:
+        monkeypatch.setattr(massey, "TUPLE_CAP", cap)
+    code, cert, _ = _golod([SIX_VARIABLES], capsys)
+    assert code == 0
+    assert (cert["verdict"], cert["rule"]) == ("GolodUpTo", None)
+    assert cert["caps_exceeded"] is (cap is not None)
+    ev = cert["evidence"]
+    assert (ev["products_vanish"], ev["massey_vanish_to"]) == (finished is not None, finished)
+    if finished is None:
+        assert ev["massey_table"] is None
+    else:
+        table = ev["massey_table"]
+        assert (table["p_max"], table["verified"]) == (finished, True)
+        assert sorted(table["tuples_by_length"]) == [str(p) for p in range(1, finished + 1)]

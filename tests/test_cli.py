@@ -307,3 +307,29 @@ def test_rainbow_needs_a_monomial_ideal(capsys):
     code, out, err = _run(["rainbow", "--ideal", "x*y-z^2", "--json"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: rainbow detection works on monomial ideals; run `initial` first\n"
+
+
+@pytest.mark.parametrize("cap, finished", [(288, 1), (299, 2), (358, 3)])
+def test_massey_prints_the_lengths_a_cut_search_finished(cap, finished, monkeypatch, capsys):
+    """gorenstein3_initial visits 289 pairs, 66 triples and 4 quadruples.
+    Each cap runs out during length finished + 1: the command prints the
+    table through `finished`, names the cap and exits 2."""
+    from golodlab import massey
+
+    monkeypatch.setattr(massey, "TUPLE_CAP", cap)
+    argv = ["massey", "--ideal", str(FIXTURES / "gorenstein3_initial.txt")]
+    code, out, err = _run(argv + ["--json"], capsys)
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    assert list(_validator("job_output").iter_errors(payload)) == []
+    assert payload["witness"] is None
+    table = payload["table"]
+    counts = {str(p): 17 ** p for p in range(1, finished + 1)}
+    assert (table["p_max"], table["tuples_by_length"], table["verified"]) == (finished, counts, True)
+    assert table["solved_tuples"] == (0 if finished == 1 else 2)
+    code, out, err = _run(argv, capsys)
+    lines = ["homology basis: 17 classes", "tuples by length: %s" % counts, "verified: True"]
+    if finished >= 2:
+        lines.append("all products and Massey products vanish through length %d" % finished)
+    lines.append("massey tuple cap %d ran out during length %d" % (cap, finished + 1))
+    assert (code, out, err) == (2, "\n".join(lines) + "\n", "")

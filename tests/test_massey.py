@@ -20,7 +20,7 @@ from golodlab import (
     homology_product,
     massey,
 )
-from golodlab.errors import CapExceededError, InconsistencyError
+from golodlab.errors import InconsistencyError
 
 from conftest import mk_ring, small_ideals
 
@@ -229,18 +229,13 @@ def dense_verify(values, basis):
 
 
 def dense_trivial_table(quot, p_max):
-    """(witness, values) of the dense builder; raises CapExceededError when
-    it would visit more than massey.TUPLE_CAP tuples."""
+    """(witness, values) of the dense builder."""
     kz = quot.koszul()
     basis = kz.homology_basis()
     values = {(i,): h.rep for i, h in enumerate(basis)}
     n = quot.ring.nvars
-    count = 0
     for p in range(2, p_max + 1):
         for lam in itertools.product(range(len(basis)), repeat=p):
-            count += 1
-            if count > massey.TUPLE_CAP:
-                raise CapExceededError("Massey tuple cap %d exceeded" % massey.TUPLE_CAP)
             values[lam] = KoszulElement.zero(quot)
             if sum(basis[i].hom_degree for i in lam) + p - 2 > n:
                 continue
@@ -257,15 +252,9 @@ def dense_trivial_table(quot, p_max):
     return None, values
 
 
-def _outcome(build, ring, gens, p_max, cap):
+def _outcome(build, ring, gens, p_max):
     """What a builder reports, on a quotient of its own."""
-    quot = GroebnerBasis(ring, grevlex(ring), gens).quotient()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(massey, "TUPLE_CAP", cap)
-        try:
-            return build(quot, p_max)
-        except CapExceededError:
-            return "cap"
+    return build(GroebnerBasis(ring, grevlex(ring), gens).quotient(), p_max)
 
 
 def _dense(quot, p_max):
@@ -287,29 +276,15 @@ def _sparse(quot, p_max):
     return out.table.counts, {lam: v.terms for lam, v in out.table.values.items()}
 
 
-def assert_builders_agree(ring, gens, p_max, cap):
-    assert _outcome(_sparse, ring, gens, p_max, cap) == _outcome(_dense, ring, gens, p_max, cap)
+def assert_builders_agree(ring, gens, p_max):
+    assert _outcome(_sparse, ring, gens, p_max) == _outcome(_dense, ring, gens, p_max)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_ideals(), st.integers(2, 4), st.one_of(st.integers(0, 300), st.just(5000)))
-def test_sparse_trivial_table_matches_dense_oracle(ideal, p_max, cap):
+@given(small_ideals(), st.integers(2, 4))
+def test_sparse_trivial_table_matches_dense_oracle(ideal, p_max):
     ring, gens = ideal
-    assert_builders_agree(ring, gens, p_max, cap)
-
-
-@pytest.mark.parametrize("delta", [-1, 0, 1])
-def test_cap_lands_on_the_same_tuple_as_the_dense_loop(gorenstein_gb, delta):
-    """Caps around the gorenstein3 witness and inside the length-3 tuples
-    of (xy, yz, xz) give the dense loop's answer."""
-    ring, gens = gorenstein_gb.ring, list(gorenstein_gb.gens)
-    quot = GroebnerBasis(ring, grevlex(ring), gens).quotient()
-    first, second = build_trivial_table(quot).witness["tuple"]
-    rank = first * len(quot.koszul().homology_basis()) + second
-    assert_builders_agree(ring, gens, 4, rank + 1 + delta)
-    tri = mk_ring(3, ("x", "y", "z"))
-    tri_gens = MonomialIdeal.from_monos(tri, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]).polys()
-    assert_builders_agree(tri, tri_gens, 3, 25 + 60 + delta)
+    assert_builders_agree(ring, gens, p_max)
 
 
 # 5-variable quadrics whose tables store triple values reached from one cut
@@ -326,12 +301,85 @@ ONE_SIDED_TRIPLES = {
 
 @pytest.mark.parametrize("room", [None, 300])
 @pytest.mark.parametrize("name", sorted(ONE_SIDED_TRIPLES))
-def test_one_sided_triples_match_dense_oracle(name, room):
-    """room: length-3 tuples the cap leaves after the pairs (None: no cap)."""
+def test_one_sided_triples_match_dense_oracle(name, room, monkeypatch):
+    """room: length-3 candidates the tuple cap leaves after the pairs (None:
+    no cap).  first-cut has 244 of them, so its table is complete; last-cut
+    has 918, so its table is cut back to the pairs, which the dense oracle
+    through length 2 gives."""
     ring = mk_ring(5)
     gens = MonomialIdeal.from_monos(ring, ONE_SIDED_TRIPLES[name]).polys()
     table = build_trivial_table(GroebnerBasis(ring, grevlex(ring), gens).quotient(), 3).table
-    cap = massey.TUPLE_CAP if room is None else len(table.basis) ** 2 + room
-    assert_builders_agree(ring, gens, 3, cap)
+    finished = 3
+    if room is not None:
+        if len(massey.candidate_tuples(table.values, 3)) > room:
+            finished = 2
+        monkeypatch.setattr(massey, "TUPLE_CAP", len(table.basis) ** 2 + room)
+    capped = _outcome(build_trivial_table, ring, gens, 3).table
+    assert (capped.p_max, capped.cut, capped.verified) == (finished, finished < 3, True)
+    assert _sparse(capped.quot, 3) == _dense(capped.quot, finished)
     lam = (1, 0, 2) if name == "first-cut" else (1, 0, 4)
     assert lam in table.values and (lam[:2] in table.values) != (lam[1:] in table.values)
+
+
+# ---------------------------------------------------------------------------
+# the tuple cap: a build that runs out keeps the lengths it finished
+
+
+def _visits(table, p):
+    """Tuples a builder of this table visits at length p: the candidates
+    of the general builder, the valid tuples of the rainbow one."""
+    if table.mode == "rainbow-valid-tuples":
+        return table.counts.get(p, 0)
+    return len(massey.candidate_tuples(table.values, p))
+
+
+def _contents(table, top):
+    """The table's tuples, counts and solved tuples of length at most top."""
+    return (
+        {p: c for p, c in table.counts.items() if p <= top},
+        {lam: v.terms for lam, v in table.values.items() if len(lam) <= top},
+        [f["tuple"] for f in table.findings if len(f["tuple"]) <= top],
+    )
+
+
+def _rainbow_2x4():
+    """The rainbow builder on the diagonal initial ideal of the 2x4
+    maximal minors: 17 labels, 4 valid pairs and no valid longer tuple."""
+    from golodlab.determinantal import LadderMatrix, maximal_minors
+    from golodlab import RainbowStructure
+
+    X = LadderMatrix.generic(2, 4)
+    order = diagonal_order(X.ring, 2, 4)
+    in_I = GroebnerBasis(X.ring, order, maximal_minors(X)).initial_ideal()
+    quot = QuotientRing(GroebnerBasis(X.ring, order, in_I.polys()))
+    structure = RainbowStructure(X.ring, X.row_classes())
+    return lambda: build_rainbow_table(quot, structure, p_max=4)
+
+
+@pytest.mark.parametrize("builder", ["trivial", "rainbow"])
+def test_a_cut_table_is_the_full_table_through_its_finished_lengths(
+    builder, gorenstein_initial_quot, monkeypatch
+):
+    """Caps that run out at the first, a middle and the last tuple of each
+    length p give the uncapped table through length p - 1, verified and
+    marked cut; a cap that reaches every tuple gives the whole table.  A
+    length without tuples to visit cannot run out."""
+    if builder == "trivial":
+        build = lambda: build_trivial_table(gorenstein_initial_quot, p_max=4).table
+    else:
+        build = _rainbow_2x4()
+    full = build()
+    assert not full.cut and full.p_max == 4
+    spent = 0
+    for p in range(2, 5):
+        n = _visits(full, p)
+        for cap in sorted({spent, spent + n // 2, spent + n - 1}) if n else ():
+            monkeypatch.setattr(massey, "TUPLE_CAP", cap)
+            table = build()
+            assert (table.p_max, table.cut, table.verified) == (p - 1, True, True)
+            assert _contents(table, p - 1) == _contents(full, p - 1)
+        spent += n
+    monkeypatch.setattr(massey, "TUPLE_CAP", spent)
+    table = build()
+    assert (table.p_max, table.cut, table.verified) == (4, False, True)
+    assert _contents(table, 4) == _contents(full, 4)

@@ -15,8 +15,9 @@ from golodlab.rings import (
     mono_lcm,
     mono_mul,
     monomials_of_degree,
-    random_monomial,
 )
+
+from conftest import random_monomial
 
 R = PolyRing(("x", "y", "z"), QQ)
 
@@ -109,10 +110,3 @@ def test_char_p_coefficients_wrap():
     S = PolyRing(("x",), F)
     f = S.var(0) + S.var(0) + S.var(0)
     assert f.is_zero()
-
-
-def test_subs_relabels_variables():
-    S = PolyRing(("a", "b", "c"), QQ)
-    f = parse_poly("x^2*y - z", R)
-    g = f.subs(S, [S.var(2), S.var(1), S.var(0)])
-    assert g == parse_poly("c^2*b - a", S)
