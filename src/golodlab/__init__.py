@@ -33,7 +33,6 @@ from .massey import (
     TrivialMasseyOutcome,
     build_rainbow_table,
     build_trivial_table,
-    homology_product,
 )
 from .monomial import (
     MonomialIdeal,
@@ -99,7 +98,6 @@ __all__ = [
     "golod_certificate",
     "grevlex",
     "has_linear_resolution",
-    "homology_product",
     "ideal_file_str",
     "ideal_power",
     "infer_ring_from_text",

@@ -305,9 +305,6 @@ class KoszulComplex:
             raise InconsistencyError("boundary preimage verification failed")
         return u
 
-    def is_boundary(self, z: KoszulElement) -> bool:
-        return self.boundary_preimage(z) is not None
-
     # homology bases over all strands
 
     def homology_basis(self) -> list:

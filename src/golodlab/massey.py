@@ -5,25 +5,26 @@ operation as a table of values mu(tuple), every defining equation
 
     d mu(h_1..h_p) = sum_{i=1}^{p-1} bar(mu(h_1..h_i)) ^ mu(h_{i+1}..h_p)
 
-machine-verified exactly, with bar(a) = (-1)^(|a|+1) a.  The rainbow
-builder stores closed-form values for pairs of variable-disjoint labels
-whose merged label is complete, solves longer tuples strand by strand, and
-records which tuples needed solving; the general builder solves for every
-value, and its first unsolvable equation is a nonzero product or Massey
-product.
+machine-verified exactly, with bar(a) = (-1)^(|a|+1) a.
 
 Tables are sparse: only nonzero values are stored, and a missing tuple has
-value 0.  A tuple is a *candidate* when some cut has stored values on both
-sides.  Any other tuple has value 0 and a zero side at every cut, so its
-defining equation reads 0 = 0 identically; the builders solve, and
-MasseyTable.verify re-checks, only the stored and the candidate tuples.
-The number of tuples a table covers at each length is kept in `counts`.
+value 0.  Both builders fill their table in one loop, `_fill`, which visits
+the tuples a builder hands it, length by length, and solves each value as a
+boundary preimage of the equation's right-hand side, strand by strand.  The
+general builder hands it the *candidates*: the tuples with a cut that has
+stored values on both sides.  Any other tuple has value 0 and a zero side
+at every cut, so its equation reads 0 = 0 identically.  There the first
+unsolvable equation is a nonzero product or Massey product.  The rainbow
+builder hands it the valid tuples of a rainbow monomial ideal and a closed
+form for the pairs; there an unsolvable equation is an inconsistency.
+MasseyTable.verify re-checks the stored and the candidate tuples, and the
+number of tuples a table covers at each length, kept in `counts`.
 
-Both builders are bounded by TUPLE_CAP, the number of tuples they visit
-over all lengths: the candidates for the general builder, the valid
-tuples for the rainbow one.  A build that runs out during length p keeps
-the lengths it finished: it returns its table through length p - 1,
-verified and marked `cut`.
+The loop is bounded by TUPLE_CAP, the number of tuples it visits over all
+lengths: the candidates for the general builder, the valid tuples for the
+rainbow one.  A build that runs out during length p keeps the lengths it
+finished: it returns its table through length p - 1, verified and marked
+`cut`.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import CapExceededError, InconsistencyError, InputError
-from .koszul import HomologyClass, KoszulComplex, KoszulElement
+from .koszul import KoszulElement
 
 # tuples a table builder may visit before it cuts the table short
 TUPLE_CAP = 200_000
@@ -67,15 +68,11 @@ def eta(quot, label, drop: int) -> KoszulElement:
     return acc
 
 
-def label_transversals(label):
-    return itertools.product(*label)
-
-
 def is_complete_label(quot, label) -> bool:
     """Every transversal of the label is a minimal generator of the ideal."""
     gens = set(quot.gb.lts)
     n = quot.ring.nvars
-    for choice in label_transversals(label):
+    for choice in itertools.product(*label):
         m = [0] * n
         for v in choice:
             m[v] += 1
@@ -147,11 +144,18 @@ def is_valid_tuple(quot, lam) -> bool:
     return is_complete_label(quot, merge_labels(list(lam)))
 
 
-def valid_tuples(quot, labels, p: int):
-    """The valid length-p tuples of labels, in itertools.product order."""
-    for lam in itertools.product(labels, repeat=p):
-        if is_valid_tuple(quot, lam):
-            yield lam
+def valid_tuples(quot, labels, shorter) -> list:
+    """The valid tuples one label longer than the valid tuples `shorter`,
+    in the order of `shorter`, then of `labels`.  Given all valid
+    (p-1)-tuples this is all valid p-tuples: every sub-tuple of a valid
+    tuple is valid, since its merged blocks are nonempty subsets of the full
+    merge's blocks, so its transversals are among the full merge's."""
+    return [
+        lam + (lab,)
+        for lam in shorter
+        for lab in labels
+        if is_valid_tuple(quot, lam + (lab,))
+    ]
 
 
 def rainbow_pair_value(quot, A, B) -> KoszulElement:
@@ -167,11 +171,7 @@ def rainbow_pair_value(quot, A, B) -> KoszulElement:
 
 
 # ---------------------------------------------------------------------------
-# bar involution and the shared defining-equation right-hand side
-
-
-def bar(a: KoszulElement) -> KoszulElement:
-    return a.signed()
+# the defining equation
 
 
 def equation_rhs(values: dict, lam: tuple) -> KoszulElement:
@@ -185,7 +185,7 @@ def equation_rhs(values: dict, lam: tuple) -> KoszulElement:
         right = values.get(lam[cut:])
         if left is None or right is None or left.is_zero() or right.is_zero():
             continue
-        term = bar(left).wedge(right)
+        term = left.signed().wedge(right)  # bar(left) ^ right
         acc = term if acc is None else acc + term
     if acc is None:
         acc = KoszulElement.zero(first.quot)
@@ -217,20 +217,6 @@ def candidate_tuples(stored, p: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# homology products
-
-
-def homology_product(kz: KoszulComplex, h1, h2) -> Optional[KoszulElement]:
-    """Class of the wedge of two homology classes; None when zero."""
-    r1 = h1.rep if isinstance(h1, HomologyClass) else h1
-    r2 = h2.rep if isinstance(h2, HomologyClass) else h2
-    w = r1.wedge(r2)
-    if w.is_zero() or kz.is_boundary(w):
-        return None
-    return w
-
-
-# ---------------------------------------------------------------------------
 # Massey tables
 
 
@@ -245,14 +231,10 @@ class MasseyTable:
     # length -> number of tuples the table covers (zero counts omitted)
     counts: dict = field(default_factory=dict)
     verified: bool = False
-    # tuples whose value was solved as a boundary preimage (in rainbow mode:
-    # for want of a closed form); kept for reporting
+    # tuples whose value was solved as a boundary preimage; kept for reporting
     findings: list = field(default_factory=list)
     # the build ran out of TUPLE_CAP during length p_max + 1
     cut: bool = False
-
-    def key_index(self) -> dict:
-        return {k: i for i, k in enumerate(self.keys)}
 
     def through(self, top: int) -> "MasseyTable":
         """The tuples of length at most `top`, marked cut: what a build
@@ -263,7 +245,7 @@ class MasseyTable:
             cut=True,
             values={lam: v for lam, v in self.values.items() if len(lam) <= top},
             counts={p: c for p, c in self.counts.items() if p <= top},
-            findings=[f for f in self.findings if len(f["tuple"]) <= top],
+            findings=[lam for lam in self.findings if len(lam) <= top],
         )
 
     def verify(self) -> "MasseyTable":
@@ -278,15 +260,16 @@ class MasseyTable:
         and an invalid stored tuple is an error.  Any other tuple has value
         0 and a zero side at every cut, so its equation is 0 = 0.
         """
-        idx = self.key_index()
+        keys = set(self.keys)
         rainbow = self.mode == "rainbow-valid-tuples"
         size = len(self.keys)
         if rainbow:
             counts = {1: size} if size else {}
+            level = [(k,) for k in self.keys]
             for p in range(2, self.p_max + 1):
-                c = sum(1 for _ in valid_tuples(self.quot, self.keys, p))
-                if c:
-                    counts[p] = c
+                level = valid_tuples(self.quot, self.keys, level)
+                if level:
+                    counts[p] = len(level)
         else:
             counts = {p: size ** p for p in range(1, self.p_max + 1) if size}
         if self.counts != counts:
@@ -295,7 +278,7 @@ class MasseyTable:
             )
         for lam in self.values:
             for k in lam:
-                if k not in idx:
+                if k not in keys:
                     raise InconsistencyError("table key %r missing from basis" % (k,))
         for k, h in zip(self.keys, self.basis):
             v = self.values.get((k,))
@@ -326,6 +309,56 @@ class MasseyTable:
 
 
 # ---------------------------------------------------------------------------
+# the fill loop of both builders (a definitive scan for the general one by
+# the single-element lemma: once all shorter products are verified zero,
+# each next solve either succeeds or exhibits a nonzero Massey product)
+
+
+def _fill(table: MasseyTable, tuples, pair_value=None):
+    """Fill `table` through its p_max and verify it: (table, None), or
+    (None, (tuple, right-hand side)) at the first non-boundary right-hand side.
+
+    Length by length it visits the tuples `tuples(p)` returns.  A tuple in
+    degrees above the top wedge degree has value 0; a pair gets
+    `pair_value(quot, a, b)` when that is given; any other tuple gets the
+    free-coordinates-zero boundary preimage of its right-hand side and is
+    recorded in `findings`.  TUPLE_CAP counts the tuples visited, over all
+    lengths; when it runs out during length p the table through length
+    p - 1 is returned, marked cut.
+    """
+    quot, values = table.quot, table.values
+    kz = quot.koszul()
+    n = quot.ring.nvars
+    deg = {k: h.hom_degree for k, h in zip(table.keys, table.basis)}
+    visited = 0
+    for p in range(2, table.p_max + 1):
+        for lam in tuples(p):
+            visited += 1
+            if visited > TUPLE_CAP:
+                return table.through(p - 1).verify(), None
+            if sum(deg[k] for k in lam) + p - 2 > n:
+                # the value and every split term live above the top wedge
+                # degree, so the equation is 0 = 0 with value 0
+                continue
+            if p == 2 and pair_value is not None:
+                value = pair_value(quot, *lam)
+                if not value.is_zero():
+                    values[lam] = value
+                continue
+            rhs = equation_rhs(values, lam)
+            if rhs.is_zero():
+                continue
+            if not rhs.is_cycle():
+                raise InconsistencyError("trivial-Massey RHS is not a cycle")
+            u = kz.boundary_preimage(rhs)
+            if u is None:
+                return None, (lam, rhs)
+            values[lam] = u
+            table.findings.append(lam)
+    return table.verify(), None
+
+
+# ---------------------------------------------------------------------------
 # rainbow construction
 
 
@@ -333,21 +366,18 @@ def build_rainbow_table(quot, structure, p_max: int = 4) -> MasseyTable:
     """Trivial Massey operation on the valid tuples of a rainbow monomial
     ideal (labels pairwise variable-disjoint, merged label complete).
 
-    Pair values use the closed form rainbow_pair_value.  For tuples of
-    length >= 3 no wedge of eta cycles satisfies the defining equation
-    (already for three disjoint singleton labels of a full product the
-    required chain is a single term of an eta expansion, not the whole
-    expansion), so those values are solved as boundary preimages of the
-    right-hand side and the tuples recorded in `findings`.  Every stored
-    equation is re-verified exactly; an unsolvable tuple raises an
-    inconsistency, since for these ideals the right-hand side of the
-    defining equation is always a boundary.
+    The fill loop visits the valid tuples of each length, grown from the
+    shorter ones by `valid_tuples` and counted in `counts`.  Pairs get the
+    closed form rainbow_pair_value.  Longer tuples are solved: no wedge of
+    eta cycles fits them (for three disjoint singleton labels of a full
+    product the required chain is one term of an eta expansion).  Their
+    right-hand side is always a boundary, so an unsolvable tuple raises an
+    inconsistency.
     """
     n = len(structure.classes)
     labels = complete_labels(quot, structure)
     kz = quot.koszul()
     basis = [kz.class_of(label_class(quot, lab)) for lab in labels]
-    values = {(lab,): h.rep for lab, h in zip(labels, basis)}
     if n < 2 and p_max >= 2 and labels:
         # a single color class means I is generated by variables; pair
         # values need two blocks in each label, so no tuples exist
@@ -357,40 +387,30 @@ def build_rainbow_table(quot, structure, p_max: int = 4) -> MasseyTable:
         mode="rainbow-valid-tuples",
         basis=basis,
         keys=list(labels),
-        values=values,
+        values={(lab,): h.rep for lab, h in zip(labels, basis)},
         p_max=p_max,
         counts={1: len(labels)} if labels else {},
     )
-    count = 0
-    for p in range(2, p_max + 1):
-        for lam in valid_tuples(quot, labels, p):
-            count += 1
-            if count > TUPLE_CAP:
-                return table.through(p - 1).verify()
-            table.counts[p] = table.counts.get(p, 0) + 1
-            if p == 2:
-                value = rainbow_pair_value(quot, *lam)
-                if not value.is_zero():
-                    values[lam] = value
-                continue
-            rhs = equation_rhs(values, lam)
-            if rhs.is_zero():
-                continue
-            u = kz.boundary_preimage(rhs)
-            if u is None:
-                raise InconsistencyError(
-                    "defining equation for %r has no solution; its "
-                    "right-hand side is not a boundary" % (lam,)
-                )
-            values[lam] = u
-            table.findings.append({"tuple": lam, "reason": "no closed form; solved"})
-    return table.verify()
+    level = [(lab,) for lab in labels]
+
+    def grow(p):
+        nonlocal level
+        level = valid_tuples(quot, labels, level)
+        if level:
+            table.counts[p] = len(level)
+        return level
+
+    table, unsolved = _fill(table, grow, rainbow_pair_value)
+    if unsolved is not None:
+        raise InconsistencyError(
+            "defining equation for %r has no solution; its "
+            "right-hand side is not a boundary" % (unsolved[0],)
+        )
+    return table
 
 
 # ---------------------------------------------------------------------------
-# general construction (definitive scan thanks to the single-element lemma:
-# once all shorter products are verified zero, each next solve either
-# succeeds or exhibits a genuinely nonzero Massey product)
+# general construction
 
 
 @dataclass
@@ -401,21 +421,12 @@ class TrivialMasseyOutcome:
 
 def build_trivial_table(quot, p_max: int = 4) -> TrivialMasseyOutcome:
     """Attempt a trivial Massey operation on the full homology basis, all
-    tuples up to length p_max.  Values are solved lowest degree first with
-    the deterministic free-coordinates-zero solution.  The first tuple whose
-    equation cannot be solved yields a nonzero Massey product (a NotGolod
-    witness); p=2 failures are nonzero homology products.
-
-    Only candidate tuples are visited, in sorted order, and only nonzero
-    values are stored; each solved tuple is recorded in `findings`.
-    TUPLE_CAP counts the candidates visited over all lengths, those whose
-    degree makes the equation 0 = 0 included, so at length 2 the count is
-    the tuple's rank in itertools.product order plus one.  When it runs
-    out during length p, the outcome's table is the one through length
-    p - 1, marked cut; a witness found before that is still returned.
+    tuples up to length p_max.  The fill loop visits the candidates of each
+    length in sorted order (at length 2, every pair).  The first unsolvable
+    tuple is a nonzero Massey product (a NotGolod witness), at p=2 a nonzero
+    homology product; one found before the cap runs out is returned.
     """
-    kz = quot.koszul()
-    basis = kz.homology_basis()
+    basis = quot.koszul().homology_basis()
     k = len(basis)
     values = {(i,): h.rep for i, h in enumerate(basis)}
     table = MasseyTable(
@@ -427,35 +438,17 @@ def build_trivial_table(quot, p_max: int = 4) -> TrivialMasseyOutcome:
         p_max=p_max,
         counts={p: k ** p for p in range(1, p_max + 1) if k},
     )
-    n = quot.ring.nvars
-    visited = 0
-    for p in range(2, p_max + 1):
-        for lam in candidate_tuples(values, p):
-            visited += 1
-            if visited > TUPLE_CAP:
-                return TrivialMasseyOutcome(table=table.through(p - 1).verify())
-            hom = sum(basis[i].hom_degree for i in lam) + p - 1
-            if hom - 1 > n:
-                # the value and every split term live above the top wedge
-                # degree, so the equation is 0 = 0 with value 0
-                continue
-            rhs = equation_rhs(values, lam)
-            if rhs.is_zero():
-                continue
-            if not rhs.is_cycle():
-                raise InconsistencyError("trivial-Massey RHS is not a cycle")
-            u = kz.boundary_preimage(rhs)
-            if u is None:
-                return TrivialMasseyOutcome(
-                    table=None,
-                    witness={
-                        "tuple": lam,
-                        "length": p,
-                        "classes": [basis[i] for i in lam],
-                        "product": rhs,
-                        "kind": "product" if p == 2 else "massey",
-                    },
-                )
-            values[lam] = u
-            table.findings.append({"tuple": lam, "reason": "solved"})
-    return TrivialMasseyOutcome(table=table.verify())
+    table, unsolved = _fill(table, lambda p: candidate_tuples(values, p))
+    if unsolved is None:
+        return TrivialMasseyOutcome(table=table)
+    lam, rhs = unsolved
+    return TrivialMasseyOutcome(
+        table=None,
+        witness={
+            "tuple": lam,
+            "length": len(lam),
+            "classes": [basis[i] for i in lam],
+            "product": rhs,
+            "kind": "product" if len(lam) == 2 else "massey",
+        },
+    )

@@ -1,5 +1,6 @@
 """Shared fixtures: the worked three-variable example, corpus generators."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from golodlab import (
     parse_poly,
 )
 from golodlab.linalg import rank_of
+from golodlab.massey import is_valid_tuple
 from golodlab.rings import mono_deg, mono_lcm, monomials_of_degree
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -106,6 +108,12 @@ def taylor_oracle(I):
                 entries[(i, d)] = entries.get((i, d), 0) + h
                 multigraded[(i, alpha)] = h
     return BettiTable(entries, multigraded)
+
+
+def valid_tuples_oracle(quot, labels, p):
+    """The valid length-p tuples of labels, found by checking every one of
+    the |labels|^p tuples in itertools.product order."""
+    return [lam for lam in itertools.product(labels, repeat=p) if is_valid_tuple(quot, lam)]
 
 
 def random_homogeneous_poly(rng, ring, deg, n_terms=3):

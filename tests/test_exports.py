@@ -10,7 +10,7 @@ def test_every_exported_name_resolves():
 
 
 def test_deleted_names_are_not_exported():
-    for name in ("massey_product", "MasseyResult"):
+    for name in ("massey_product", "MasseyResult", "homology_product"):
         assert name not in golodlab.__all__
         assert not hasattr(golodlab, name)
         assert not hasattr(golodlab.massey, name)

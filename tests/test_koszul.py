@@ -141,7 +141,7 @@ def test_strand_homology_dimensions(quot_m2):
     assert kz.class_of(reps[0]).key == (1, 1)
     for z in reps:
         assert z.is_cycle()
-        assert not kz.is_boundary(z)
+        assert kz.boundary_preimage(z) is None
 
 
 def test_homology_basis_spans_all_strands(quot_m2):

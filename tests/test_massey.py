@@ -13,16 +13,17 @@ from golodlab import (
     KoszulElement,
     MonomialIdeal,
     QuotientRing,
+    RainbowStructure,
     build_rainbow_table,
     build_trivial_table,
     diagonal_order,
     grevlex,
-    homology_product,
     massey,
 )
+from golodlab.determinantal import LadderMatrix, maximal_minors
 from golodlab.errors import InconsistencyError
 
-from conftest import mk_ring, small_ideals
+from conftest import mk_ring, small_ideals, valid_tuples_oracle
 
 
 def quotient_of(I, order=None):
@@ -59,7 +60,7 @@ def test_complete_intersection_has_nonzero_product():
     # the witness product is a cycle and not a boundary: re-verify from scratch
     kz = KoszulComplex(quot)
     assert w["product"].is_cycle()
-    assert not kz.is_boundary(w["product"])
+    assert kz.boundary_preimage(w["product"]) is None
 
 
 def test_gorenstein_h1_h2_product_witness(gorenstein_quot):
@@ -70,8 +71,8 @@ def test_gorenstein_h1_h2_product_witness(gorenstein_quot):
     degs = sorted(c.hom_degree for c in h)
     # socle pairing: H1 x H2 hits the top class
     kz = KoszulComplex(gorenstein_quot)
-    prod = homology_product(kz, h[0], h[1])
-    assert prod is not None
+    prod = h[0].rep.wedge(h[1].rep)
+    assert kz.boundary_preimage(prod) is None
     assert prod.hom_degree() == degs[0] + degs[1]
 
 
@@ -164,16 +165,34 @@ def test_verify_rejects_tampered_table(tamper, message):
         bad.verify()
 
 
-def test_rainbow_table_on_2x3_minors():
-    from golodlab.determinantal import LadderMatrix, maximal_minors
-    from golodlab import RainbowStructure
-
-    X = LadderMatrix.generic(2, 3)
-    order = diagonal_order(X.ring, 2, 3)
-    gb = GroebnerBasis(X.ring, order, maximal_minors(X))
-    in_I = gb.initial_ideal()
+def _ladder_rainbow(X):
+    """R/in(I) for the maximal minors I of X under the diagonal order, and
+    the row coloring that makes in(I) rainbow."""
+    order = diagonal_order(X.ring, X.rows, X.cols)
+    in_I = GroebnerBasis(X.ring, order, maximal_minors(X)).initial_ideal()
     quot = QuotientRing(GroebnerBasis(X.ring, order, in_I.polys()))
-    st = RainbowStructure(X.ring, X.row_classes())
+    return quot, RainbowStructure(X.ring, X.row_classes())
+
+
+def _product_rainbow(a, b):
+    """R/(x1..xa)(y1..yb), colored by x and y."""
+    ring = mk_ring(a + b, ["x%d" % (i + 1) for i in range(a)] + ["y%d" % (j + 1) for j in range(b)])
+    monos = [tuple(int(v in (i, a + j)) for v in range(a + b)) for i in range(a) for j in range(b)]
+    structure = RainbowStructure(ring, (tuple(range(a)), tuple(range(a, a + b))))
+    return quotient_of(MonomialIdeal.from_monos(ring, monos)), structure
+
+
+RAINBOW_CASES = {
+    "diagonal-2x3": lambda: _ladder_rainbow(LadderMatrix.generic(2, 3)),
+    "diagonal-2x4": lambda: _ladder_rainbow(LadderMatrix.generic(2, 4)),
+    "mask-110/111": lambda: _ladder_rainbow(LadderMatrix.from_text("110/111")),
+    "product-2x2": lambda: _product_rainbow(2, 2),
+    "product-3x3": lambda: _product_rainbow(3, 3),
+}
+
+
+def test_rainbow_table_on_2x3_minors():
+    quot, st = RAINBOW_CASES["diagonal-2x3"]()
     tbl = build_rainbow_table(quot, st, p_max=4)
     assert tbl.mode == "rainbow-valid-tuples"
     assert tbl.verify().verified
@@ -199,7 +218,36 @@ def test_rainbow_table_on_2x3_minors():
     kz = KoszulComplex(quot)
     for a in tbl.basis:
         for b in tbl.basis:
-            assert homology_product(kz, a, b) is None
+            assert kz.boundary_preimage(a.rep.wedge(b.rep)) is not None
+
+
+@pytest.mark.parametrize("name", sorted(RAINBOW_CASES))
+def test_valid_tuples_grown_from_shorter_ones_match_the_product_walk(name, monkeypatch):
+    """Each length, grown from the valid tuples one shorter, is the oracle's
+    filter of every tuple, in the same order, and costs one validity check
+    per (shorter tuple, label)."""
+    quot, structure = RAINBOW_CASES[name]()
+    labels = massey.complete_labels(quot, structure)
+    level = [(lab,) for lab in labels]
+    assert level == valid_tuples_oracle(quot, labels, 1)
+    calls = []
+    check = massey.is_valid_tuple
+    monkeypatch.setattr(massey, "is_valid_tuple", lambda q, lam: calls.append(lam) or check(q, lam))
+    for p in range(2, 5):
+        del calls[:]
+        grown = massey.valid_tuples(quot, labels, level)
+        assert len(calls) <= len(level) * len(labels)
+        assert grown == valid_tuples_oracle(quot, labels, p)
+        level = grown
+
+
+def test_rainbow_table_on_the_full_3x3_product():
+    """(x1,x2,x3)(y1,y2,y3): 49 labels, 144 valid pairs, 36 valid triples,
+    each triple solved, and no valid 4-tuple."""
+    tbl = build_rainbow_table(*RAINBOW_CASES["product-3x3"](), p_max=4)
+    assert (tbl.verified, tbl.cut, tbl.p_max) == (True, False, 4)
+    assert tbl.counts == {1: 49, 2: 144, 3: 36}
+    assert len(tbl.findings) == 36 and all(len(lam) == 3 for lam in tbl.findings)
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +386,14 @@ def _contents(table, top):
     return (
         {p: c for p, c in table.counts.items() if p <= top},
         {lam: v.terms for lam, v in table.values.items() if len(lam) <= top},
-        [f["tuple"] for f in table.findings if len(f["tuple"]) <= top],
+        [lam for lam in table.findings if len(lam) <= top],
     )
 
 
 def _rainbow_2x4():
     """The rainbow builder on the diagonal initial ideal of the 2x4
     maximal minors: 17 labels, 4 valid pairs and no valid longer tuple."""
-    from golodlab.determinantal import LadderMatrix, maximal_minors
-    from golodlab import RainbowStructure
-
-    X = LadderMatrix.generic(2, 4)
-    order = diagonal_order(X.ring, 2, 4)
-    in_I = GroebnerBasis(X.ring, order, maximal_minors(X)).initial_ideal()
-    quot = QuotientRing(GroebnerBasis(X.ring, order, in_I.polys()))
-    structure = RainbowStructure(X.ring, X.row_classes())
+    quot, structure = RAINBOW_CASES["diagonal-2x4"]()
     return lambda: build_rainbow_table(quot, structure, p_max=4)
 
 
