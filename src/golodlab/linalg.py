@@ -6,8 +6,10 @@ without integer reindexing.  `axpy` is the one sparse accumulate kernel:
 every "add a multiple of one vector into another, dropping zeros" in the
 package goes through it, except `resolution._shift_by_var`, a deliberate
 inlined copy that multiplies by a variable without building a vector per
-term.  It serves the resolution of k over quotients that are not monomial
-only; over a monomial quotient a column's image is a restricted scalar row.
+term: its keys are packed ints, and each term moves its key by an offset
+read from a table of x_v times the packed standard monomials.  It serves
+the resolution of k over quotients that are not monomial only; over a
+monomial quotient a column's image is a restricted scalar row.
 
 The Eliminator keeps its rows in echelon form with combination tracking:
 inserting a vector either extends the basis or returns the dependency,
@@ -28,6 +30,10 @@ Once the vectors that extend the basis are fixed, the residual of a
 reduction, the dependency an insert returns, the vectors of `kernel_basis`
 and the solutions of `solve_columns` are all unique, so results are
 deterministic for a fixed insertion order and the same for any row scaling.
+An Eliminator made with `integral=True` returns each dependency over QQ
+as the primitive int vector with a positive tag entry that is a multiple
+of it, for callers that only need the line it spans and would otherwise
+carry its Fractions on.
 """
 from __future__ import annotations
 
@@ -66,8 +72,9 @@ def axpy(dst: dict, c, src: dict, field) -> dict:
 
 
 class Eliminator:
-    def __init__(self, field):
+    def __init__(self, field, integral: bool = False):
         self.field = field
+        self._integral = integral and not field.char
         # pivot index -> (row, hist); over F_p row[pivot] == 1, over QQ the
         # row and hist are int vectors with content 1 and row[pivot] > 0
         self.rows = {}
@@ -142,7 +149,12 @@ class Eliminator:
         a row it adds carries none, so no tagged vector may follow it."""
         residual, hist, s = self._reduce(vec, tag)
         if not residual:
-            return {} if hist is None else _unscale(hist, s)
+            if hist is None:
+                return {}
+            if self._integral:  # hist[tag] = s > 0
+                g = gcd(*hist.values())
+                return hist if g == 1 else {k: v // g for k, v in hist.items()}
+            return _unscale(hist, s)
         pivot = min(residual)
         F = self.field
         if F.char:  # pivot entry 1

@@ -24,7 +24,21 @@ exponent the bound reaches, with the total degree as the leading digit:
 grades add as ints, and sorted ints are in (degree, exponent tuple) order.
 Every other quotient is sliced by total degree; a column's image there is
 x_v times the image of the column one degree lower, x_v the first variable
-of its monomial, so every degree from the lowest up is visited.
+of its monomial, so every degree from the lowest up is visited.  A column
+m * g_t of F_s, and an entry m' * g_t' of F_{s-1}, is keyed by the int
+t * U + pack(m): pack is the Multidegrees packing in a base above the top
+degree the bigraded bound reaches, and U the first place above every
+packed monomial.  Within a slice the monomials paired with one generator
+share a degree, and packed monomials of one degree sort as their exponent
+tuples, so the ints sort as the (t, m) pairs and every pivot is where
+tuple keys put it.  The normal form of x_v * m is kept per packed standard
+monomial m as key offsets and coefficients, so a shift adds ints to keys.
+In both walks the Eliminator returns each QQ dependency as a primitive int
+vector: a nonzero multiple of a kernel vector is one, and a generator
+scaled by a unit changes no count.  So the kernel vectors and generator
+images the steps hand on carry no Fraction; only a normal form with
+fractional coefficients brings one into a column's image, and the
+Eliminator clears it on insertion.
 
 The images lie in ker d_{s-1}, so a slice with kernel basis kvecs has
 exactly len(kvecs) - rank new generators.  Kernel vectors are inserted in
@@ -274,39 +288,57 @@ class _MonomialSlices:
                 runs[g] = (j, n, len(gens))
 
 
-def _shift_by_var(quot, vec: dict, v: int) -> dict:
-    """x_v * vec, accumulated term by term as axpy would, without building
-    a vector per term."""
+class _Times(dict):
+    """x_v times each packed standard monomial m, as the terms
+    ((pack(m2) - m, c2), ...) of its normal form, each built on first use:
+    a key k = t * U + m moves to k + (pack(m2) - m)."""
+
+    def __init__(self, quot, grades, v):
+        super().__init__()
+        self.quot, self.grades, self.v = quot, grades, v
+
+    def __missing__(self, m):
+        terms = self.quot.mult_var(self.v, self.grades.unpack(m)).items()
+        out = self[m] = tuple((self.grades.pack(m2) - m, c2) for m2, c2 in terms)
+        return out
+
+
+def _shift_by_var(vec: dict, times: _Times, U: int, p: int) -> dict:
+    """x_v * vec, with times the _Times of x_v, accumulated term by term as
+    axpy would, without building a vector per term."""
     out = {}
     get, pop = out.get, out.pop
-    mult_var = quot.mult_var
-    p = quot.field.char
-    for (t, m), c in vec.items():
-        for m2, c2 in mult_var(v, m).items():
-            k = (t, m2)
+    for k, c in vec.items():
+        for d, c2 in times[k % U]:
+            k2 = k + d
             if p:
-                s = (get(k, 0) + c * c2) % p
+                s = (get(k2, 0) + c * c2) % p
             else:
-                s = get(k, 0) + c * c2
+                s = get(k2, 0) + c * c2
                 if s.__class__ is Fraction and s.denominator == 1:
                     s = s.numerator
             if s:
-                out[k] = s
+                out[k2] = s
             else:
-                pop(k, None)
+                pop(k2, None)
     return out
 
 
 class _DegreeSlices:
     """The slices of any other quotient, one per total degree, with column
-    images shifted up from the degree below."""
+    images shifted up from the degree below.  The column m * g_t, and the
+    entry m * g_t of a vector, are keyed by the int t * U + pack(m), U the
+    first place above every packed monomial the walk meets."""
 
     def __init__(self, quot, big):
         self.quot = quot
         # provable ceiling on internal degrees of step-i generators
         self.tops = [max(d, default=-1) for d in big] + [-1]
-        self.splits = {}  # degree -> (m, v, m / x_v) per standard monomial m
-        self.one = quot.ring.zero_mono()
+        # every monomial the walk meets has degree at most the top ceiling
+        grades = self.grades = Multidegrees(quot.ring.nvars, max(self.tops) + 1)
+        self.U = grades.base * grades.unit
+        self.times = [_Times(quot, grades, v) for v in range(quot.ring.nvars)]
+        self.splits = {}  # degree -> (m, v, m / x_v) per packed standard monomial m
 
     def last(self, step):
         return self.tops[step]
@@ -317,7 +349,7 @@ class _DegreeSlices:
     def found(self, t, vec):
         """Generator t of the current step has image vec: the column 1 * g_t,
         from which the columns one degree up shift."""
-        self.images[(t, self.one)] = vec
+        self.images[t * self.U] = vec
 
     def __call__(self, step, prev, gens, kernels):
         jmax, jnext = self.tops[step], self.tops[step + 1]
@@ -329,9 +361,11 @@ class _DegreeSlices:
     def _columns(self, gens, prev_images, j):
         """Images of the degree-j columns m * gen_t with deg gen_t < j, each
         x_v times the image of the degree j-1 column (m / x_v) * gen_t.
-        Returns the nonzero images by column (t, m), from which the next
-        degree shifts, and the columns in order."""
-        quot, splits = self.quot, self.splits
+        Returns the nonzero images by column, from which the next degree
+        shifts, and the columns in order."""
+        quot, splits, U, times = self.quot, self.splits, self.U, self.times
+        pack, weights = self.grades.pack, self.grades.weights
+        p = quot.field.char
         images, cols = {}, []
         for t, gen in enumerate(gens):
             if gen.deg >= j:
@@ -341,12 +375,14 @@ class _DegreeSlices:
                 splits[d] = []
                 for m in quot.std_monomials(d):
                     v = next(i for i, e in enumerate(m) if e)
-                    splits[d].append((m, v, m[:v] + (m[v] - 1,) + m[v + 1 :]))
+                    g = pack(m)  # packing is additive: m / x_v packs to g - weights[v]
+                    splits[d].append((g, v, g - weights[v]))
+            base = t * U
             for m, v, m1 in splits[d]:
-                col = (t, m)
-                prev = prev_images.get((t, m1))
+                col = base + m
+                prev = prev_images.get(base + m1)
                 if prev:
-                    img = _shift_by_var(quot, prev, v)
+                    img = _shift_by_var(prev, times[v], U, p)
                     if img:
                         images[col] = img
                 cols.append(col)
@@ -430,7 +466,7 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
                 kvecs = kernels.pop(g, ())
                 if not (track or kvecs):
                     continue
-                elim = Eliminator(field_)
+                elim = Eliminator(field_, integral=True)
                 deps = []
                 for col in cols:
                     img = images.get(col)

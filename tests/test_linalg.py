@@ -5,6 +5,7 @@ algorithm it replaced, rows with pivot entry -1, over QQ and GF(7)."""
 import itertools
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 import pytest
 import sympy
@@ -293,3 +294,29 @@ def test_qq_eliminator_matches_fraction_oracle(data):
 @given(insert_sequences(F7, f7_entries, st.integers(0, 6)))
 def test_gf7_eliminator_matches_pivot_minus_one_oracle(data):
     check_against_oracle(*data, F7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(insert_sequences(QQ, big_entries, st.fractions(-5, 5, max_denominator=6)))
+def test_integral_dependencies_are_primitive_multiples(data):
+    """integral=True changes only the dependencies an insert returns over
+    QQ: each is the primitive int vector, positive at its tag, on the line
+    of the rational one."""
+    seq, _ = data
+    e, i = Eliminator(QQ), Eliminator(QQ, integral=True)
+    for j, (vec, tagged) in enumerate(seq):
+        tag = j if tagged else None
+        try:
+            want = e.insert(vec, tag)
+        except ValueError:
+            with pytest.raises(ValueError):
+                i.insert(vec, tag)
+            continue
+        got = i.insert(vec, tag)
+        if not want:  # None, or {} without a tag
+            assert got == want
+            continue
+        assert want[tag] == 1 and list(got) == list(want)
+        assert all(type(v) is int for v in got.values())
+        assert got[tag] > 0 and gcd(*got.values()) == 1
+        assert all(got[k] == want[k] * got[tag] for k in want)

@@ -240,6 +240,28 @@ def test_multigraded_series_sums_to_the_bigraded_one(seed, nvars, N):
     assert summed == big
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    nvars=st.integers(1, 4),
+    top=st.integers(0, 6),
+    data=st.data(),
+)
+def test_walk_keys_sort_as_generator_then_degree_then_exponents(nvars, top, data):
+    """The total-degree walk keys m * g_t by t * U + pack(m), U the base
+    times the degree digit's place: below U for every m of degree at most
+    `top`, and in (t, degree, exponent tuple) order."""
+    grades = Multidegrees(nvars, top + 1)
+    U = grades.base * grades.unit
+    exps = st.lists(st.integers(0, top), min_size=nvars, max_size=nvars).filter(
+        lambda m: sum(m) <= top
+    )
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, 5), exps.map(tuple)), max_size=8))
+    for _, m in pairs:
+        assert 0 <= grades.pack(m) < U and grades.unpack(grades.pack(m)) == m
+    keyed = sorted(pairs, key=lambda tm: tm[0] * U + grades.pack(tm[1]))
+    assert keyed == sorted(pairs, key=lambda tm: (tm[0], sum(tm[1]), tm[1]))
+
+
 def sympy_golod_series(nvars, entries, N):
     """sympy's t-expansion of (1+ut)^n / (1 - sum_{i>=1} b_{i,j} u^j t^{i+1})
     through t^N, one {j: coefficient} dict per power of t."""
@@ -302,9 +324,68 @@ def test_graded_quotients_match_oracle(seed, N, prime):
 
 
 # ---------------------------------------------------------------------------
+# the two slicings against each other: a transvection x_i -> x_i + x_j is a
+# graded automorphism of R, so it keeps the Poincare series of k, and it
+# takes a monomial quotient, walked by multidegree, to one walked by total
+# degree exactly when it moves the ideal
+
+
+def _transvect(ring, m, i, j):
+    """The image of the monomial m under x_i -> x_i + x_j."""
+    rest = m[:i] + (0,) + m[i + 1 :]
+    return ring.monomial(rest) * (ring.var(i) + ring.var(j)) ** m[i]
+
+
+def _moved(gens, i, j):
+    """Some generator m with x_i | m has m * x_j / x_i outside the ideal,
+    so x_i -> x_i + x_j does not fix it."""
+    def inside(m):
+        return any(all(a <= b for a, b in zip(g, m)) for g in gens)
+
+    return any(
+        m[i] and not inside(tuple(e - (k == i) + (k == j) for k, e in enumerate(m)))
+        for m in gens
+    )
+
+
+def _compare_slicings(monos, names, field, N, i, j):
+    """R/(monos) and its image under x_i -> x_i + x_j, through t^N."""
+    ring = PolyRing(names, field)
+    mono = QuotientRing(GroebnerBasis(ring, grevlex(ring), [ring.monomial(m) for m in monos]))
+    moved = [_transvect(ring, m, i, j) for m in monos]
+    quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), moved))
+    assert mono.is_monomial and not quot.is_monomial
+    P, Q = poincare_coeffs(mono, N), poincare_coeffs(quot, N)
+    assert (Q.coefficients, Q.graded) == (P.coefficients, P.graded)
+
+
+@pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 6))
+def test_a_transvection_keeps_the_series_across_the_slicings(field, seed, N):
+    """A random 3-variable monomial quotient and its image under the first
+    transvection that moves the ideal.  Only a power of the maximal ideal
+    is fixed by all six, and with at most four generators that is
+    (x1, x2, x3)."""
+    I = random_monomial_ideal(seeded(seed), 3, 3, max_gens=4)
+    if len(I.gens) == 3 and all(mono_deg(m) == 1 for m in I.gens):
+        return
+    i, j = next((i, j) for i in range(3) for j in range(3) if i != j and _moved(I.gens, i, j))
+    _compare_slicings(I.gens, I.ring.names, field, N, i, j)
+
+
+@pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
+def test_x_to_x_plus_z_keeps_the_series_of_a_golod_quotient(field):
+    """x^2, x*y, y^3, y*z^2 under x -> x + z, through t^7."""
+    _compare_slicings([(2, 0, 0), (1, 1, 0), (0, 3, 0), (0, 1, 2)], ("x", "y", "z"), field, 7, 0, 2)
+
+
+# ---------------------------------------------------------------------------
 # the default N=8 on heavier inputs, the work done, and the exactness check
 
 GORENSTEIN3 = "x1^2, x1*x3, -x1*x2+x3^2, x2*x3, x2^2"
+# the slowest input of the graded corpora
+TCF_CUBICS = "4*t*f^2+2*t*c*f, -c^2*f, 6*c*f^2-3*t*c*f, -3*t*c*f+9*f^3"
 
 
 @pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
@@ -312,7 +393,7 @@ GORENSTEIN3 = "x1^2, x1*x3, -x1*x2+x3^2, x2*x3, x2^2"
     "text",
     [
         GORENSTEIN3,
-        "4*t*f^2+2*t*c*f, -c^2*f, 6*c*f^2-3*t*c*f, -3*t*c*f+9*f^3",
+        TCF_CUBICS,
         "x^2, x*y, y^3, y*z^2",
     ],
     ids=["gorenstein3", "tcf_cubics", "x2_xy_y3_yz2"],
@@ -341,6 +422,31 @@ def test_inserts_only_nonzero_vectors_and_stops_at_the_rank(monkeypatch):
     assert 0 not in sizes
     # inserting every column image and kernel vector took 19887
     assert len(sizes) == 5767
+
+
+@pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
+def test_degree_walk_insert_count(field, monkeypatch):
+    """The walk by total degree on four cubics, keyed by packed ints and,
+    over QQ, handing on integral kernel vectors: the same eliminations as
+    (generator, monomial) keys with rational kernel vectors, in both
+    fields."""
+    quot = quotient(TCF_CUBICS, field)
+    assert not quot.is_monomial
+    quotient_betti(quot)
+    calls, values = [0], set()
+    insert = Eliminator.insert
+
+    def counting(self, vec, tag=None):
+        calls[0] += 1
+        dep = insert(self, vec, tag)
+        values.update(type(c) for c in (dep or {}).values())
+        return dep
+
+    monkeypatch.setattr(Eliminator, "insert", counting)
+    P = poincare_coeffs(quot, 8)
+    assert P.coefficients == P.bound == (1, 3, 7, 17, 41, 99, 239, 577, 1393)
+    assert calls[0] == 25116
+    assert values == {int}  # the reduced basis has 2/3, yet no kernel vector a Fraction
 
 
 def test_monomial_walk_insert_count(monkeypatch):
