@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .betti import BettiTable, has_linear_resolution
+from .betti import has_linear_resolution
 from .errors import CapExceededError, InconsistencyError, InputError
 from .groebner import GroebnerBasis
 from .koszul import STRAND_BUDGET, quotient_betti
@@ -94,8 +94,6 @@ class FiberInvariantResult:
 
     invariant: bool
     fast_path: Optional[str] = None
-    betti_ideal: Optional[BettiTable] = None
-    betti_initial: Optional[BettiTable] = None
 
 
 def fiber_invariant(gb: GroebnerBasis):
@@ -119,12 +117,8 @@ def fiber_invariant(gb: GroebnerBasis):
             True,
             fast_path="initial ideal has linear resolution, so no consecutive "
             "cancellation can occur",
-            betti_initial=binit,
         )
-    bI = quotient_betti(quot)
-    return FiberInvariantResult(
-        bI == binit, fast_path=None, betti_ideal=bI, betti_initial=binit
-    )
+    return FiberInvariantResult(quotient_betti(quot) == binit)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +173,7 @@ class GolodCertificate:
             "witness": _witness_json(self.witness),
             "serre": self.serre,
             "config": self.config.to_json(),
-            "evidence": _evidence_json(self.evidence),
+            "evidence": self.evidence,
             "caps_exceeded": self.caps_exceeded,
         }
         return out
@@ -214,18 +208,6 @@ def _witness_json(w):
             out[k] = _witness_json(v)
         elif k == "tuple":
             out[k] = [list(x) if isinstance(x, tuple) else x for x in v]
-        else:
-            out[k] = v
-    return out
-
-
-def _evidence_json(ev):
-    out = {}
-    for k, v in ev.items():
-        if isinstance(v, GolodCertificate):
-            out[k] = v.to_json()
-        elif isinstance(v, dict):
-            out[k] = _evidence_json(v)
         else:
             out[k] = v
     return out
@@ -352,7 +334,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
         inner_cert = golod_certificate(inner_gb, replace(config, with_serre=False))
         if inner_cert.caps_exceeded:
             caps.append("inner certificate caps")
-        ev["inner"] = inner_cert
+        ev["inner"] = inner_cert.to_json()
         if inner_cert.verdict == "GolodProven":
             verdict, rule, evidence = "GolodProven", t_rule, ev
         elif inner_cert.verdict == "NotGolod":

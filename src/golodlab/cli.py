@@ -154,11 +154,13 @@ def run_job(args) -> Report:
         if fi.fast_path:
             lines.append("via: %s" % fi.fast_path)
         payload = dict(header, invariant=fi.invariant, fast_path=fi.fast_path)
-        if not fi.invariant and fi.betti_ideal is not None:
-            lines.append("betti of R/I:\n%s" % fi.betti_ideal.grid_str())
-            lines.append("betti of R/in(I):\n%s" % fi.betti_initial.grid_str())
-            payload["betti_ideal"] = _betti_json(fi.betti_ideal)
-            payload["betti_initial"] = _betti_json(fi.betti_initial)
+        if not fi.invariant:
+            b_ideal = quotient_betti(gb.quotient())
+            b_initial = quotient_betti(gb.initial_quotient())
+            lines.append("betti of R/I:\n%s" % b_ideal.grid_str())
+            lines.append("betti of R/in(I):\n%s" % b_initial.grid_str())
+            payload["betti_ideal"] = _betti_json(b_ideal)
+            payload["betti_initial"] = _betti_json(b_initial)
         return Report("\n".join(lines), payload)
     if args.command == "rainbow":
         if not all(g.is_monomial() for g in gb.gens):

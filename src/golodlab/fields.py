@@ -95,4 +95,7 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
+    """F_p; ValueError unless p is a prime <= 2**31."""
+    if p < 2:
+        raise ValueError("modulus must be prime, got %d" % p)
     return Field(p)

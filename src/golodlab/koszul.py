@@ -202,7 +202,6 @@ class KoszulComplex:
         self.multigraded = quot.is_monomial
         self._spent = 0
         self._strands = {}
-        self._homology = {}
 
     def _charge(self, amount: int):
         self._spent += amount
@@ -254,24 +253,20 @@ class KoszulComplex:
 
     def homology(self, i: int, key) -> list:
         """Cycles whose classes form a basis of H_i on the strand."""
-        if (i, key) not in self._homology:
-            basis = self.strand_basis(i, key)
-            combos = kernel_basis([self.diff_vector(p) for p in basis], self.field)
-            elim = Eliminator(self.field)
-            for pair in self.strand_basis(i + 1, key):
-                elim.insert(self.diff_vector(pair))
-            reps = []
-            for combo in combos:
-                cyc = {basis[idx]: c for idx, c in combo.items()}
-                if elim.insert(cyc) is None:
-                    reps.append(KoszulElement(self.quot, cyc))
-            self._homology[(i, key)] = reps
-        return self._homology[(i, key)]
+        basis = self.strand_basis(i, key)
+        combos = kernel_basis([self.diff_vector(p) for p in basis], self.field)
+        elim = Eliminator(self.field)
+        for pair in self.strand_basis(i + 1, key):
+            elim.insert(self.diff_vector(pair))
+        reps = []
+        for combo in combos:
+            cyc = {basis[idx]: c for idx, c in combo.items()}
+            if elim.insert(cyc) is None:
+                reps.append(KoszulElement(self.quot, cyc))
+        return reps
 
     def betti_entry(self, i: int, key) -> int:
         """dim H_i on the strand, by rank counting only (no representatives)."""
-        if (i, key) in self._homology:
-            return len(self._homology[(i, key)])
         here = self.strand_basis(i, key)
         if not here:
             return 0
@@ -296,7 +291,7 @@ class KoszulComplex:
             vec = pieces[k]
             basis = self.strand_basis(i + 1, k)
             cols = [self.diff_vector(p) for p in basis]
-            combo = solve_columns(cols, range(len(cols)), vec, self.field)
+            combo = solve_columns(cols, vec, self.field)
             if combo is None:
                 return None
             axpy(total, 1, {basis[idx]: c for idx, c in combo.items()}, self.field)

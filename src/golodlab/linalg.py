@@ -11,29 +11,32 @@ read from a table of x_v times the packed standard monomials.  It serves
 the resolution of k over quotients that are not monomial only; over a
 monomial quotient a column's image is a restricted scalar row.
 
-The Eliminator keeps its rows in echelon form with combination tracking:
-inserting a vector either extends the basis or returns the dependency,
-which is how kernels and linear solves fall out.  Each row is stored at its
-pivot, the row's smallest index, and a new row is never used to rewrite the
-older ones.  One fraction-free reduction serves both fields.  It eliminates
-pivots in ascending order from a heap: subtracting a row can only bring in
-larger indices, and any of those that is itself a pivot is pushed and
-eliminated in turn.  A pivot step with residual entry c and row entry r is
-residual = a*residual - b*row.  Over F_p every row has pivot entry 1, so
-a = 1 and b = c.  Over QQ a row and its history are int vectors of content
-1 with a positive pivot entry; the input's denominators are cleared once,
-each step takes g = gcd(c, r), a = r/g and b = c/g, and the product s of
-all the scales is divided out only where values leave the Eliminator.  The
-one step that depends on the field is how `insert` scales a new row: by the
-inverse of its pivot entry over F_p, by its content and sign over QQ.
-Once the vectors that extend the basis are fixed, the residual of a
-reduction, the dependency an insert returns, the vectors of `kernel_basis`
-and the solutions of `solve_columns` are all unique, so results are
-deterministic for a fixed insertion order and the same for any row scaling.
-An Eliminator made with `integral=True` returns each dependency over QQ
-as the primitive int vector with a positive tag entry that is a multiple
-of it, for callers that only need the line it spans and would otherwise
-carry its Fractions on.
+The Eliminator keeps its rows in echelon form with combination tracking.
+`insert` is its one operation: inserting a vector either extends the basis
+or returns the dependency, which is how kernels and linear solves fall out.
+Each row is stored at its pivot, the row's smallest index, and a new row is
+never used to rewrite the older ones.  One fraction-free reduction serves
+both fields.  It eliminates pivots in ascending order from a heap:
+subtracting a row can only bring in larger indices, and any of those that
+is itself a pivot is pushed and eliminated in turn.  A pivot step with
+residual entry c and row entry r is residual = a*residual - b*row.  Over
+F_p every row has pivot entry 1, so a = 1 and b = c.  Over QQ a row and its
+history are int vectors of content 1 with a positive pivot entry; the
+input's denominators are cleared once, by their lcm, which starts the
+history at the tag, and each step takes g = gcd(c, r), a = r/g and
+b = c/g.  The one step that depends on the field is how `insert` scales a
+new row: by the inverse of its pivot entry over F_p, by its content and
+sign over QQ.
+
+A dependency has one form: over QQ the primitive int vector with a
+positive tag entry, over F_p the vector with tag entry 1.  Callers that
+need only the line it spans, as the resolution of k does, take it as it
+is.  `kernel_basis` divides each dependency by its tag entry, and
+`solve_columns` inserts b under a tag of its own and divides by minus
+that entry; these two are where Fractions leave the Eliminator.  Once the
+vectors that extend the basis are fixed, the line of each dependency is
+unique, so results are deterministic for a fixed insertion order and the
+same for any row scaling.
 """
 from __future__ import annotations
 
@@ -72,9 +75,8 @@ def axpy(dst: dict, c, src: dict, field) -> dict:
 
 
 class Eliminator:
-    def __init__(self, field, integral: bool = False):
+    def __init__(self, field):
         self.field = field
-        self._integral = integral and not field.char
         # pivot index -> (row, hist); over F_p row[pivot] == 1, over QQ the
         # row and hist are int vectors with content 1 and row[pivot] > 0
         self.rows = {}
@@ -85,15 +87,17 @@ class Eliminator:
         return len(self.rows)
 
     def _reduce(self, vec, tag):
-        """Fraction-free reduction: returns (residual, hist, s) with
-        residual = s * (vec reduced) and hist = s * (its history); s is
-        hist[tag] when tagged, and always 1 over F_p."""
+        """Fraction-free reduction: returns (residual, hist) with residual =
+        s * (vec reduced), zero at every pivot, and hist = s * (its
+        history, tag -> coefficient), where s = hist[tag].  Over F_p s = 1;
+        over QQ s > 0, starting at the lcm of vec's denominators.  Without
+        a tag hist is None."""
         if tag is not None and self._untagged:
             raise ValueError("history asked after an untagged vector extended the basis")
         F = self.field
         qq = not F.char
         rows = self.rows
-        s = 1  # over QQ: lcm of the denominators, then times every step's a
+        s = 1  # over QQ: the lcm of the denominators
         if qq:
             for v in vec.values():
                 if v.__class__ is Fraction:
@@ -121,7 +125,6 @@ class Eliminator:
                 g = gcd(c, r)
                 a = r // g
                 if a != 1:
-                    s *= a
                     for k in residual:
                         residual[k] *= a
                     if hist is not None:
@@ -131,37 +134,32 @@ class Eliminator:
             axpy(residual, -c, row, F)
             if hist is not None:
                 axpy(hist, -c, rhist, F)
-        return residual, hist, s
-
-    def reduce(self, vec: dict, tag=None):
-        """Return (residual, hist): residual = vec reduced mod the row space,
-        zero at every pivot; hist expresses residual as tag + combination of
-        previously inserted tags (hist maps tag -> coefficient).  Without a
-        tag no history is kept and hist is None."""
-        residual, hist, s = self._reduce(vec, tag)
-        return _unscale(residual, s), (None if hist is None else _unscale(hist, s))
+        return residual, hist
 
     def insert(self, vec: dict, tag=None):
-        """Insert a vector. Returns None if it extended the basis, else the
-        dependency dict (tag -> coefficient, summing to the zero vector).
+        """Insert a vector.  Returns None if it extended the basis, else the
+        dependency dict (tag -> coefficient, summing to the zero vector):
+        over QQ the primitive int vector with a positive entry at tag, over
+        F_p the one with entry 1 at tag.
 
         Without a tag no history is kept: a dependent vector returns {}, and
         a row it adds carries none, so no tagged vector may follow it."""
-        residual, hist, s = self._reduce(vec, tag)
+        residual, hist = self._reduce(vec, tag)
+        F = self.field
+        p = F.char
         if not residual:
             if hist is None:
                 return {}
-            if self._integral:  # hist[tag] = s > 0
-                g = gcd(*hist.values())
-                return hist if g == 1 else {k: v // g for k, v in hist.items()}
-            return _unscale(hist, s)
+            if p:  # hist[tag] == 1
+                return hist
+            g = gcd(*hist.values())  # hist[tag] > 0
+            return hist if g == 1 else {k: v // g for k, v in hist.items()}
         pivot = min(residual)
-        F = self.field
-        if F.char:  # pivot entry 1
+        if p:  # pivot entry 1
             c = F.inv(residual[pivot])
-            row = axpy({}, c, residual, F)
+            row = {k: v * c % p for k, v in residual.items()}
             if hist is not None:
-                hist = axpy({}, c, hist, F)
+                hist = {k: v * c % p for k, v in hist.items()}
         else:  # content 1, positive pivot entry
             g = gcd(*residual.values(), *(hist.values() if hist is not None else ()))
             if residual[pivot] < 0:
@@ -173,9 +171,6 @@ class Eliminator:
             self._untagged = True
         self.rows[pivot] = (row, hist)
         return None
-
-    def contains(self, vec: dict) -> bool:
-        return not self._reduce(vec, None)[0]
 
 
 def _unscale(vec: dict, s: int) -> dict:
@@ -199,34 +194,29 @@ def rank_of(vectors, field) -> int:
 def kernel_basis(columns, field):
     """Kernel of the map sending basis vector j to columns[j].
 
-    Returns combination dicts {j: coef}; each vector is supported on the
-    earliest possible column prefix (free coordinates are zero), which is the
-    deterministic choice used everywhere downstream.
+    Returns combination dicts {j: coef}, each with coefficient 1 at its
+    dependent column j; each vector is supported on the earliest possible
+    column prefix (free coordinates are zero), which is the deterministic
+    choice used everywhere downstream.
     """
     e = Eliminator(field)
     out = []
     for j, col in enumerate(columns):
         dep = e.insert(col, j)
         if dep is not None:
-            out.append(dep)
+            out.append(_unscale(dep, dep[j]))
     return out
 
 
-def solve_columns(columns, tags, b, field):
-    """Solve sum_j x_j * columns[j] = b.  Returns {tag: coef} with free
+def solve_columns(columns, b, field):
+    """Solve sum_j x_j * columns[j] = b.  Returns {j: coef} with free
     coordinates zero, or None if inconsistent."""
     e = Eliminator(field)
-    for col, tag in zip(columns, tags):
-        e.insert(col, ("col", tag))
-    residual, hist = e.reduce(b, ("rhs",))
-    if residual:
+    for j, col in enumerate(columns):
+        e.insert(col, j)
+    rhs = len(columns)
+    dep = e.insert(b, rhs)
+    if dep is None:
         return None
-    out = {}
-    for key, c in hist.items():
-        if key == ("rhs",):
-            continue
-        v = field.neg(c)
-        if v:
-            out[key[1]] = v
-    return out
-
+    s = dep.pop(rhs)
+    return _unscale({j: field.neg(c) for j, c in dep.items()}, s)

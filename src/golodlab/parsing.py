@@ -32,7 +32,10 @@ def parse_ring(text: str) -> PolyRing:
     m = re.fullmatch(r"\s*(QQ|F\d+)\s*\[([^\]]*)\]\s*", text)
     if not m:
         raise ParseError("bad ring declaration: %r" % text)
-    field = QQ if m.group(1) == "QQ" else GF(int(m.group(1)[1:]))
+    try:
+        field = QQ if m.group(1) == "QQ" else GF(int(m.group(1)[1:]))
+    except ValueError as exc:
+        raise ParseError("bad ring declaration: %s" % exc) from None
     names = tuple(s.strip() for s in m.group(2).split(",") if s.strip())
     if not names:
         raise ParseError("ring has no variables: %r" % text)

@@ -466,7 +466,7 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
                 kvecs = kernels.pop(g, ())
                 if not (track or kvecs):
                     continue
-                elim = Eliminator(field_, integral=True)
+                elim = Eliminator(field_)
                 deps = []
                 for col in cols:
                     img = images.get(col)

@@ -133,6 +133,15 @@ def test_bad_denominator_is_an_input_error(ideal, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["F4", "F0", "F1", "F4294967311"])
+def test_malformed_modulus_is_an_input_error(field, capsys):
+    code, out, err = _run(["gb", "--ideal", "ring: %s[x,y]\nideal: x^2" % field], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad ring declaration: ")
+    assert "Traceback" not in err
+
+
 def test_unexpected_exception_exits_3(monkeypatch, capsys):
     def boom(spec):
         raise ZeroDivisionError("unexpected")

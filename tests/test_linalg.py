@@ -2,6 +2,7 @@
 sympy over QQ and brute force over GF(7), and the Eliminator against the
 algorithm it replaced, rows with pivot entry -1, over QQ and GF(7)."""
 
+import copy
 import itertools
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -62,17 +63,18 @@ def check_structure(cols, b, field, rank_of_vectors):
         assert combine(cols, k, field) == {}
 
     solvable = rank_of_vectors(cols + [b]) == rank
-    x = solve_columns(cols, range(len(cols)), b, field)
+    x = solve_columns(cols, b, field)
     assert (x is not None) == solvable
     if x is not None:
         assert set(x) <= set(pivots)
         assert combine(cols, x, field) == b
 
+    # membership: an untagged insert of a vector in the span returns {}
     e = Eliminator(field)
-    for j, col in enumerate(cols):
-        e.insert(col, j)
-    assert e.contains(b) == solvable
-    assert all(e.contains(col) for col in cols)
+    for col in cols:
+        e.insert(col)
+    assert all(e.insert(col) == {} for col in cols) and e.rank == rank
+    assert (e.insert(b) == {}) == solvable
 
 
 def sympy_rank(vectors, nrows):
@@ -129,8 +131,8 @@ def test_reduce_follows_fill_in_to_later_pivots():
     e = Eliminator(QQ)
     assert e.insert({0: 1, 1: 1}, "a") is None
     assert e.insert({1: 1}, "b") is None
-    assert e.contains({0: 1})
-    assert not e.contains({2: 1})
+    assert e.insert({0: 1}, "c") == {"c": 1, "a": -1, "b": 1}
+    assert e.insert({2: 1}, "d") is None and e.rank == 3
     assert kernel_basis([{0: 1, 1: 1}, {1: 1}, {0: 1}], QQ) == [{2: 1, 0: -1, 1: 1}]
 
 
@@ -139,11 +141,11 @@ def test_untagged_inserts_keep_no_history():
     assert e.insert({0: 1, 1: 2}, "a") is None
     assert e.insert({1: 1}) is None
     assert e.insert({0: 3, 1: 5}) == {}
-    assert e.rank == 2 and e.contains({0: 1})
+    assert e.insert({0: 1}) == {} and e.rank == 2
     with pytest.raises(ValueError):
         e.insert({2: 1}, "b")
     with pytest.raises(ValueError):
-        e.reduce({0: 1}, "c")
+        e.insert({0: 1}, "c")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +228,11 @@ def oracle_solve(columns, b, field):
     return {key[1]: field.neg(c) for key, c in hist.items() if key != ("rhs",)}
 
 
+def at_tag_one(dep, tag, field):
+    """A dependency divided by its entry at tag, integral values as ints."""
+    return {k: field.div(v, dep[tag]) for k, v in dep.items()}
+
+
 def same(got, want):
     """Equal values in the same key order, integral values as ints."""
     if want is None or got is None:
@@ -270,18 +277,21 @@ def check_against_oracle(seq, probe, field):
             with pytest.raises(ValueError):
                 e.insert(vec, tag)
             continue
-        assert same(e.insert(vec, tag), want)
+        got = e.insert(vec, tag)
+        assert same(at_tag_one(got, tag, field) if got else got, want)
         assert e.rank == len(o.rows)
-        for t in (None, "probe") if not o.untagged else (None,):
-            got_res, got_hist = e.reduce(probe, t)
-            want_res, want_hist = o.reduce(probe, t)
-            assert same(got_res, want_res) and same(got_hist, want_hist)
-        assert e.contains(probe) == (not o.reduce(probe)[0])
+        # the probe, tagged and untagged, into copies that it may extend
+        assert (copy.deepcopy(e).insert(probe) == {}) == (not o.reduce(probe)[0])
+        if not o.untagged:
+            residual, hist = o.reduce(probe, "probe")
+            got = copy.deepcopy(e).insert(probe, "probe")
+            want = None if residual else hist
+            assert same(got if got is None else at_tag_one(got, "probe", field), want)
     cols = [vec for vec, _ in seq]
     kernel = kernel_basis(cols, field)
     want = oracle_kernel(cols, field)
     assert len(kernel) == len(want) and all(same(k, w) for k, w in zip(kernel, want))
-    assert same(solve_columns(cols, range(len(cols)), probe, field), oracle_solve(cols, probe, field))
+    assert same(solve_columns(cols, probe, field), oracle_solve(cols, probe, field))
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,26 +307,37 @@ def test_gf7_eliminator_matches_pivot_minus_one_oracle(data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(insert_sequences(QQ, big_entries, st.fractions(-5, 5, max_denominator=6)))
-def test_integral_dependencies_are_primitive_multiples(data):
-    """integral=True changes only the dependencies an insert returns over
-    QQ: each is the primitive int vector, positive at its tag, on the line
-    of the rational one."""
-    seq, _ = data
-    e, i = Eliminator(QQ), Eliminator(QQ, integral=True)
+@given(
+    st.sampled_from([QQ, F7]).flatmap(
+        lambda field: st.tuples(
+            st.just(field),
+            insert_sequences(QQ, big_entries, st.fractions(-5, 5, max_denominator=6))
+            if field == QQ
+            else insert_sequences(F7, f7_entries, st.integers(0, 6)),
+        )
+    )
+)
+def test_a_dependency_is_an_int_vector_positive_at_its_tag(data):
+    """Every tagged dependency is an int vector with a positive tag entry:
+    primitive over QQ, with tag entry 1 over GF(7).  Scaled to tag entry 1
+    it is the oracle's."""
+    field, (seq, _) = data
+    e, o = Eliminator(field), OracleEliminator(field)
     for j, (vec, tagged) in enumerate(seq):
         tag = j if tagged else None
         try:
-            want = e.insert(vec, tag)
+            want = o.insert(vec, tag)
         except ValueError:
             with pytest.raises(ValueError):
-                i.insert(vec, tag)
+                e.insert(vec, tag)
             continue
-        got = i.insert(vec, tag)
+        got = e.insert(vec, tag)
         if not want:  # None, or {} without a tag
             assert got == want
             continue
-        assert want[tag] == 1 and list(got) == list(want)
-        assert all(type(v) is int for v in got.values())
-        assert got[tag] > 0 and gcd(*got.values()) == 1
-        assert all(got[k] == want[k] * got[tag] for k in want)
+        assert all(type(v) is int for v in got.values()) and got[tag] > 0
+        if field.char:
+            assert got[tag] == 1
+        else:
+            assert gcd(*got.values()) == 1
+        assert same(at_tag_one(got, tag, field), want)

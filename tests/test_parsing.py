@@ -29,6 +29,10 @@ def test_parse_ring_variants():
         parse_ring("ZZ[x]")
     with pytest.raises(ParseError):
         parse_ring("QQ[]")
+    # a modulus must be a prime in 2..2^31; F0 is not QQ
+    for bad in ("F4[x,y]", "F1[x,y]", "F0[x,y]", "F4294967311[x,y]"):
+        with pytest.raises(ParseError, match="bad ring declaration"):
+            parse_ring(bad)
 
 
 def test_fixture_files_round_trip():
