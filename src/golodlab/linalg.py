@@ -6,10 +6,10 @@ without integer reindexing.  `axpy` is the one sparse accumulate kernel:
 every "add a multiple of one vector into another, dropping zeros" in the
 package goes through it, except `resolution._shift_by_var`, a deliberate
 inlined copy that multiplies by a variable without building a vector per
-term: its keys are packed ints, and each term moves its key by an offset
-read from a table of x_v times the packed standard monomials.  It serves
-the resolution of k over quotients that are not monomial only; over a
-monomial quotient a column's image is a restricted scalar row.
+term: its keys are negated packed ints, and each term moves its key by an
+offset read from a table of x_v times the packed standard monomials.  It
+serves the resolution of k over quotients that are not monomial only; over
+a monomial quotient a column's image is a restricted scalar row.
 
 The Eliminator keeps its rows in echelon form with combination tracking.
 `insert` is its one operation: inserting a vector either extends the basis

@@ -5,18 +5,17 @@ quotient A = R/I one homological step at a time, on the standard-monomial
 basis of A, with one elimination per slice of each step.  At step s, the
 columns m * g_t of F_s in a slice, g_t a generator found in a lower degree,
 are mapped to F_{s-1}.  Their images span that slice of
-(x_1..x_n) * ker d_{s-1}, so the kernel vectors of d_{s-1}, inserted after
-them, extend the basis exactly when they are minimal generators of F_s.
-By exactness the dependencies among the same images are ker d_s in the
-slice, which step s+1 reads as its kernel vectors, so no kernel is computed
-twice.  A column whose image is zero is its own dependency and is never
-eliminated.
+(x_1..x_n) * ker d_{s-1}, so the kernel vectors of d_{s-1} that complement
+them are minimal generators of F_s.  By exactness the dependencies among
+the same images are ker d_s in the slice, which step s+1 reads as its
+kernel vectors, so no kernel is computed twice.  A column whose image is
+zero is its own dependency and is never eliminated.
 
 Monomial quotients are sliced by multidegree.  Every multidegree piece of
 A is at most one-dimensional, so in slice g the column of generator t is
 x^(g - grade_t) * g_t, and a vector of F_s in the slice is keyed by
 generator index alone.  Each generator keeps its differential as a scalar
-row {t': c}; the image of column t in slice g is that row kept at the t'
+row {t': c}; the image of column t in slice g is {-t': c} over the t'
 for which g - grade_t' is a standard monomial.  Slices are independent, so
 a step visits only the slices the multigraded Golod bound allows (below).
 Multidegrees are packed into ints, big-endian in a base B above every
@@ -25,14 +24,14 @@ grades add as ints, and sorted ints are in (degree, exponent tuple) order.
 Every other quotient is sliced by total degree; a column's image there is
 x_v times the image of the column one degree lower, x_v the first variable
 of its monomial, so every degree from the lowest up is visited.  A column
-m * g_t of F_s, and an entry m' * g_t' of F_{s-1}, is keyed by the int
-t * U + pack(m): pack is the Multidegrees packing in a base above the top
-degree the bigraded bound reaches, and U the first place above every
-packed monomial.  Within a slice the monomials paired with one generator
-share a degree, and packed monomials of one degree sort as their exponent
-tuples, so the ints sort as the (t, m) pairs and every pivot is where
-tuple keys put it.  The normal form of x_v * m is kept per packed standard
-monomial m as key offsets and coefficients, so a shift adds ints to keys.
+m * g_t of F_s is keyed by the int t * U + pack(m), and an entry m' * g_t'
+of F_{s-1} in an image by minus that int: pack is the Multidegrees packing
+in a base above the top degree the bigraded bound reaches, and U the first
+place above every packed monomial.  Within a slice the monomials paired
+with one generator share a degree, and packed monomials of one degree sort
+as their exponent tuples, so the ints sort as the (t, m) pairs, in the
+order the columns are inserted.  The normal form of x_v * m is kept per
+packed standard monomial m as the key offsets a shift moves keys by.
 In both walks the Eliminator returns each QQ dependency as a primitive int
 vector: a nonzero multiple of a kernel vector is one, and a generator
 scaled by a unit changes no count.  So the kernel vectors and generator
@@ -40,14 +39,19 @@ images the steps hand on carry no Fraction; only a normal form with
 fractional coefficients brings one into a column's image, and the
 Eliminator clears it on insertion.
 
-The images lie in ker d_{s-1}, so a slice with kernel basis kvecs has
-exactly len(kvecs) - rank new generators.  Kernel vectors are inserted in
-order only until that many have extended the basis; once the number still
-needed equals the number left, the rest are taken without elimination.
-The generators are those a full insertion would choose.  A negative count
-means an image left the kernel and raises InconsistencyError, a free
-exactness check in every slice where the previous step recorded the
-kernel.  Elsewhere no kernel was recorded, so the count is not checked.
+The new generators are read off the pivots.  Each kernel vector is kept
+with its tag, the column whose insert returned it ({col: 1} for a zero
+image).  Columns are inserted in increasing order, so the dependency d_c
+lies on c and smaller columns, and the largest column of sum a_c d_c is
+the largest tag with a_c != 0.  Image entries are keyed by negated
+columns, so a pivot, the Eliminator's smallest key, is a row's largest
+column: a negated tag, since the images lie in ker d_{s-1}.  With the d_c
+at the tags that are not pivots the rows form a triangular basis of the
+slice's kernel, so those d_c, len(kvecs) - rank of them, are the new
+generators.  Where the previous step recorded the kernel, a pivot that
+tags no kernel vector (as any rank above its dimension forces) means an
+image left the kernel and raises InconsistencyError, a free exactness
+check; elsewhere the slice has no kernel vector and no new generator.
 
 serre_bound expands (1+t)^n / (1 - sum_{i>=1} dim_k H_i(K^A) t^{i+1}), as
 the totals of the same expansion kept graded in an auxiliary marker: the
@@ -95,7 +99,7 @@ __all__ = [
 ]
 
 # Eliminator inserts that one poincare_coeffs call may make, over all its
-# steps; every corpus job needs far fewer (at most about 25,000)
+# steps; every corpus job needs far fewer (at most about 17,700)
 POINCARE_BUDGET = 200_000
 
 
@@ -279,7 +283,7 @@ class _MonomialSlices:
                         if hit is None:
                             hit = ok[a] = g - a in std[j - e]
                         if hit:
-                            img[u] = c
+                            img[-u] = c
                     if img:
                         images[t] = img
             n = len(gens)
@@ -291,7 +295,7 @@ class _MonomialSlices:
 class _Times(dict):
     """x_v times each packed standard monomial m, as the terms
     ((pack(m2) - m, c2), ...) of its normal form, each built on first use:
-    a key k = t * U + m moves to k + (pack(m2) - m)."""
+    an image key k = -(t * U + m) moves to k - (pack(m2) - m)."""
 
     def __init__(self, quot, grades, v):
         super().__init__()
@@ -304,13 +308,13 @@ class _Times(dict):
 
 
 def _shift_by_var(vec: dict, times: _Times, U: int, p: int) -> dict:
-    """x_v * vec, with times the _Times of x_v, accumulated term by term as
-    axpy would, without building a vector per term."""
+    """x_v * vec, vec an image keyed by negated ints and times the _Times of
+    x_v, accumulated term by term as axpy would, without a vector per term."""
     out = {}
     get, pop = out.get, out.pop
     for k, c in vec.items():
-        for d, c2 in times[k % U]:
-            k2 = k + d
+        for d, c2 in times[-k % U]:
+            k2 = k - d
             if p:
                 s = (get(k2, 0) + c * c2) % p
             else:
@@ -326,9 +330,9 @@ def _shift_by_var(vec: dict, times: _Times, U: int, p: int) -> dict:
 
 class _DegreeSlices:
     """The slices of any other quotient, one per total degree, with column
-    images shifted up from the degree below.  The column m * g_t, and the
-    entry m * g_t of a vector, are keyed by the int t * U + pack(m), U the
-    first place above every packed monomial the walk meets."""
+    images shifted up from the degree below.  The column m * g_t is keyed by
+    the int t * U + pack(m), and the entry m * g_t of an image by minus it,
+    U the first place above every packed monomial the walk meets."""
 
     def __init__(self, quot, big):
         self.quot = quot
@@ -349,7 +353,7 @@ class _DegreeSlices:
     def found(self, t, vec):
         """Generator t of the current step has image vec: the column 1 * g_t,
         from which the columns one degree up shift."""
-        self.images[t * self.U] = vec
+        self.images[t * self.U] = {-k: c for k, c in vec.items()}
 
     def __call__(self, step, prev, gens, kernels):
         jmax, jnext = self.tops[step], self.tops[step + 1]
@@ -454,7 +458,7 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
         coefficients.append(len(gens))
 
     gens = [_Gen(0, 0)]  # generators of F_0; F_{-1} has none
-    kernels = {}  # slice grade -> kernel vectors of d_{step-1}
+    kernels = {}  # slice grade -> {tag: kernel vector of d_{step-1}}
 
     try:
         for step in range(N + 1):
@@ -463,36 +467,32 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
                 prev, gens = gens, []  # generators of F_step, found slice by slice
             new_kernels = {}
             for j, g, cols, images, track, check in slices(step, prev, gens, kernels):
-                kvecs = kernels.pop(g, ())
+                kvecs = kernels.pop(g, {})
                 if not (track or kvecs):
                     continue
                 elim = Eliminator(field_)
-                deps = []
+                deps = {}  # tag -> the dependency its insert returned
                 for col in cols:
                     img = images.get(col)
                     if img:
                         dep = insert(elim, img, col if track else None)
                         if track and dep is not None:
-                            deps.append(dep)
+                            deps[col] = dep
                     elif track:
-                        deps.append({col: one_c})
+                        deps[col] = {col: one_c}
                 if deps:
                     new_kernels[g] = deps
-                # the columns span (x_1..x_n) ker d_{step-1} in this slice,
-                # so the kernel vectors that extend it are minimal
-                # generators, exactly len(kvecs) - rank of them
-                need = len(kvecs) - elim.rank
-                if need < 0 and check:
+                # the images lie in ker d_{step-1}, so each pivot is a negated
+                # tag; the kernel vectors at the other tags complement them
+                if check and any(-p not in kvecs for p in elim.rows):
                     raise InconsistencyError(
                         "resolution of k not exact at step %d, degree %d, grade %s: "
-                        "the images have rank %d in a kernel of dimension %d"
+                        "the images have rank %d in a kernel of dimension %d, "
+                        "with a pivot that tags no kernel vector"
                         % (step, j, slices.label(g), elim.rank, len(kvecs))
                     )
-                for i, vec in enumerate(kvecs):
-                    if need <= 0:
-                        break
-                    if need == len(kvecs) - i or insert(elim, vec) is None:
-                        need -= 1
+                for c, vec in kvecs.items():
+                    if -c not in elim.rows:
                         slices.found(len(gens), vec)
                         gens.append(_Gen(j, g))
             kernels = new_kernels

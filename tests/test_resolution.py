@@ -2,6 +2,7 @@
 bound, the work budget, and agreement with a straightforward stepwise
 resolution kept here as an oracle."""
 
+import re
 from math import comb
 
 import pytest
@@ -34,6 +35,8 @@ from golodlab.rings import mono_deg
 from conftest import random_homogeneous_ideal, random_monomial_ideal, seeded
 
 F32003 = GF(32003)
+# the oracle comparisons draw every field kind, small characteristic included
+FIELDS = st.sampled_from([QQ, GF(2), GF(3), F32003])
 
 
 def quotient(text, field=QQ):
@@ -212,16 +215,16 @@ def _monomial_quotient(rng, nvars, field=QQ):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5), prime=st.booleans())
-def test_monomial_quotients_match_oracle(seed, N, prime):
+@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5), field=FIELDS)
+def test_monomial_quotients_match_oracle(seed, N, field):
     rng = seeded(seed)
-    _compare(_monomial_quotient(rng, rng.randint(1, 3), F32003 if prime else QQ), N)
+    _compare(_monomial_quotient(rng, rng.randint(1, 3), field), N)
 
 
 @settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 4), prime=st.booleans())
-def test_four_variable_monomial_quotients_match_oracle(seed, N, prime):
-    _compare(_monomial_quotient(seeded(seed), 4, F32003 if prime else QQ), N)
+@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 4), field=FIELDS)
+def test_four_variable_monomial_quotients_match_oracle(seed, N, field):
+    _compare(_monomial_quotient(seeded(seed), 4, field), N)
 
 
 @settings(max_examples=25, deadline=None)
@@ -310,10 +313,10 @@ def test_serre_bound_is_the_bound_poincare_coeffs_reports():
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5), prime=st.booleans())
-def test_graded_quotients_match_oracle(seed, N, prime):
+@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5), field=FIELDS)
+def test_graded_quotients_match_oracle(seed, N, field):
     rng = seeded(seed)
-    ring = PolyRing(("x", "y", "z"), F32003 if prime else QQ)
+    ring = PolyRing(("x", "y", "z"), field)
     gens = random_homogeneous_ideal(rng, ring, max_deg=2, n_gens=3)
     if not gens:
         return
@@ -403,23 +406,26 @@ def test_default_length_matches_oracle(text, field):
     _compare(quotient(text, field), 8)
 
 
-def test_inserts_only_nonzero_vectors_and_stops_at_the_rank(monkeypatch):
-    """Zero images are recorded without elimination, and each slice inserts
-    kernel vectors only until its count of new generators is met."""
+def test_inserts_only_nonzero_column_images(monkeypatch):
+    """Every insert is a nonzero column image, keyed by negated columns:
+    zero images are recorded without elimination, and no kernel vector is
+    inserted, since the new generators are read off the pivots."""
     quot = quotient(GORENSTEIN3)
     quotient_betti(quot)  # its strands insert zero columns of their own
 
-    sizes = []
+    sizes, tops = [], []
     insert = Eliminator.insert
 
     def counting(self, vec, tag=None):
         sizes.append(len(vec))
+        tops.append(max(vec, default=0))
         return insert(self, vec, tag)
 
     monkeypatch.setattr(Eliminator, "insert", counting)
     P = poincare_coeffs(quot, 8)
     assert P.coefficients == (1, 3, 8, 21, 55, 144, 377, 987, 2584)
     assert 0 not in sizes
+    assert max(tops) <= 0  # a kernel vector is keyed by positive tags
     # inserting every column image and kernel vector took 19887
     assert len(sizes) == 5767
 
@@ -427,9 +433,10 @@ def test_inserts_only_nonzero_vectors_and_stops_at_the_rank(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
 def test_degree_walk_insert_count(field, monkeypatch):
     """The walk by total degree on four cubics, keyed by packed ints and,
-    over QQ, handing on integral kernel vectors: the same eliminations as
-    (generator, monomial) keys with rational kernel vectors, in both
-    fields."""
+    over QQ, handing on integral kernel vectors, makes the same inserts in
+    both fields.  Inserting kernel vectors until each slice's count of new
+    generators was met, in place of reading them off the pivots, took
+    25116."""
     quot = quotient(TCF_CUBICS, field)
     assert not quot.is_monomial
     quotient_betti(quot)
@@ -445,13 +452,15 @@ def test_degree_walk_insert_count(field, monkeypatch):
     monkeypatch.setattr(Eliminator, "insert", counting)
     P = poincare_coeffs(quot, 8)
     assert P.coefficients == P.bound == (1, 3, 7, 17, 41, 99, 239, 577, 1393)
-    assert calls[0] == 25116
+    assert calls[0] == 17728
     assert values == {int}  # the reduced basis has 2/3, yet no kernel vector a Fraction
 
 
 def test_monomial_walk_insert_count(monkeypatch):
     """Slices keyed by generator, visited only where the multigraded bound
-    is nonzero.  The walk by total degree made 12829 inserts here."""
+    is nonzero.  The walk by total degree made 12829 inserts here, and
+    inserting kernel vectors until each slice's count of new generators
+    was met, in place of reading them off the pivots, 6220."""
     quot = quotient("x^2, x*y, y^3, y*z^2")
     quotient_betti(quot)
     calls = [0]
@@ -464,7 +473,7 @@ def test_monomial_walk_insert_count(monkeypatch):
     monkeypatch.setattr(Eliminator, "insert", counting)
     P = poincare_coeffs(quot, 8)
     assert P.coefficients == (1, 3, 7, 17, 41, 99, 239, 577, 1393)
-    assert calls[0] == 6220
+    assert calls[0] == 4277
 
 
 def test_a_lowered_multigraded_coefficient_breaks_the_serre_check(monkeypatch):
@@ -521,3 +530,42 @@ def test_a_dropped_kernel_vector_breaks_exactness(monkeypatch):
     with pytest.raises(InconsistencyError, match=r"not exact at step 4, degree 5, grade \(1, 2, 2\)"):
         poincare_coeffs(quot, 4)
     assert dropped
+
+
+@pytest.mark.parametrize(
+    "text, walk",
+    [("x^2, x*y, y^3, y*z^2", resolution._MonomialSlices), (TCF_CUBICS, resolution._DegreeSlices)],
+    ids=["monomial", "total_degree"],
+)
+def test_an_image_outside_the_kernel_breaks_exactness(text, walk, monkeypatch):
+    """Take the first slice past step 1 that has column images and new
+    generators, so the images have rank below the kernel's dimension.  The
+    first nonzero image gets a term at a column beyond every tag and every
+    column it has, which becomes its pivot.  The rank grows by at most
+    one, so the pivot, not the count, shows the image left the kernel."""
+    grew, where = [], []
+    call = walk.__call__
+
+    def bent(self, step, prev, gens, kernels):
+        for item in call(self, step, prev, gens, kernels):
+            j, g, cols, images, _, check = item
+            n, dim, hit = len(gens), len(kernels.get(g, ())), any(c in images for c in cols)
+            if grew and grew[0] == (step, g):
+                col = next(c for c in cols if c in images)
+                img = images[col]
+                images[col] = {**img, min(min(img), -max(kernels[g])) - 1: 1}
+                where.append((step, j, self.label(g), dim))
+            yield item
+            if step >= 2 and check and hit and len(gens) > n:
+                grew.append((step, g))
+
+    monkeypatch.setattr(walk, "__call__", bent)
+    quot = quotient(text)
+    poincare_coeffs(quot, 5)
+    assert grew
+    with pytest.raises(InconsistencyError) as err:
+        poincare_coeffs(quot, 5)
+    step, j, grade, dim = where[0]
+    assert "not exact at step %d, degree %d, grade %s" % (step, j, grade) in str(err.value)
+    rank = int(re.search(r"rank (\d+) in a kernel of dimension %d" % dim, str(err.value))[1])
+    assert rank <= dim
