@@ -3,8 +3,31 @@ forms, initial ideals, and standard-monomial bases of quotient rings.
 
 Reduced Groebner bases are unique for (ideal, order), so downstream
 serialization and equality tests lean on that.
+
+Leading data.  A basis element's leading monomial and coefficient are found
+once: `GroebnerBasis.leads` holds (leading monomial, leading coefficient,
+element) for each member of the reduced basis, beside `lts`.  `buchberger`
+keeps the same list for its working basis and appends each S-pair
+remainder's entry, read off the remainder's first term, and `_interreduce`
+carries it to the final scaling.  The one reducer, `_reduce`, takes such a
+list; `normal_form(f, basis, order)` derives it once per call.
+
+Monomial normal forms.  Over a quotient that is not monomial,
+`QuotientRing.mult_var(i, m)` reads the normal form of x_i*m from a memo of
+monomial normal forms kept on the quotient.  A standard monomial is its own
+normal form.  Any other monomial mu is reduced once, by the first basis
+element g whose leading term divides mu, and is the combination of the
+memoized normal forms of the monomials of mu's tail, (mu / lt(g)) * (g -
+lt(g)) scaled.  Those monomials are smaller than mu, so an explicit stack
+resolves them with no recursion.  The fully reduced normal form modulo a
+Groebner basis is unique, so the memo's value equals what `normal_form`
+returns on the monomial, whatever reductions built it.  The memo stores its
+terms in descending term order, which is the order `_reduce` emits them in,
+so `mult_var` returns equal dicts in equal key order either way.
 """
 from __future__ import annotations
+
+from operator import le
 
 from .errors import UNIT_IDEAL, InputError
 from .koszul import KoszulComplex
@@ -23,133 +46,126 @@ from .rings import (
 )
 
 
-def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
-    """Fully reduced remainder of f modulo basis (every term reduced)."""
-    ring = f.ring
-    F = ring.field
-    lts = [(order.leading_mono(g), order.leading_coeff(g), g) for g in basis if not g.is_zero()]
+def _leads(basis, key) -> list:
+    """(leading monomial, leading coefficient, element) of each nonzero
+    member of basis, in basis order."""
+    out = []
+    for g in basis:
+        if g.terms:
+            m = max(g.terms, key=key)
+            out.append((m, g.terms[m], g))
+    return out
+
+
+def _shifted(terms: dict, q: Mono) -> dict:
+    return {mono_mul(t, q): c for t, c in terms.items()}
+
+
+def _reduce(p: dict, leads, key, F) -> dict:
+    """Fully reduced remainder of the terms p modulo the elements of leads,
+    each term reduced by the first element whose leading monomial divides
+    it.  p is consumed; the remainder's terms come in descending order."""
     rem = {}
-    p = dict(f.terms)
     while p:
-        m = max(p, key=order.key)
+        m = max(p, key=key)
         c = p[m]
-        for ltm, ltc, g in lts:
-            if mono_divides(ltm, m):
-                q = mono_div(m, ltm)
-                shifted = {mono_mul(t, q): v for t, v in g.terms.items()}
-                axpy(p, F.neg(F.div(c, ltc)), shifted, F)
+        for ltm, ltc, g in leads:
+            if all(map(le, ltm, m)):  # mono_divides, inlined in the hot loop
+                axpy(p, F.neg(F.div(c, ltc)), _shifted(g.terms, mono_div(m, ltm)), F)
                 break
         else:
             rem[m] = c
             del p[m]
-    return Polynomial(ring, rem)
+    return rem
+
+
+def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
+    """Fully reduced remainder of f modulo basis (every term reduced)."""
+    F = f.ring.field
+    return Polynomial(f.ring, _reduce(dict(f.terms), _leads(basis, order.key), order.key, F))
+
+
+def _s_terms(a, b, F) -> dict:
+    """The S-polynomial of the elements of two leads entries, as terms: two
+    accumulations into one dict."""
+    (la, ca, fa), (lb, cb, fb) = a, b
+    l = mono_lcm(la, lb)
+    s = axpy({}, F.inv(ca), _shifted(fa.terms, mono_div(l, la)), F)
+    return axpy(s, F.neg(F.inv(cb)), _shifted(fb.terms, mono_div(l, lb)), F)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    F = f.ring.field
-    lf, lg = order.leading_mono(f), order.leading_mono(g)
-    cf, cg = f.terms[lf], g.terms[lg]
-    l = mono_lcm(lf, lg)
-    return f.mono_shift(mono_div(l, lf)).scale(F.inv(cf)) - g.mono_shift(
-        mono_div(l, lg)
-    ).scale(F.inv(cg))
+    return Polynomial(f.ring, _s_terms(*_leads((f, g), order.key), f.ring.field))
 
 
-def _gm_update(pairs, lts, h, order):
-    """Gebauer-Moeller: returns the surviving pair set after generator h
-    joins.  pairs is a set of (i, j) index pairs, i < j < h."""
+def _gm_update(pairs: dict, lts, h: int, key) -> dict:
+    """Gebauer-Moeller: the pairs that survive generator h joining.  pairs
+    maps each index pair (i, j), i < j < h, to (key(lcm), (i, j), lcm), so
+    the smallest value is the next pair to reduce."""
     lth = lts[h]
+    with_h = [mono_lcm(lt, lth) for lt in lts[:h]]
+    out = {}
+    for (i, j), entry in pairs.items():
+        l = entry[2]
+        if mono_divides(lth, l) and with_h[i] != l and with_h[j] != l:
+            continue
+        out[i, j] = entry
     cand = {}
-    for i in range(h):
-        l = mono_lcm(lts[i], lth)
+    for i, l in enumerate(with_h):
         cand.setdefault(l, []).append(i)
-    # keep only lcm-minimal groups
-    lcms = list(cand.keys())
-    minimal = [
-        l
-        for l in lcms
-        if not any(l2 != l and mono_divides(l2, l) for l2 in lcms)
-    ]
-    new_pairs = set()
-    for l in sorted(minimal, key=order.key):
-        group = cand[l]
+    for l, group in cand.items():
+        # keep only lcm-minimal groups
+        if any(l2 != l and mono_divides(l2, l) for l2 in cand):
+            continue
         # product criterion kills the whole lcm class
         if any(mono_mul(lts[i], lth) == l for i in group):
             continue
-        new_pairs.add((min(group), h))
-    survivors = set()
-    for (i, j) in pairs:
-        l = mono_lcm(lts[i], lts[j])
-        if (
-            mono_divides(lth, l)
-            and mono_lcm(lts[i], lth) != l
-            and mono_lcm(lts[j], lth) != l
-        ):
-            continue
-        survivors.add((i, j))
-    return survivors | new_pairs
+        out[group[0], h] = (key(l), (group[0], h), l)
+    return out
 
 
 def buchberger(gens, order: TermOrder):
     """Return the reduced Groebner basis (monic, sorted by leading term)."""
-    work = [g for g in gens if not g.is_zero()]
-    if not work:
+    key = order.key
+    leads = _leads(gens, key)
+    if not leads:
         return ()
-    ring = work[0].ring
+    ring = leads[0][2].ring
     F = ring.field
-    G = []
     lts = []
-    pairs = set()
-    for g in work:
-        G.append(g)
-        lts.append(order.leading_mono(g))
-        pairs = _gm_update(pairs, lts, len(G) - 1, order)
+    pairs = {}
+    for h, (lt, _, _) in enumerate(leads):
+        lts.append(lt)
+        pairs = _gm_update(pairs, lts, h, key)
     while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(mono_lcm(lts[p[0]], lts[p[1]])), p))
-        pairs.discard((i, j))
-        s = s_polynomial(G[i], G[j], order)
-        r = normal_form(s, G, order)
-        if not r.is_zero():
-            G.append(r)
-            lts.append(order.leading_mono(r))
-            pairs = _gm_update(pairs, lts, len(G) - 1, order)
-    return _interreduce(G, order)
+        _, (i, j), _ = min(pairs.values())
+        del pairs[i, j]
+        r = _reduce(_s_terms(leads[i], leads[j], F), leads, key, F)
+        if r:
+            lt = next(iter(r))
+            leads.append((lt, r[lt], Polynomial(ring, r)))
+            lts.append(lt)
+            pairs = _gm_update(pairs, lts, len(lts) - 1, key)
+    return _interreduce(leads, key, F)
 
 
-def _interreduce(G, order):
-    # drop members whose leading term another member's leading term divides
-    lts = [order.leading_mono(g) for g in G]
-    keep = []
-    for i in range(len(G)):
-        if any(
-            j != i
-            and mono_divides(lts[j], lts[i])
-            and (lts[j] != lts[i] or j < i)
-            for j in range(len(G))
-        ):
+def _interreduce(leads, key, F):
+    """The reduced basis from the leads of a Groebner basis.
+
+    Walking the members by ascending leading term, a member whose leading
+    term a kept one divides is dropped (among equal leading terms the first
+    member is kept), and the rest is reduced by the kept ones.  Only
+    earlier members can divide a term below a member's leading term, so one
+    pass reduces every member fully; a member with nothing to reduce keeps
+    its own term order.  Each is then scaled monic by its leading
+    coefficient."""
+    basis = []
+    for lt, c, g in sorted(leads, key=lambda a: key(a[0])):
+        if any(all(map(le, b[0], lt)) for b in basis):
             continue
-        keep.append(i)
-    basis = [G[i] for i in keep]
-    F = basis[0].ring.field if basis else None
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            r = normal_form(basis[i], others, order)
-            if r.terms != basis[i].terms:
-                if r.is_zero():
-                    basis.pop(i)
-                else:
-                    basis[i] = r
-                changed = True
-                break
-    out = []
-    for g in basis:
-        c = order.leading_coeff(g)
-        out.append(g.scale(F.inv(c)))
-    out.sort(key=lambda g: order.key(order.leading_mono(g)))
-    return tuple(out)
+        r = _reduce(dict(g.terms), basis, key, F)
+        basis.append((lt, c, g if r == g.terms else Polynomial(g.ring, r)))
+    return tuple(g.scale(F.inv(c)) for _, c, g in basis)
 
 
 class GroebnerBasis:
@@ -165,12 +181,14 @@ class GroebnerBasis:
                 raise InputError("generator from a different ring")
         self.gens = buchberger(gens, order) if reduce else tuple(gens)
         self.lts = tuple(order.leading_mono(g) for g in self.gens)
+        self.leads = tuple((m, g.terms[m], g) for m, g in zip(self.lts, self.gens))
         self._initial_ideal = None
         self._quotient = None
         self._initial_quotient = None
 
     def nf(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.gens, self.order)
+        F = self.ring.field
+        return Polynomial(self.ring, _reduce(dict(f.terms), self.leads, self.order.key, F))
 
     def initial_ideal(self) -> MonomialIdeal:
         if self._initial_ideal is None:
@@ -185,10 +203,14 @@ class GroebnerBasis:
     def initial_quotient(self) -> "QuotientRing":
         """R/in(I).  The minimal monomial generators of in(I) are a reduced
         basis for any order, so no Buchberger pass is run; the quotient is
-        that basis's own `quotient()`."""
+        that basis's own `quotient()`.  A basis of monomials spans in(I)
+        itself, so its R/in(I) is R/I, and one table serves both."""
         if self._initial_quotient is None:
-            gb = GroebnerBasis(self.ring, self.order, self.initial_ideal().polys(), reduce=False)
-            self._initial_quotient = gb.quotient()
+            if all(g.is_monomial() for g in self.gens):
+                self._initial_quotient = self.quotient()
+            else:
+                gb = GroebnerBasis(self.ring, self.order, self.initial_ideal().polys(), reduce=False)
+                self._initial_quotient = gb.quotient()
         return self._initial_quotient
 
     def __eq__(self, other):
@@ -211,7 +233,7 @@ class QuotientRing:
     every command that needs R/I: the Koszul, Betti, Massey and resolution
     layers all take a quotient.  Multiplication is by normal form and
     memoized, since the Koszul and resolution strands hit the same products
-    constantly.  It owns its Koszul complex and its Betti table (kept by
+    constantly; the normal forms of monomials are memoized beneath it.  It owns its Koszul complex and its Betti table (kept by
     `koszul.quotient_betti`).
     """
 
@@ -225,6 +247,7 @@ class QuotientRing:
         self.field = gb.ring.field
         self._std = {}
         self._mult = {}
+        self._mono_nf = {}
         self.is_monomial = all(g.is_monomial() for g in gb.gens)
         self._koszul = None
         self._betti = None
@@ -254,16 +277,49 @@ class QuotientRing:
         return any(mono_divides(l, m) for l in self.gb.lts)
 
     def mult_var(self, i: int, m: Mono) -> dict:
-        """x_i * m as {std monomial: coef} in the quotient."""
+        """x_i * m as {std monomial: coef} in the quotient, in descending
+        term order."""
         key = (i, m)
         if key not in self._mult:
             prod = mono_mul(self.ring.unit_mono(i), m)
             if self.is_monomial:
                 self._mult[key] = {} if self.contains_mono(prod) else {prod: self.field.one}
             else:
-                r = self.nf(self.ring.monomial(prod))
-                self._mult[key] = dict(r.terms)
+                self._mult[key] = self._normal_form_of(prod)
         return self._mult[key]
+
+    def _normal_form_of(self, mu: Mono) -> dict:
+        """The normal form of the monomial mu, through the memo of monomial
+        normal forms (see the module docstring).  A monomial whose tail
+        monomials are not all memoized yet waits on the stack under them
+        and is reduced again once they are."""
+        memo, leads, F = self._mono_nf, self.gb.leads, self.field
+        key = self.gb.order.key
+        stack = [mu]
+        while stack:
+            m = stack[-1]
+            if m in memo:
+                stack.pop()
+                continue
+            for ltm, ltc, g in leads:
+                if all(map(le, ltm, m)):
+                    break
+            else:
+                memo[m] = {m: F.one}
+                stack.pop()
+                continue
+            q = mono_div(m, ltm)
+            tail = [(mono_mul(t, q), c) for t, c in g.terms.items() if t != ltm]
+            todo = [t for t, _ in tail if t not in memo]
+            if todo:
+                stack += todo
+                continue
+            acc = {}
+            for t, c in tail:
+                axpy(acc, F.neg(F.div(c, ltc)), memo[t], F)
+            memo[m] = {t: acc[t] for t in sorted(acc, key=key, reverse=True)}
+            stack.pop()
+        return memo[mu]
 
     def mult_mono(self, a: Mono, m: Mono) -> dict:
         """a * m in the quotient, a an arbitrary monomial."""

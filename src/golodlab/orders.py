@@ -38,9 +38,6 @@ class TermOrder:
             raise InputError("leading term of the zero polynomial")
         return max(f.terms, key=self.key)
 
-    def leading_coeff(self, f):
-        return f.terms[self.leading_mono(f)]
-
     def descriptor(self, ring: PolyRing) -> str:
         chain = ">".join(ring.names[i] for i in self.priority)
         if self.kind in ("lex", "grevlex"):

@@ -8,6 +8,7 @@ object and nothing mutates .terms after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, sub
 
 from .errors import InputError, RingMismatchError
 from .fields import QQ, Field
@@ -16,19 +17,19 @@ from .linalg import axpy
 Mono = tuple  # exponent tuple
 
 
-# monomial helpers
+# monomial helpers; map over operator functions runs the per-slot loop in C
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
     # caller guarantees b | a
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:

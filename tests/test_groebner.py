@@ -1,6 +1,7 @@
 """Buchberger engine: normal forms, basis laws, the worked lex example."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from golodlab import (
+    GF,
     QQ,
     GroebnerBasis,
     MonomialIdeal,
@@ -16,6 +18,7 @@ from golodlab import (
     grevlex,
     lex,
     parse_poly,
+    weight_order,
 )
 from golodlab.groebner import normal_form, s_polynomial
 from golodlab.monomial import display_sorted
@@ -218,3 +221,61 @@ def test_buchberger_matches_sympy_groebner(gens, order_name):
     ref = sympy.groebner(exprs, *syms, order=order_name, domain="QQ")
     want = [{m: Fraction(int(c.p), int(c.q)) for m, c in p.terms()} for p in ref.polys]
     assert _canonical([g.terms for g in gb.gens]) == _canonical(want)
+
+
+@st.composite
+def graded_quotients(draw):
+    """R/I for one to three homogeneous generators of degree 1 to 3 in 3 or
+    4 variables, over QQ, GF(2) or GF(32003), under lex, grevlex or a
+    weight order."""
+    nvars = draw(st.integers(3, 4))
+    field = draw(st.sampled_from([QQ, GF(2), GF(32003)]))
+    ring = PolyRing(tuple("x%d" % i for i in range(nvars)), field)
+    kind = draw(st.sampled_from(["lex", "grevlex", "weight"]))
+    if kind == "weight":
+        order = weight_order(ring, draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars)))
+    else:
+        order = {"grevlex": grevlex, "lex": lex}[kind](ring)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = list(monomials_of_degree(nvars, draw(st.integers(1, 3))))
+        support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+        f = ring.from_terms({m: draw(st.integers(-4, 4).filter(bool)) for m in support})
+        if not f.is_zero():
+            gens.append(f)
+    return QuotientRing(GroebnerBasis(ring, order, gens)) if gens else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_quotients())
+def test_mult_var_memo_matches_normal_form(quot):
+    """The memo of monomial normal forms returns what normal_form returns
+    on x_i*m, term for term and in the same order; high degrees go first so
+    that they start from an empty memo."""
+    if quot is None:
+        return
+    gb, ring = quot.gb, quot.ring
+    for d in range(4, -1, -1):
+        for m in quot.std_monomials(d):
+            for i in range(ring.nvars):
+                prod = ring.monomial(m) * ring.var(i)
+                want = normal_form(prod, gb.gens, gb.order)
+                assert list(quot.mult_var(i, m).items()) == list(want.terms.items())
+
+
+def test_monomial_normal_forms_need_no_recursion():
+    """x - y under lex takes x^k to y^k through a chain of k reductions;
+    the chain is longer than the whole recursion limit."""
+    ring = PolyRing(("x", "y"), QQ)
+    quot = GroebnerBasis(ring, lex(ring), [parse_poly("x - y", ring)]).quotient()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    k = 10 * (depth + 50)
+    sys.setrecursionlimit(depth + 50)
+    try:
+        got = quot.mult_var(0, (k - 1, 0))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == {(0, k): 1}

@@ -1,8 +1,8 @@
-"""Derived objects are built once per job: each quotient's Betti table and
-each (order, generators) Groebner basis, and the polarization transfer
-checks the construction it relies on."""
+"""Derived objects are built once per job: each monomial ideal's Betti
+table, each other quotient's Betti table and each (order, generators)
+Groebner basis, and the polarization transfer checks the construction it
+relies on."""
 
-import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -14,10 +14,13 @@ from golodlab import (
     LadderMatrix,
     MonomialIdeal,
     analyzer,
+    diagonal_order,
     golod_certificate,
     grevlex,
     groebner,
     koszul,
+    lex,
+    maximal_minors,
     parse_ideal_text,
     parse_poly,
     verify_sparse_theorems,
@@ -40,14 +43,8 @@ def builds(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    def tabulated(_I, *_):
-        # taylor_betti sees only the monomial ideal; its caller,
-        # quotient_betti(quot), names the quotient whose table it builds
-        # (several orders of the minors share one initial ideal)
-        quot = sys._getframe(2).f_locals["quot"]
-        return (quot.gb.order, quot.gb.gens)
-
-    count(koszul, "taylor_betti", tabulated)
+    # a monomial quotient's table depends on its ideal alone
+    count(koszul, "taylor_betti", lambda I, *_: (I,))
     count(koszul, "koszul_betti", lambda quot, *_: (quot.gb.order, quot.gb.gens))
     count(groebner, "buchberger", lambda gens, order: (order, tuple(gens)))
     return counts
@@ -66,11 +63,21 @@ def test_golod_certificate_builds_each_table_and_basis_once(builds):
 
 
 def test_minors_battery_builds_each_table_and_basis_once(builds):
-    report = verify_sparse_theorems(LadderMatrix.generic(2, 3))
+    X = LadderMatrix.generic(2, 3)
+    report = verify_sparse_theorems(X)
     assert report["all_pass"] is True
     # fiber invariance takes its linear-resolution fast path: no Koszul table
     assert _engines(builds) == {"taylor_betti", "buchberger"}
     assert [key for key, n in builds.items() if n > 1] == []
+    # the diagonal order and lex with the identity priority sort alike: one
+    # Buchberger run serves both, and each order's entry is still reported
+    diag, lex_id = diagonal_order(X.ring, 2, 3), lex(X.ring)
+    minors = tuple(maximal_minors(X))
+    assert builds[("buchberger", diag, minors)] == 1
+    assert builds[("buchberger", lex_id, minors)] == 0
+    described = [entry["order"] for entry in report["orders"]]
+    assert described[0] == diag.descriptor(X.ring)
+    assert lex_id.descriptor(X.ring) in described
 
 
 def _golod_of(text):
