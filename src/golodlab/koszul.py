@@ -39,7 +39,6 @@ from typing import Optional
 from .betti import BettiTable
 from .errors import CapExceededError, InconsistencyError, InputError
 from .linalg import Eliminator, axpy, kernel_basis, rank_of, solve_columns
-from .monomial import lcm_lattice
 from .rings import mono_deg
 from .taylor import taylor_betti
 
@@ -366,31 +365,16 @@ def quotient_betti(quot) -> BettiTable:
 
 
 def koszul_betti(quot) -> BettiTable:
-    """Betti table of A = R/I over R, read off from Koszul strand homology
-    on A's own complex, so strands already built for A are reused.
-
-    A multigraded complex scans the multidegrees of its lcm lattice, which
-    makes it the test oracle for taylor_betti; any other graded quotient
-    scans the support of the table of R/in(I), which contains the support
-    of R/I's table by upper-semicontinuity of Betti numbers."""
+    """Betti table of a quotient A = R/I that is not monomial, read off
+    from Koszul strand homology on A's own complex, so strands already
+    built for A are reused.  It scans the support of the table of R/in(I),
+    which contains the support of R/I's table by upper-semicontinuity of
+    Betti numbers."""
     kz = quot.koszul()
-    entries = {(0, 0): 1}
-    multigraded = None
     if kz.multigraded:
-        multigraded = {(0, quot.ring.zero_mono()): 1}
-        strands = [
-            (i, alpha)
-            for alpha in lcm_lattice(quot.gb.lts)
-            for i in range(1, sum(1 for e in alpha if e >= 1) + 1)
-        ]
-    else:
-        strands = [s for s in quotient_betti(quot.gb.initial_quotient()).support() if s[0] >= 1]
-    for i, key in strands:
-        b = kz.betti_entry(i, key)
-        if not b:
-            continue
-        j = key if multigraded is None else mono_deg(key)
-        entries[(i, j)] = entries.get((i, j), 0) + b
-        if multigraded is not None:
-            multigraded[(i, key)] = b
-    return BettiTable(entries, multigraded=multigraded)
+        raise InputError("koszul_betti takes a quotient that is not monomial")
+    entries = {(0, 0): 1}
+    for i, j in quotient_betti(quot.gb.initial_quotient()).support():
+        if i >= 1:
+            entries[(i, j)] = kz.betti_entry(i, j)
+    return BettiTable(entries)

@@ -16,9 +16,14 @@ stored values on both sides.  Any other tuple has value 0 and a zero side
 at every cut, so its equation reads 0 = 0 identically.  There the first
 unsolvable equation is a nonzero product or Massey product.  The rainbow
 builder hands it the valid tuples of a rainbow monomial ideal and a closed
-form for the pairs; there an unsolvable equation is an inconsistency.
-MasseyTable.verify re-checks the stored and the candidate tuples, and the
-number of tuples a table covers at each length, kept in `counts`.
+form for the pairs; there an unsolvable equation is an inconsistency.  A
+tuple of labels is valid when the labels' variable bitmasks are pairwise
+disjoint and their union is the mask of a complete label.
+
+MasseyTable.verify recounts the tuples a table covers at each length, kept
+in `counts`, and re-checks equations: in a rainbow table those of every
+valid tuple, regrown from the keys, in a general table those of the stored
+and the candidate tuples.
 
 The loop is bounded by TUPLE_CAP, the number of tuples it visits over all
 lengths: the candidates for the general builder, the valid tuples for the
@@ -68,9 +73,9 @@ def eta(quot, label, drop: int) -> KoszulElement:
     return acc
 
 
-def is_complete_label(quot, label) -> bool:
-    """Every transversal of the label is a minimal generator of the ideal."""
-    gens = set(quot.gb.lts)
+def is_complete_label(quot, label, gens) -> bool:
+    """Every transversal of the label is in `gens`, the minimal generators
+    of the ideal."""
     n = quot.ring.nvars
     for choice in itertools.product(*label):
         m = [0] * n
@@ -79,14 +84,6 @@ def is_complete_label(quot, label) -> bool:
         if tuple(m) not in gens:
             return False
     return True
-
-
-def merge_labels(labels):
-    n = len(labels[0])
-    return tuple(
-        tuple(sorted(set().union(*(set(lab[i]) for lab in labels))))
-        for i in range(n)
-    )
 
 
 def complete_labels(quot, structure) -> list:
@@ -101,6 +98,7 @@ def complete_labels(quot, structure) -> list:
             raise CapExceededError(
                 "rainbow label search space %d exceeds cap %d" % (total, LABEL_CAP)
             )
+    gens = set(quot.gb.lts)
     out = []
     blocks_per_color = [
         [
@@ -111,7 +109,7 @@ def complete_labels(quot, structure) -> list:
         for c in classes
     ]
     for label in itertools.product(*blocks_per_color):
-        if is_complete_label(quot, label):
+        if is_complete_label(quot, label, gens):
             out.append(label)
     out.sort(key=lambda lab: (sum(len(b) for b in lab), lab))
     return out
@@ -124,38 +122,32 @@ def label_class(quot, label) -> KoszulElement:
     return eta(quot, label, len(label) - 1)
 
 
-def tuples_share_variables(lams) -> bool:
-    seen = set()
-    for lab in lams:
-        for block in lab:
-            for v in block:
-                if v in seen:
-                    return True
-                seen.add(v)
-    return False
-
-
-def is_valid_tuple(quot, lam) -> bool:
-    """A tuple of labels is valid when the product of their monomials is a
-    squarefree monomial that itself has a complete label: the labels are
-    pairwise variable-disjoint and the blockwise union is complete."""
-    if tuples_share_variables(lam):
-        return False
-    return is_complete_label(quot, merge_labels(list(lam)))
-
-
-def valid_tuples(quot, labels, shorter) -> list:
+def valid_tuples(labels, shorter) -> list:
     """The valid tuples one label longer than the valid tuples `shorter`,
-    in the order of `shorter`, then of `labels`.  Given all valid
-    (p-1)-tuples this is all valid p-tuples: every sub-tuple of a valid
-    tuple is valid, since its merged blocks are nonempty subsets of the full
-    merge's blocks, so its transversals are among the full merge's."""
-    return [
-        lam + (lab,)
-        for lam in shorter
-        for lab in labels
-        if is_valid_tuple(quot, lam + (lab,))
-    ]
+    in the order of `shorter`, then of `labels`, which must be every
+    complete label.
+
+    The color classes partition the variables, so a label is fixed by its
+    variable set, kept as a bitmask.  The union of pairwise-disjoint labels
+    has one nonempty block per color, so it is complete exactly when its
+    mask is the mask of a complete label.  Given all valid (p-1)-tuples this
+    is all valid p-tuples: every sub-tuple of a valid tuple is valid, since
+    its merged blocks are nonempty subsets of the full merge's blocks, so
+    its transversals are among the full merge's."""
+    masks = [(lab, sum(1 << v for block in lab for v in block)) for lab in labels]
+    mask_of = dict(masks)
+    complete = set(mask_of.values())
+    out = []
+    for lam in shorter:
+        used = 0
+        for lab in lam:
+            used |= mask_of[lab]
+        out.extend(
+            lam + (lab,)
+            for lab, mask in masks
+            if not used & mask and (used | mask) in complete
+        )
+    return out
 
 
 def rainbow_pair_value(quot, A, B) -> KoszulElement:
@@ -254,22 +246,28 @@ class MasseyTable:
         The counts must be those of every tuple through p_max (all-tuples)
         or of every valid tuple (rainbow), recounted here.  Every basis key
         needs a singleton value, a cycle representing its class.
-        At each length the stored tuples and the candidates (a cut with
-        stored values on both sides) are re-checked exactly; in rainbow mode
-        only valid tuples are claimed, so an invalid candidate is skipped
-        and an invalid stored tuple is an error.  Any other tuple has value
-        0 and a zero side at every cut, so its equation is 0 = 0.
+
+        In rainbow mode every key must be a complete label of the ideal's
+        minimal generators; the valid tuples of each length are then
+        regrown from the keys by their masks (`valid_tuples`), a stored
+        tuple outside its regrown length (past p_max included) is an
+        error, and every valid tuple's equation is re-checked.  In
+        all-tuples mode the stored tuples and the candidates (a cut with
+        stored values on both sides) are re-checked; any other tuple has
+        value 0 and a zero side at every cut, so its equation is 0 = 0.
         """
         keys = set(self.keys)
-        rainbow = self.mode == "rainbow-valid-tuples"
         size = len(self.keys)
-        if rainbow:
-            counts = {1: size} if size else {}
-            level = [(k,) for k in self.keys]
+        levels = None
+        if self.mode == "rainbow-valid-tuples":
+            gens = set(self.quot.gb.lts)
+            for k in self.keys:
+                if not is_complete_label(self.quot, k, gens):
+                    raise InconsistencyError("basis key %r is not complete" % (k,))
+            levels = {1: [(k,) for k in self.keys]}
             for p in range(2, self.p_max + 1):
-                level = valid_tuples(self.quot, self.keys, level)
-                if level:
-                    counts[p] = len(level)
+                levels[p] = valid_tuples(self.keys, levels[p - 1])
+            counts = {p: len(level) for p, level in levels.items() if level}
         else:
             counts = {p: size ** p for p in range(1, self.p_max + 1) if size}
         if self.counts != counts:
@@ -293,13 +291,16 @@ class MasseyTable:
         top = max([self.p_max] + [len(lam) for lam in self.values])
         for p in range(2, top + 1):
             stored = {lam for lam in self.values if len(lam) == p}
-            for lam in sorted(stored.union(candidate_tuples(self.values, p))):
-                if rainbow and not is_valid_tuple(self.quot, lam):
-                    if lam in stored:
-                        raise InconsistencyError(
-                            "stored tuple %r is not valid" % (lam,)
-                        )
-                    continue
+            if levels is None:
+                checked = sorted(stored.union(candidate_tuples(self.values, p)))
+            else:
+                checked = levels.get(p, [])
+                invalid = stored.difference(checked)
+                if invalid:
+                    raise InconsistencyError(
+                        "stored tuple %r is not valid" % (min(invalid),)
+                    )
+            for lam in checked:
                 if not verify_equation(self.values, lam):
                     raise InconsistencyError(
                         "defining equation fails for tuple %r" % (lam,)
@@ -395,7 +396,7 @@ def build_rainbow_table(quot, structure, p_max: int = 4) -> MasseyTable:
 
     def grow(p):
         nonlocal level
-        level = valid_tuples(quot, labels, level)
+        level = valid_tuples(labels, level)
         if level:
             table.counts[p] = len(level)
         return level

@@ -172,10 +172,6 @@ class Polynomial:
         F = self.ring.field
         return Polynomial(self.ring, {m: F.mul(v, c) for m, v in self.terms.items()})
 
-    def mono_shift(self, m: Mono) -> "Polynomial":
-        """Multiply by the monomial m."""
-        return Polynomial(self.ring, {mono_mul(t, m): c for t, c in self.terms.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

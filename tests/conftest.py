@@ -18,7 +18,7 @@ from golodlab import (
     parse_poly,
 )
 from golodlab.linalg import rank_of
-from golodlab.massey import is_valid_tuple
+from golodlab.monomial import lcm_lattice
 from golodlab.rings import mono_deg, mono_lcm, monomials_of_degree
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -110,10 +110,44 @@ def taylor_oracle(I):
     return BettiTable(entries, multigraded)
 
 
+def koszul_oracle(quot):
+    """Betti table of a monomial quotient R/I from the Koszul strand of
+    every multidegree of its lcm lattice, multidegrees included."""
+    kz = quot.koszul()
+    entries = {(0, 0): 1}
+    multigraded = {(0, quot.ring.zero_mono()): 1}
+    for alpha in lcm_lattice(quot.gb.lts):
+        for i in range(1, sum(1 for e in alpha if e >= 1) + 1):
+            b = kz.betti_entry(i, alpha)
+            if b:
+                j = mono_deg(alpha)
+                entries[(i, j)] = entries.get((i, j), 0) + b
+                multigraded[(i, alpha)] = b
+    return BettiTable(entries, multigraded)
+
+
 def valid_tuples_oracle(quot, labels, p):
     """The valid length-p tuples of labels, found by checking every one of
-    the |labels|^p tuples in itertools.product order."""
-    return [lam for lam in itertools.product(labels, repeat=p) if is_valid_tuple(quot, lam)]
+    the |labels|^p tuples in itertools.product order: the labels share no
+    variable, and every transversal of their blockwise union is a minimal
+    generator of the ideal."""
+    gens = set(quot.gb.lts)
+    n = quot.ring.nvars
+    variables = {lab: frozenset(v for block in lab for v in block) for lab in labels}
+
+    def valid(lam):
+        seen = frozenset()
+        for lab in lam:
+            if not seen.isdisjoint(variables[lab]):
+                return False
+            seen |= variables[lab]
+        union = [[v for lab in lam for v in lab[c]] for c in range(len(lam[0]))]
+        return all(
+            tuple(int(v in choice) for v in range(n)) in gens
+            for choice in itertools.product(*union)
+        )
+
+    return [lam for lam in itertools.product(labels, repeat=p) if valid(lam)]
 
 
 def random_homogeneous_poly(rng, ring, deg, n_terms=3):

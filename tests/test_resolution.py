@@ -32,7 +32,7 @@ from golodlab.resolution import (
 )
 from golodlab.rings import mono_deg
 
-from conftest import random_homogeneous_ideal, random_monomial_ideal, seeded
+from conftest import koszul_oracle, random_homogeneous_ideal, random_monomial_ideal, seeded
 
 F32003 = GF(32003)
 # the oracle comparisons draw every field kind, small characteristic included
@@ -91,7 +91,7 @@ def oracle_resolution(quot, N):
     field_ = quot.field
     multi = quot.is_monomial
     nvars = quot.ring.nvars
-    big = bigraded_golod_series(nvars, koszul_betti(quot), N)
+    big = bigraded_golod_series(nvars, (koszul_oracle if multi else koszul_betti)(quot), N)
     tops = [max(d, default=-1) for d in big]
     current = [(0, tuple([0] * nvars) if multi else 0, {})]
     coefficients = [1]
