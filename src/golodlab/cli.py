@@ -293,8 +293,9 @@ def _build_parser() -> _Parser:
         sp.add_argument("--json", action="store_true", help="machine output, sorted keys")
         sp.add_argument("--out", help="write the report to this file (or directory for --batch)")
         if name == "minors":
-            sp.add_argument("--shape", help="generic matrix RxC, e.g. 2x3")
-            sp.add_argument("--mask", help="ladder pattern, rows of 0/1 joined by '/', e.g. 111/011")
+            matrix = sp.add_mutually_exclusive_group()
+            matrix.add_argument("--shape", help="generic matrix RxC, e.g. 2x3")
+            matrix.add_argument("--mask", help="ladder pattern, rows of 0/1 joined by '/', e.g. 111/011")
             sp.add_argument("--t", type=int, dest="t_max", help="verify powers up to this exponent (<= %d)" % MAX_T)
         else:
             sp.add_argument("--ideal", help="fixture path or inline generator list")

@@ -2,11 +2,20 @@
 verification battery for them.
 
 A LadderMatrix is an n x m sparsity pattern whose nonzero cells form a
-two-sided ladder: every row is a contiguous interval of columns and both
-interval endpoints move weakly right going down.  Column contiguity follows
-from that, but is validated anyway.  The generic matrix over the pattern
-lives in a ring with one variable per true cell, laid out row-major, which
-makes diagonal_order the main-diagonal-selecting order.
+two-sided ladder: every row is a contiguous interval of columns, both
+interval endpoints move weakly right going down, and every column is a
+contiguous interval of rows.  The row conditions skip empty rows, so they
+do not imply the column one: 111/000/111 passes them and only the column
+check rejects it.  The generic matrix over the pattern lives in a ring
+with one variable per true cell, laid out row-major, which makes
+diagonal_order the main-diagonal-selecting order.
+
+A maximal minor on columns C is read off the Leibniz formula: the sum, over
+the bijections sigma from the rows to C whose cells all lie in the pattern,
+of sign(sigma) times the product of the cells' variables.  The cells are
+distinct variables, so each bijection gives its own squarefree monomial
+with coefficient +-1, nothing cancels, and a minor is zero exactly when no
+such bijection exists.
 
 verify_sparse_theorems runs, per sampled term order, the Groebner check
 that the minors themselves are a basis, and under the diagonal order the
@@ -96,10 +105,6 @@ class LadderMatrix:
         ring = PolyRing(tuple(names))
         return cls(rows, cols, mask, ring, cell_var)
 
-    def entry(self, r: int, c: int) -> Polynomial:
-        v = self.cell_var.get((r, c))
-        return self.ring.zero if v is None else self.ring.var(v)
-
     def mask_text(self) -> str:
         return "/".join(
             "".join("1" if x else "0" for x in row) for row in self.mask
@@ -138,43 +143,29 @@ def _validate_ladder(mask):
             raise InputError("column %d of the pattern is not contiguous" % (c + 1))
 
 
-def _det(X: LadderMatrix, row_list, col_list, along: int = 0) -> Polynomial:
-    """Laplace expansion along row_list[along]; exact cofactor signs."""
-    ring = X.ring
-    if len(row_list) == 1:
-        return X.entry(row_list[0], col_list[0])
-    r = row_list[along]
-    rest = row_list[:along] + row_list[along + 1 :]
-    out = ring.zero
-    for k, c in enumerate(col_list):
-        e = X.entry(r, c)
-        if e.is_zero():
-            continue
-        minor = _det(X, rest, col_list[:k] + col_list[k + 1 :])
-        if minor.is_zero():
-            continue
-        term = e * minor
-        if (along + k) % 2 == 1:
-            term = -term
-        out = out + term
-    return out
-
-
 def maximal_minors(X: LadderMatrix):
     """All n x n minors over column selections, zero minors omitted.
 
-    Every minor is re-expanded along each row and the results compared, so
-    cofactor signs are verified rather than assumed.
+    Each minor is built once by the Leibniz formula, its terms in
+    lexicographic order of the bijections; the sign of a bijection is the
+    parity of its inversions.
     """
-    rows = list(range(X.rows))
+    ring = X.ring
+    sign = (ring.field.one, ring.field.neg(ring.field.one))
     out = []
     for cols in itertools.combinations(range(X.cols), X.rows):
-        d = _det(X, rows, list(cols))
-        for along in range(1, X.rows):
-            if _det(X, rows, list(cols), along) != d:
-                raise InputError("row-expansion mismatch on columns %r" % (cols,))
-        if not d.is_zero():
-            out.append(d)
+        terms = {}
+        for perm in itertools.permutations(range(X.rows)):
+            cells = [X.cell_var.get((r, cols[k])) for r, k in enumerate(perm)]
+            if None in cells:
+                continue
+            m = [0] * ring.nvars
+            for v in cells:
+                m[v] = 1
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            terms[tuple(m)] = sign[inversions % 2]
+        if terms:
+            out.append(Polynomial(ring, terms))
     return out
 
 

@@ -257,9 +257,6 @@ class QuotientRing:
             self._koszul = KoszulComplex(self)
         return self._koszul
 
-    def nf(self, f: Polynomial) -> Polynomial:
-        return self.gb.nf(f)
-
     def std_monomials(self, d: int):
         """Standard monomials of total degree d, sorted ascending."""
         if d not in self._std:

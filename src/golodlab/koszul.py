@@ -20,6 +20,13 @@ alpha and holds at most one monomial per wedge factor; any other graded
 quotient is graded by internal degree j.  Every strand method takes the key
 of that one grading.
 
+Strand records.  `strand(i, key)` builds a strand once per complex: its
+basis, the pairs (S, m) in a fixed order, together with their differentials
+as columns, and charges the basis size once against STRAND_BUDGET.
+`homology`, `betti_entry` and `boundary_preimage` read the columns from
+that record, however often they visit the strand; only
+`KoszulElement.differential` differentiates term by term.
+
 Which strands carry homology.  By balancing Tor, the strand (i, key) of
 H_i(K tensor A) is Tor_i^R(A, k)_key, whose dimension is the Betti number
 beta_{i,key} of A over R.  So the support of the Betti table that A owns
@@ -96,12 +103,6 @@ class KoszulElement:
     def neg(self) -> "KoszulElement":
         fld = self.quot.field
         return KoszulElement(self.quot, {k: fld.neg(c) for k, c in self.terms.items()})
-
-    def scale(self, c) -> "KoszulElement":
-        fld = self.quot.field
-        if c == fld.zero:
-            return KoszulElement.zero(self.quot)
-        return KoszulElement(self.quot, {k: fld.mul(c, v) for k, v in self.terms.items()})
 
     def signed(self) -> "KoszulElement":
         """(-1)^(deg+1) * self, the bar involution used in Massey equations.
@@ -213,10 +214,12 @@ class KoszulComplex:
         """Strand key of the pair (S, m): its multidegree or internal degree."""
         return multidegree(S, m) if self.multigraded else mono_deg(m) + len(S)
 
-    # strand bases
+    # strand records
 
-    def strand_basis(self, i: int, key) -> list:
-        """The pairs (S, m) with |S| = i and grade(S, m) = key, m standard."""
+    def strand(self, i: int, key):
+        """The strand record (basis, columns): the pairs (S, m) with |S| = i
+        and grade(S, m) = key, m standard, and their differentials, built
+        together on the first visit and kept for the complex."""
         if (i, key) not in self._strands:
             basis = []
             if 0 <= i <= self.n:
@@ -237,7 +240,7 @@ class KoszulComplex:
                         for m in monos
                     ]
             self._charge(len(basis))
-            self._strands[(i, key)] = basis
+            self._strands[(i, key)] = (basis, [self.diff_vector(p) for p in basis])
         return self._strands[(i, key)]
 
     def diff_vector(self, pair: Pair) -> dict:
@@ -252,11 +255,11 @@ class KoszulComplex:
 
     def homology(self, i: int, key) -> list:
         """Cycles whose classes form a basis of H_i on the strand."""
-        basis = self.strand_basis(i, key)
-        combos = kernel_basis([self.diff_vector(p) for p in basis], self.field)
+        basis, columns = self.strand(i, key)
+        combos = kernel_basis(columns, self.field)
         elim = Eliminator(self.field)
-        for pair in self.strand_basis(i + 1, key):
-            elim.insert(self.diff_vector(pair))
+        for col in self.strand(i + 1, key)[1]:
+            elim.insert(col)
         reps = []
         for combo in combos:
             cyc = {basis[idx]: c for idx, c in combo.items()}
@@ -266,11 +269,11 @@ class KoszulComplex:
 
     def betti_entry(self, i: int, key) -> int:
         """dim H_i on the strand, by rank counting only (no representatives)."""
-        here = self.strand_basis(i, key)
+        here = self.strand(i, key)[1]
         if not here:
             return 0
-        r_here = rank_of(map(self.diff_vector, here), self.field)
-        r_up = rank_of(map(self.diff_vector, self.strand_basis(i + 1, key)), self.field)
+        r_here = rank_of(here, self.field)
+        r_up = rank_of(self.strand(i + 1, key)[1], self.field)
         return len(here) - r_here - r_up
 
     def boundary_preimage(self, z: KoszulElement) -> Optional[KoszulElement]:
@@ -287,10 +290,8 @@ class KoszulComplex:
             pieces.setdefault(self.grade(S, m), {})[(S, m)] = c
         total = {}
         for k in sorted(pieces):
-            vec = pieces[k]
-            basis = self.strand_basis(i + 1, k)
-            cols = [self.diff_vector(p) for p in basis]
-            combo = solve_columns(cols, vec, self.field)
+            basis, columns = self.strand(i + 1, k)
+            combo = solve_columns(columns, pieces[k], self.field)
             if combo is None:
                 return None
             axpy(total, 1, {basis[idx]: c for idx, c in combo.items()}, self.field)

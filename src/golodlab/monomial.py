@@ -187,30 +187,6 @@ class RainbowStructure:
     ring: PolyRing
     classes: tuple  # tuple of tuples of variable indices
 
-    @property
-    def n_colors(self) -> int:
-        return len(self.classes)
-
-    def color_of(self, var: int) -> int:
-        for ci, cls in enumerate(self.classes):
-            if var in cls:
-                return ci
-        raise InputError("variable %d has no color" % var)
-
-    def label_of(self, m: Mono):
-        """Positions within each class for a transversal monomial, else None."""
-        if not mono_is_squarefree(m):
-            return None
-        label = [None] * self.n_colors
-        for v in mono_support(m):
-            c = self.color_of(v)
-            if label[c] is not None:
-                return None
-            label[c] = self.classes[c].index(v)
-        if any(x is None for x in label):
-            return None
-        return tuple(label)
-
     def describe(self):
         return [
             [self.ring.names[v] for v in cls] for cls in self.classes
@@ -226,7 +202,13 @@ class RainbowDetectResult:
 
 
 def validate_rainbow(I: MonomialIdeal, structure: RainbowStructure) -> bool:
-    return all(structure.label_of(g) is not None for g in I.gens)
+    """Every generator has degree the number of classes and degree 1 on
+    each class, which also rules out squares and uncoloured variables."""
+    classes = structure.classes
+    return all(
+        mono_deg(g) == len(classes) and all(sum(g[v] for v in cls) == 1 for cls in classes)
+        for g in I.gens
+    )
 
 
 def detect_rainbow(I: MonomialIdeal) -> RainbowDetectResult:

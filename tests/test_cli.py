@@ -258,6 +258,21 @@ def test_one_row_minors_name_the_input(capsys):
         assert err.startswith("error: the maximal minors of a one-row matrix are its entries")
 
 
+def test_minors_takes_shape_or_mask_not_both(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["minors", "--shape", "3x5", "--mask", "11/11", "--json"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (1, "")
+    assert "error: argument --mask: not allowed with argument --shape" in out.err
+
+
+def test_minors_of_a_pattern_without_a_transversal_are_the_zero_ideal(capsys):
+    code, out, _ = _run(["minors", "--mask", "000/111", "--json"], capsys)
+    rep = json.loads(out)
+    assert (code, rep["minors"], rep["all_pass"]) == (0, 0, True)
+    assert rep["diagonal"] == {"note": "no nonzero minors; zero ideal"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
