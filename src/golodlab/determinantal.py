@@ -262,9 +262,6 @@ def verify_sparse_theorems(
         raise InputError("t_max must be between 1 and 3")
     ring = X.ring
     minors = maximal_minors(X)
-    orders = order_sample(X)
-    cert_config = cert_config or certificate_config(X)
-
     report = {
         "matrix": {
             "rows": X.rows,
@@ -274,14 +271,17 @@ def verify_sparse_theorems(
         },
         "minors": len(minors),
         "t_max": t_max,
-        "order_sampling": "sampled %d orders; no universal claim" % len(orders),
+        "order_sampling": "no order sampled; zero ideal",
         "orders": [],
-        "diagonal": {},
+        "diagonal": {"note": "no nonzero minors; zero ideal"},
         "all_pass": True,
     }
     if not minors:
-        report["diagonal"] = {"note": "no nonzero minors; zero ideal"}
         return report
+    orders = order_sample(X)
+    cert_config = cert_config or certificate_config(X)
+    report["order_sampling"] = "sampled %d orders; no universal claim" % len(orders)
+    report["diagonal"] = {}
 
     def fail(flag):
         if not flag:

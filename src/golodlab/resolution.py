@@ -16,12 +16,32 @@ A is at most one-dimensional, so in slice g the column of generator t is
 x^(g - grade_t) * g_t, and a vector of F_s in the slice is keyed by
 generator index alone.  Each generator keeps its differential as a scalar
 row {t': c}; the image of column t in slice g is {-t': c} over the t'
-for which g - grade_t' is a standard monomial.  Slices are independent, so
-a step visits only the slices the multigraded Golod bound allows (below).
-Multidegrees are packed into ints, big-endian in a base B above every
-exponent the bound reaches, with the total degree as the leading digit:
-grades add as ints, and sorted ints are in (degree, exponent tuple) order.
-Every other quotient is sliced by total degree; a column's image there is
+for which g - grade_t' is a standard monomial.  A slice reads only the
+generators and kernels in grades below its own, so the walk may stop at
+any set of grades closed under taking divisors and is exact there.  It
+visits only the box below top, the lcm of the minimal generators, and
+there only the slices the multigraded Golod bound allows (below).
+Multidegrees are packed into ints, big-endian in a power-of-two base B,
+with the total degree as the leading digit: grades add as ints, sorted
+ints are in (degree, exponent tuple) order, and a guard bit of B/2 in
+each digit tests g <= top with one subtraction and one mask.
+
+The rest of the series comes from its denominator.  For a monomial
+quotient, P(x, t) = prod_v (1 + x_v t) / b(x, t), where b is a polynomial
+supported on the lcm lattice of the generators, so in the box (Backelin,
+C. R. Acad. Sci. Paris 295, 1982; Berglund, J. Algebra 295, 2006).  With
+P's box counts through t^s, b_d = num_d - sum_{k>=1} P_k b_{d-k} in the
+box gives b through t^s exactly, as the box is closed under divisors; b
+keeps its t^1 terms, one per variable in I.  Then P = num / b through t^s
+in every multidegree.  Every coefficient of that expansion must be
+nonnegative and within the multigraded bound, and its sums by degree
+within the bigraded bound; any other outcome raises InconsistencyError.
+So no step's cost grows with the grades past the box, and no formula for
+b (Berglund's homology of lattice intervals) is needed.
+
+Every other quotient is sliced by total degree, and walked in full: its
+Poincare series need not even be rational (Anick, Ann. of Math. 115,
+1982), so no denominator bounds the work.  A column's image there is
 x_v times the image of the column one degree lower, x_v the first variable
 of its monomial, so every degree from the lowest up is visited.  A column
 m * g_t of F_s is keyed by the int t * U + pack(m), and an entry m' * g_t'
@@ -56,25 +76,30 @@ check; elsewhere the slice has no kernel vector and no new generator.
 serre_bound expands (1+t)^n / (1 - sum_{i>=1} dim_k H_i(K^A) t^{i+1}), as
 the totals of the same expansion kept graded in an auxiliary marker: the
 internal degree, or for a monomial quotient the packed multidegree.  One
-recurrence (_golod_series) serves both: with D the denominator's sum,
-G = 1/(1 - D) has G_d = [d = 0] + sum_{k>=2} D_k G_{d-k}, and G is then
-multiplied in place by each numerator factor (1 + u^w t).  Nothing
-cancels, since D has no negative coefficient, so every coefficient kept is
-a positive integer.  The Golod construction is graded in the same way and
-its ranks dominate the minimal resolution's in each grade, so the
-graded expansion says where each step's generators can lie.  A
-total-degree step searches every degree up to its ceiling, the largest
-degree with a nonzero coefficient, and records the kernel up to the next
-step's ceiling.  A multidegree step works in slice g only if the bound is
-nonzero at (s, g) or (s+1, g): it records the kernel where (s+1, g) is
-nonzero, and searches for generators, with the exactness count, where
-(s, g) is nonzero, which is where step s-1 recorded it.  Either way every
-step that finishes is complete.  What bounds the whole walk is work: the
-steps share POINCARE_BUDGET Eliminator inserts, a count rather than a time
-so the result is deterministic, and the walk stops where they run out,
-keeping every step whose generators were all found.  The bounds read the
-Betti table that the quotient owns (`koszul.quotient_betti`), so the Serre
-block and the ladder rules before it share one table.
+routine (_series) expands num / b for any b with constant term 1, with
+terms at t^1 and signs allowed: G = 1/b has G_d = [d = 0] - sum_{k>=1}
+b_k G_{d-k}, and G is then multiplied in place by each numerator factor
+(1 + u^w t).  It serves the Golod bound, b = 1 - D, the denominator read
+off the box counts, and the series expanded from it.  The Golod
+construction is graded in the same way and its ranks dominate the
+minimal resolution's in each grade, so the graded expansion says where
+each step's generators can lie.  A total-degree step searches every
+degree up to its ceiling, the largest degree with a nonzero coefficient,
+and records the kernel up to the next step's ceiling.  A multidegree step
+works in slice g of the box only if the bound is nonzero at (s, g) or
+(s+1, g): it records the kernel where (s+1, g) is nonzero, and searches
+for generators, with the exactness count, where (s, g) is nonzero, which
+is where step s-1 recorded it.  Either way every step that finishes is
+complete.  The exactness check runs in every slice searched; the Serre
+inequality is checked once, on the finished series: in every bidegree,
+and for a monomial quotient in every multidegree of the expansion.  What
+bounds the whole walk is work: the steps share POINCARE_BUDGET Eliminator
+inserts, a count rather than a time so the result is deterministic, and
+the walk stops where they run out, keeping every step whose generators
+were all found; a monomial series is expanded through those steps.  The
+bounds read the Betti table that the quotient owns
+(`koszul.quotient_betti`), so the Serre block and the ladder rules before
+it share one table.
 """
 from __future__ import annotations
 
@@ -84,9 +109,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InconsistencyError, InputError
-from .fields import QQ
 from .koszul import quotient_betti
-from .linalg import Eliminator, axpy
+from .linalg import Eliminator
 
 __all__ = [
     "POINCARE_BUDGET",
@@ -99,45 +123,79 @@ __all__ = [
 ]
 
 # Eliminator inserts that one poincare_coeffs call may make, over all its
-# steps; every corpus job needs far fewer (at most about 17,700)
+# steps; every corpus job needs far fewer: at most 17,987 on a walk by
+# total degree, and at most 65 on a monomial quotient
 POINCARE_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
-# the Golod series: t-truncated, each coefficient a polynomial in a grade
-# marker stored as {grade: int} (QQ values, so axpy accumulates them); a
-# grade is an int that adds under multiplication
+# series in t, truncated, each coefficient a polynomial in a grade marker
+# stored as {grade: int}; a grade is an int that adds under multiplication
+
+
+def _series(weights, denom, N: int, inside=None):
+    """Coefficients of prod_v (1 + u^{w_v} t) / (1 + sum_{k>=1} denom_k t^k)
+    through t^N, one {grade: coefficient} dict per power of t.
+
+    `weights` holds the grade of each variable, and denom[k] the t^k
+    coefficient of the denominator as {grade: coefficient}; denom[0] is
+    taken to be 1 and the entries past the end 0.  G, the inverse of the
+    denominator, has G_d = [d = 0] - sum_{k>=1} denom_k G_{d-k}; G is then
+    multiplied in place by each numerator factor, G_d += u^w G_{d-1} for d
+    from N down to 1.  `inside`, if given, is a test true on a set of
+    grades closed under taking divisors, and the terms outside it are
+    dropped: a product lies in such a set only if both factors do, so the
+    coefficients kept are exact there.
+    """
+
+    def add(dst, c, a, src):
+        if not c:
+            return
+        get = dst.get
+        if inside is None:
+            terms = ((a + j, v) for j, v in src.items())
+        else:
+            terms = [(g, v) for j, v in src.items() if inside(g := a + j)]
+        for g, v in terms:
+            s = get(g, 0) + c * v
+            if s:
+                dst[g] = s
+            else:
+                del dst[g]
+
+    series = [{0: 1}]
+    for d in range(1, N + 1):
+        coeff = {}
+        for k in range(1, min(d, len(denom) - 1) + 1):
+            lower = series[d - k]
+            for a, c in denom[k].items():
+                add(coeff, -c, a, lower)
+        series.append(coeff)
+    for w in weights:
+        if inside is None or inside(w):
+            for d in range(N, 0, -1):
+                add(series[d], 1, w, series[d - 1])
+    return series
 
 
 def _golod_series(weights, entries, N: int):
-    """Coefficients of prod_v (1 + u^{w_v} t) / (1 - sum_{i>=1} b_{i,a} u^a t^{i+1}),
-    one {grade: coefficient} dict per homological degree 0..N.
+    """Coefficients of prod_v (1 + u^{w_v} t) / (1 - sum_{i>=1} b_{i,a} u^a t^{i+1})
+    through t^N, one {grade: coefficient} dict per homological degree.
 
-    `weights` holds the grade of each variable and `entries` maps (i, a)
-    to b_{i,a}, a Koszul-homology Betti number of A over R in grade a; the
-    i = 0 entry is ignored.  The denominator is 1 - D with D_k the t^k
-    coefficient of the sum, zero for k < 2, so G = 1/(1 - D) satisfies
-    G_d = [d = 0] + sum_k D_k G_{d-k}.  G is then multiplied in place by
-    each numerator factor, G_d += u^w G_{d-1} for d from N down to 1.
-    Every entry of the minimal resolution of k over A is bounded by the
-    matching coefficient here, with equality exactly for Golod rings.
+    `entries` maps (i, a) to b_{i,a}, a Koszul-homology Betti number of A
+    over R in grade a; the i = 0 entry is ignored.  Every entry of the
+    minimal resolution of k over A is bounded by the matching coefficient
+    here, with equality exactly for Golod rings.  This denominator has no
+    positive coefficient past t^0, so here, unlike in the denominators of
+    monomial Poincare series that _MonomialSlices.series expands, nothing
+    cancels: every coefficient is a positive integer, and every term met
+    has a grade the result has.
     """
     denom = [{} for _ in range(N + 1)]
     for (i, a), b in entries.items():
         if 1 <= i < N:
-            denom[i + 1][a] = b
-    series = [{0: 1}]
-    for d in range(1, N + 1):
-        coeff = {}
-        for k in range(2, d + 1):
-            lower = series[d - k]
-            for a, b in denom[k].items():
-                axpy(coeff, b, {a + j: c for j, c in lower.items()}, QQ)
-        series.append(coeff)
-    for w in weights:
-        for d in range(N, 0, -1):
-            axpy(series[d], 1, {j + w: c for j, c in series[d - 1].items()}, QQ)
-    return series
+            denom[i + 1][a] = -b
+    return _series(weights, denom, N)
 
 
 def bigraded_golod_series(nvars: int, table, N: int):
@@ -170,12 +228,24 @@ class Multidegrees:
             out.append(e)
         return tuple(reversed(out))
 
+    def below(self, top):
+        """A test g <= top in every exponent, g a packed grade, that does not
+        unpack g.  The base must be a power of two, and every exponent
+        tested below half of it: a guard bit of half the base, added to
+        each exponent digit of top, survives subtracting g exactly where
+        g's digit is at most top's, and no digit borrows from the next.
+        The degree digit may go negative; the mask drops it."""
+        half = self.base >> 1
+        guard = sum(half * self.base ** v for v in range(len(self.weights)))
+        high = self.pack(top) + guard
+        return lambda g: (high - g) & guard == guard
+
 
 def multigraded_golod_series(table, grades: Multidegrees, N: int):
     """The Golod series graded by packed multidegree, from `table`'s
-    multigraded entries.  The base of `grades` must exceed every total
-    degree of the bigraded series through t^N, which bounds every exponent
-    any term reaches."""
+    multigraded entries.  The base of `grades` must exceed every exponent
+    any term reaches; the top total degree of the bigraded series through
+    t^N does."""
     entries = {(i, grades.pack(a)): b for (i, a), b in table.multigraded.items()}
     return _golod_series(grades.weights, entries, N)
 
@@ -237,17 +307,32 @@ class _StandardSets(dict):
 
 
 class _MonomialSlices:
-    """The slices of a monomial quotient, keyed by packed multidegree, where
-    the multigraded Golod bound allows them."""
+    """The slices of a monomial quotient, keyed by packed multidegree, in
+    the box below the lcm of its generators where the multigraded Golod
+    bound allows them."""
 
-    def __init__(self, quot, grades, bound):
-        self.grades = grades
-        self.bound = bound + [{}]  # step N records no kernel
+    def __init__(self, quot, table, N):
+        nvars = quot.ring.nvars
+        lts = quot.gb.lts
+        top = tuple(max((m[v] for m in lts), default=0) for v in range(nvars))
+        # each denominator expanded here has its terms in the box, at t^1 or
+        # above, so a term of its inverse at t^d has every exponent at most
+        # d * max(top), and the numerator adds at most 1; the box test sees
+        # sums of two grades in the box, and needs a spare top bit
+        reach = max(N, 2) * max(top) + 1
+        grades = self.grades = Multidegrees(nvars, 2 << reach.bit_length())
+        inside = self.inside = grades.below(top)
+        self.mbig = multigraded_golod_series(table, grades, N)
+        self.bound = [{g for g in coeffs if inside(g)} for coeffs in self.mbig]
+        self.bound.append(set())  # step N records no kernel
         self.std = _StandardSets(quot, grades)
 
     def last(self, step):
         """The last slice in which step searches for generators."""
         return max(self.bound[step], default=-1)
+
+    def degree(self, g):
+        return self.grades.degree(g)
 
     def label(self, g):
         return self.grades.unpack(g)
@@ -266,7 +351,7 @@ class _MonomialSlices:
         # grade -> (degree, first, last + 1) of the generators of F_step in
         # it; those of one slice are found together, so their indices run
         runs = {gen.grade: (gen.deg, t, t + 1) for t, gen in enumerate(gens)}
-        for g in sorted(track.keys() | kernels.keys()):
+        for g in sorted(track | kernels.keys()):
             j = degree(g)
             cols, images = [], {}
             ok = {}  # grade h of F_{step-1} -> g - h is standard
@@ -290,6 +375,25 @@ class _MonomialSlices:
             yield j, g, cols, images, g in track, g in here
             if len(gens) > n:
                 runs[g] = (j, n, len(gens))
+
+    def series(self, counts):
+        """The multigraded Poincare series through the steps counted, from
+        the counts {grade: generators} in the box: b = prod_v (1 + u^{w_v} t)
+        / P there, then P = prod_v (1 + u^{w_v} t) / b in every grade.  Each
+        coefficient must be nonnegative and within the multigraded bound."""
+        N = len(counts) - 1
+        weights, mbig, label = self.grades.weights, self.mbig, self.label
+        series = _series(weights, _series(weights, counts, N, self.inside), N)
+        for step, coeffs in enumerate(series):
+            bound = mbig[step]
+            for g, c in coeffs.items():
+                if c < 0:
+                    raise InconsistencyError(
+                        "negative Poincare coefficient at step %d, grade %s: %d"
+                        % (step, label(g), c)
+                    )
+                _serre_check(c, bound.get(g, 0), step, g, label)
+        return series
 
 
 class _Times(dict):
@@ -350,6 +454,11 @@ class _DegreeSlices:
     def label(self, g):
         return g
 
+    degree = label
+
+    def series(self, counts):
+        return counts
+
     def found(self, t, vec):
         """Generator t of the current step has image vec: the column 1 * g_t,
         from which the columns one degree up shift."""
@@ -397,10 +506,13 @@ class _BudgetSpent(Exception):
     """POINCARE_BUDGET is used up; poincare_coeffs keeps the finished steps."""
 
 
-def _serre_check(c, b, step, grade):
+def _serre_check(c, b, step, g, label=None):
+    """c, the coefficient at (step, g), is at most its bound b; g is named
+    by label(g), computed only for the message."""
     if c > b:
         raise InconsistencyError(
-            "Serre bound violated at step %d, grade %s: %d > %d" % (step, grade, c, b)
+            "Serre bound violated at step %d, grade %s: %d > %d"
+            % (step, label(g) if label else g, c, b)
         )
 
 
@@ -409,15 +521,18 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
 
     The graded Golod bound tells each step in which slices its generators
     can lie, so every step is computed completely: a monomial quotient is
-    walked by multidegree, keyed by generator, in the slices where the
-    multigraded bound is nonzero; any other by total degree up to the
+    walked by multidegree, keyed by generator, in the slices of the box
+    below the lcm of its generators where the multigraded bound is nonzero,
+    and the rest of its series is expanded from the denominator those
+    slices give; any other quotient is walked by total degree up to the
     bigraded ceilings.  The steps share POINCARE_BUDGET Eliminator inserts.
     When these run out during step s, the result keeps the steps whose
     generators were all found: 0..s if only the kernel of d_s (read by step
     s+1) was left, else 0..s-1.  N and the bound are cut to the steps kept.
     The Serre inequality is asserted in every bidegree, and for a monomial
-    quotient in every multidegree; a violation raises InconsistencyError
-    since it can only come from a computation bug.
+    quotient in every multidegree, where each coefficient must also be
+    nonnegative; a violation raises InconsistencyError since it can only
+    come from a computation bug.
     """
     if N < 0:
         raise InputError("negative homological bound")
@@ -429,11 +544,8 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
     big = bigraded_golod_series(nvars, table, N)
     bound = tuple(sum(d.values()) for d in big)
     if quot.is_monomial:
-        grades = Multidegrees(nvars, max(max(d, default=0) for d in big) + 1)
-        mbig = multigraded_golod_series(table, grades, N)
-        slices = _MonomialSlices(quot, grades, mbig)
+        slices = _MonomialSlices(quot, table, N)
     else:
-        mbig = None
         slices = _DegreeSlices(quot, big)
     spent = 0
 
@@ -444,18 +556,10 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
             raise _BudgetSpent
         return elim.insert(vec, tag)
 
-    coefficients = []
-    graded = {}
+    counts = []  # per finished step, {grade: generators found}
 
-    def close(step, gens):
-        """Record step's generators, checked against the graded bounds."""
-        for j, c in Counter(gen.deg for gen in gens).items():
-            _serre_check(c, big[step].get(j, 0), step, j)
-            graded[(step, j)] = c
-        if mbig is not None:
-            for g, c in Counter(gen.grade for gen in gens).items():
-                _serre_check(c, mbig[step].get(g, 0), step, slices.label(g))
-        coefficients.append(len(gens))
+    def close(gens):
+        counts.append(Counter(gen.grade for gen in gens))
 
     gens = [_Gen(0, 0)]  # generators of F_0; F_{-1} has none
     kernels = {}  # slice grade -> {tag: kernel vector of d_{step-1}}
@@ -496,10 +600,19 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
                         slices.found(len(gens), vec)
                         gens.append(_Gen(j, g))
             kernels = new_kernels
-            close(step, gens)
+            close(gens)
     except _BudgetSpent:
         if g > slices.last(step):  # step's generators are all found; only ker d_step was left
-            close(step, gens)
+            close(gens)
 
+    coefficients, graded = [], {}
+    for step, coeffs in enumerate(slices.series(counts)):
+        by_degree = Counter()
+        for g, c in coeffs.items():
+            by_degree[slices.degree(g)] += c
+        for j, c in sorted(by_degree.items()):
+            _serre_check(c, big[step].get(j, 0), step, j)
+            graded[(step, j)] = c
+        coefficients.append(sum(by_degree.values()))
     N = len(coefficients) - 1
     return PoincareData(tuple(coefficients), bound[: N + 1], N, graded)

@@ -22,6 +22,8 @@ GORENSTEIN3_F32003 = (
 
 XYZ4 = "x^4,x^3*y,x^3*z,x^2*y^2,x^2*y*z,x^2*z^2,x*y^3,x*y^2*z,x*y*z^2,x*z^3,y^4,y^3*z,y^2*z^2,y*z^3,z^4"
 
+TCF_CUBICS = "4*t*f^2+2*t*c*f, -c^2*f, 6*c*f^2-3*t*c*f, -3*t*c*f+9*f^3"
+
 # golden file stem -> argv (without --json); each job but the budget case
 # runs in under a second
 CASES = {
@@ -38,9 +40,11 @@ CASES = {
     "minors_2x4": ["minors", "--shape", "2x4"],
     "minors_3x4": ["minors", "--shape", "3x4"],
     "golod_graded_upto": ["golod", "--ideal", "2*x^2*y-6*x*y*z-2*x*z^2,9*x*y,-6*x^2*z"],
-    # (x,y,z)^4, the slowest case: the Serre block runs out of work budget
-    # after t^7
-    "golod_xyz4_budget": ["golod", "--ideal", XYZ4],
+    # (x,y,z)^4: the Serre block resolves k only below x^4 y^4 z^4
+    "golod_xyz4": ["golod", "--ideal", XYZ4],
+    # four cubics walked by total degree, the slowest case: the Serre block
+    # runs out of work budget after t^10
+    "golod_tcf_cubics_budget": ["golod", "--ideal", TCF_CUBICS, "--N", "12"],
     "betti_x2_xy_y3_yz2": ["betti", "--ideal", "x^2,xy,y^3,yz^2"],
     "fiber_inv_gorenstein3": ["fiber-inv", "--ideal", str(FIXTURES / "gorenstein3.txt")],
     "massey_gorenstein3": ["massey", "--ideal", str(FIXTURES / "gorenstein3.txt")],
@@ -63,7 +67,8 @@ RULES = {
     "golod_xy_z2": ("GolodProven", "FiberInvariantTransfer"),
     "golod_gorenstein3_f32003": ("NotGolod", "HomologyProduct"),
     "golod_graded_upto": ("GolodUpTo", None),
-    "golod_xyz4_budget": ("GolodProven", "MonomialPower"),
+    "golod_xyz4": ("GolodProven", "MonomialPower"),
+    "golod_tcf_cubics_budget": ("GolodUpTo", None),
     "golod_graded_fractions": ("NotGolod", "HomologyProduct"),
     "golod_x3_y3_z3_xyz": ("NotGolod", "HomologyProduct"),
 }
@@ -112,9 +117,9 @@ def test_json_matches_golden_bytes_and_schema(name, capsys):
     if name in RULES:
         top = payload["certificate"]
         assert (top["verdict"], top["rule"]) == RULES[name]
-        assert top["caps_exceeded"] is (name == "golod_xyz4_budget")
-        if name == "golod_xyz4_budget":
-            assert top["serre"]["N"] == 7
+        assert top["caps_exceeded"] is (name == "golod_tcf_cubics_budget")
+        if name == "golod_tcf_cubics_budget":
+            assert top["serre"]["N"] == 10
 
 
 def test_golden_cases_cover_every_golden_file():
@@ -271,6 +276,8 @@ def test_minors_of_a_pattern_without_a_transversal_are_the_zero_ideal(capsys):
     rep = json.loads(out)
     assert (code, rep["minors"], rep["all_pass"]) == (0, 0, True)
     assert rep["diagonal"] == {"note": "no nonzero minors; zero ideal"}
+    # no order is sampled for the zero ideal, and none is claimed
+    assert (rep["order_sampling"], rep["orders"]) == ("no order sampled; zero ideal", [])
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 bound, the work budget, and agreement with a straightforward stepwise
 resolution kept here as an oracle."""
 
+import itertools
 import re
 from math import comb
 
@@ -22,6 +23,7 @@ from golodlab import (
 from golodlab import resolution
 from golodlab.koszul import koszul_betti, quotient_betti
 from golodlab.linalg import Eliminator, axpy, kernel_basis
+from golodlab.monomial import MonomialIdeal
 from golodlab.parsing import infer_ring_from_text, parse_poly
 from golodlab.resolution import (
     Multidegrees,
@@ -33,8 +35,9 @@ from golodlab.resolution import (
 from golodlab.rings import mono_deg
 
 from conftest import koszul_oracle, random_homogeneous_ideal, random_monomial_ideal, seeded
+from test_taylor import RP2_FACES
 
-F32003 = GF(32003)
+F2, F3, F32003 = GF(2), GF(3), GF(32003)
 # the oracle comparisons draw every field kind, small characteristic included
 FIELDS = st.sampled_from([QQ, GF(2), GF(3), F32003])
 
@@ -199,6 +202,24 @@ def test_a_spent_budget_keeps_a_prefix_of_the_steps(monkeypatch):
     assert reached == [1, 3, 3, 5, 6, 7, 7, 8]
 
 
+def test_a_spent_budget_keeps_a_prefix_of_the_expanded_series(monkeypatch):
+    """The monomial walk needs 103 inserts through t^8 on x^2, x*y, y^3,
+    y*z^2; every smaller budget keeps the steps it finished, and the series
+    expanded through them is the full run's."""
+    quot = quotient("x^2, x*y, y^3, y*z^2")
+    full = poincare_coeffs(quot, 8)
+    reached = set()
+    for budget in range(104):
+        monkeypatch.setattr(resolution, "POINCARE_BUDGET", budget)
+        P = poincare_coeffs(quot, 8)
+        assert P.coefficients == full.coefficients[: P.N + 1]
+        assert P.bound == full.bound[: P.N + 1]
+        assert P.graded == {k: v for k, v in full.graded.items() if k[0] <= P.N}
+        reached.add(P.N)
+    # no step past t^5 inserts anything in the box (2, 3, 2)
+    assert reached == {1, 2, 3, 4, 5, 8}
+
+
 # ---------------------------------------------------------------------------
 # agreement with the oracle
 
@@ -351,36 +372,68 @@ def _moved(gens, i, j):
     )
 
 
-def _compare_slicings(monos, names, field, N, i, j):
-    """R/(monos) and its image under x_i -> x_i + x_j, through t^N."""
+def _slicings(monos, names, field, i, j):
+    """R/(monos) and its image under x_i -> x_i + x_j."""
     ring = PolyRing(names, field)
     mono = QuotientRing(GroebnerBasis(ring, grevlex(ring), [ring.monomial(m) for m in monos]))
     moved = [_transvect(ring, m, i, j) for m in monos]
-    quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), moved))
+    return mono, QuotientRing(GroebnerBasis(ring, grevlex(ring), moved))
+
+
+def _compare_slicings(mono, quot, N):
+    """The two quotients through t^N or the last step both reach.  Returns
+    the step the walk by total degree, the one the work budget can cut,
+    reached."""
     assert mono.is_monomial and not quot.is_monomial
     P, Q = poincare_coeffs(mono, N), poincare_coeffs(quot, N)
-    assert (Q.coefficients, Q.graded) == (P.coefficients, P.graded)
+    assert P.N == N and Q.N <= N
+    assert Q.coefficients == P.coefficients[: Q.N + 1]
+    assert Q.graded == {k: c for k, c in P.graded.items() if k[0] <= Q.N}
+    return Q.N
 
 
-@pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 6))
-def test_a_transvection_keeps_the_series_across_the_slicings(field, seed, N):
-    """A random 3-variable monomial quotient and its image under the first
-    transvection that moves the ideal.  Only a power of the maximal ideal
-    is fixed by all six, and with at most four generators that is
-    (x1, x2, x3)."""
-    I = random_monomial_ideal(seeded(seed), 3, 3, max_gens=4)
-    if len(I.gens) == 3 and all(mono_deg(m) == 1 for m in I.gens):
+@pytest.mark.parametrize("field", [QQ, F2, F3, F32003], ids=["QQ", "F2", "F3", "F32003"])
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10 ** 9),
+    nvars=st.integers(3, 6),
+    N=st.integers(1, 8),
+    variable=st.booleans(),
+)
+def test_a_transvection_keeps_the_series_across_the_slicings(field, seed, nvars, N, variable):
+    """A random monomial quotient, with a variable among its generators
+    when `variable` is set, against its image under the first transvection
+    that makes it a quotient that is not monomial.  The first is walked by
+    multidegree in the box below the lcm of its generators, and the rest
+    of its series expanded from the denominator; the second is walked by
+    total degree in every degree the bigraded bound allows.  A power of
+    the maximal ideal is fixed by every transvection, and in characteristic
+    p, where (x_i + x_j)^p = x_i^p + x_j^p, so can be other ideals; those
+    are skipped.  The walk by total degree gets 20,000 inserts, which on
+    six variables can cut it short."""
+    rng = seeded(seed)
+    I = random_monomial_ideal(rng, nvars, 3, max_gens=6)
+    gens = I.gens
+    if variable:
+        v = rng.randrange(nvars)
+        gens = MonomialIdeal.from_monos(I.ring, gens + (I.ring.unit_mono(v),)).gens
+    moves = [(i, j) for i in range(nvars) for j in range(nvars) if i != j and _moved(gens, i, j)]
+    for i, j in moves:
+        mono, quot = _slicings(gens, I.ring.names, field, i, j)
+        if not quot.is_monomial:
+            break
+    else:
         return
-    i, j = next((i, j) for i in range(3) for j in range(3) if i != j and _moved(I.gens, i, j))
-    _compare_slicings(I.gens, I.ring.names, field, N, i, j)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "POINCARE_BUDGET", 20_000)
+        _compare_slicings(mono, quot, N)
 
 
 @pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
 def test_x_to_x_plus_z_keeps_the_series_of_a_golod_quotient(field):
     """x^2, x*y, y^3, y*z^2 under x -> x + z, through t^7."""
-    _compare_slicings([(2, 0, 0), (1, 1, 0), (0, 3, 0), (0, 1, 2)], ("x", "y", "z"), field, 7, 0, 2)
+    monos = [(2, 0, 0), (1, 1, 0), (0, 3, 0), (0, 1, 2)]
+    assert _compare_slicings(*_slicings(monos, ("x", "y", "z"), field, 0, 2), 7) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +510,13 @@ def test_degree_walk_insert_count(field, monkeypatch):
 
 
 def test_monomial_walk_insert_count(monkeypatch):
-    """Slices keyed by generator, visited only where the multigraded bound
-    is nonzero.  The walk by total degree made 12829 inserts here, and
-    inserting kernel vectors until each slice's count of new generators
-    was met, in place of reading them off the pivots, 6220."""
+    """Slices keyed by generator, visited only in the box below the lcm
+    (2, 3, 2) of the generators and where the multigraded bound is
+    nonzero; the rest of the series is expanded from the denominator with
+    no insert.  Visiting every slice where the bound is nonzero made 4277
+    inserts here, the walk by total degree 12829, and inserting kernel
+    vectors until each slice's count of new generators was met, in place
+    of reading them off the pivots, 6220."""
     quot = quotient("x^2, x*y, y^3, y*z^2")
     quotient_betti(quot)
     calls = [0]
@@ -473,13 +529,14 @@ def test_monomial_walk_insert_count(monkeypatch):
     monkeypatch.setattr(Eliminator, "insert", counting)
     P = poincare_coeffs(quot, 8)
     assert P.coefficients == (1, 3, 7, 17, 41, 99, 239, 577, 1393)
-    assert calls[0] == 4277
+    assert calls[0] == 103
 
 
 def test_a_lowered_multigraded_coefficient_breaks_the_serre_check(monkeypatch):
     """x^2, x*y is Golod, so its resolution of k meets the multigraded bound
     in every multidegree; one coefficient lowered from c >= 2 to c - 1
-    keeps every slice of the walk and fails the check in `close`."""
+    keeps every slice of the walk and fails the check on the expanded
+    series."""
     real = resolution.multigraded_golod_series
     lowered = []
 
@@ -502,11 +559,11 @@ def test_a_lowered_multigraded_coefficient_breaks_the_serre_check(monkeypatch):
 
 
 def test_a_dropped_kernel_vector_breaks_exactness(monkeypatch):
-    """Over k[x,y,z]/(xy, z^2), step 3 records a two-dimensional kernel in
-    multidegree (1, 2, 2), which the step-4 images span, so step 4 finds no
-    new generator there.  Without one of its vectors the images have rank
-    above the kernel's recorded dimension, which the count of new
-    generators catches."""
+    """Over k[x,y,z]/(x^2, y^2, z^2), step 3 records a two-dimensional
+    kernel in multidegree (1, 2, 2), inside the box (2, 2, 2), which the
+    step-4 images span, so step 4 finds no new generator there.  Without
+    one of its vectors the images have rank above the kernel's recorded
+    dimension, which the count of new generators catches."""
     where, dropped = [None], []
     walk = resolution._MonomialSlices.__call__
 
@@ -523,13 +580,95 @@ def test_a_dropped_kernel_vector_breaks_exactness(monkeypatch):
                 return None
             return dep
 
-    quot = quotient("x*y, z^2")
-    assert poincare_coeffs(quot, 4).coefficients == ci_series(3, 2, 4)
+    quot = quotient("x^2, y^2, z^2")
+    assert poincare_coeffs(quot, 4).coefficients == ci_series(3, 3, 4)
     monkeypatch.setattr(resolution._MonomialSlices, "__call__", watched)
     monkeypatch.setattr(resolution, "Eliminator", Dropping)
     with pytest.raises(InconsistencyError, match=r"not exact at step 4, degree 5, grade \(1, 2, 2\)"):
         poincare_coeffs(quot, 4)
     assert dropped
+
+
+@pytest.mark.parametrize(
+    "step, delta, message",
+    [
+        (1, -1, r"negative Poincare coefficient at step 3, grade \(0, 0, 3\): -1"),
+        (2, 1, r"Serre bound violated at step 2, grade \(0, 0, 2\): 2 > 1"),
+    ],
+    ids=["lowered", "raised"],
+)
+def test_a_corrupted_box_count_breaks_the_expansion(step, delta, message, monkeypatch):
+    """The walk over k[x,y,z]/(xy, z^2) counts generators in the box (1, 1,
+    2) only.  One count moved by delta, at the smallest grade of its step,
+    makes a wrong denominator: a count lowered at z in step 1 expands to a
+    negative coefficient at z^3 in step 3, and one raised at z^2 in step 2
+    passes the multigraded bound there."""
+    quot = quotient("x*y, z^2")
+    assert poincare_coeffs(quot, 5).coefficients == ci_series(3, 2, 5)
+    series = resolution._MonomialSlices.series
+
+    def corrupted(self, counts):
+        counts[step][min(counts[step])] += delta
+        return series(self, counts)
+
+    monkeypatch.setattr(resolution._MonomialSlices, "series", corrupted)
+    with pytest.raises(InconsistencyError, match=message):
+        poincare_coeffs(quot, 5)
+
+
+@pytest.mark.parametrize(
+    "text, top",
+    [
+        ("x^2, x*y, y^3, y*z^2", (2, 3, 2)),
+        ("x*y, z^2", (1, 1, 2)),
+        ("x, y^2*z", (1, 2, 1)),
+        ("x^3, y^3, z^3, x*y*z", (3, 3, 3)),
+    ],
+)
+def test_no_slice_outside_the_box_is_visited(text, top, monkeypatch):
+    """Every slice the walk yields lies below the lcm of the generators, the
+    box test agrees with the unpacked exponents on every grade of the
+    bound, and the series still meets the oracle's through t^6."""
+    visited = []
+    walk = resolution._MonomialSlices.__call__
+
+    def watched(self, step, prev, gens, kernels):
+        for item in walk(self, step, prev, gens, kernels):
+            visited.append(self.label(item[1]))
+            yield item
+        for coeffs in self.mbig:
+            for g in coeffs:
+                inside = all(a <= b for a, b in zip(self.label(g), top))
+                assert self.inside(g) is inside
+
+    monkeypatch.setattr(resolution._MonomialSlices, "__call__", watched)
+    _compare(quotient(text), 6)
+    assert visited and all(all(a <= b for a, b in zip(g, top)) for g in visited)
+
+
+@pytest.mark.parametrize(
+    "field, coefficients",
+    [
+        (QQ, (1, 6, 25, 95, 361, 1367, 5186)),
+        (F3, (1, 6, 25, 95, 361, 1367, 5186)),
+        (F2, (1, 6, 25, 95, 362, 1374, 5227)),
+    ],
+    ids=["QQ", "F3", "F2"],
+)
+def test_rp2_series_depends_on_the_characteristic(field, coefficients):
+    """The Stanley-Reisner ring of RP^2 (its 10 non-face cubics, see
+    test_taylor.py) through t^6: over F2 its Koszul homology has two more
+    classes, beta_{3,6} and beta_{4,6}, and the series is larger from t^4
+    on.  The box (1, ..., 1) is all the walk visits."""
+    ring = PolyRing(tuple("x%d" % v for v in range(1, 7)), field)
+    faces = {frozenset(map(int, f)) for f in RP2_FACES}
+    cubics = [
+        ring.monomial(tuple(int(v in t) for v in range(1, 7)))
+        for t in itertools.combinations(range(1, 7), 3)
+        if frozenset(t) not in faces
+    ]
+    P = poincare_coeffs(QuotientRing(GroebnerBasis(ring, grevlex(ring), cubics)), 6)
+    assert P.coefficients == P.bound == coefficients
 
 
 @pytest.mark.parametrize(
