@@ -1,24 +1,29 @@
 """Golod certificates: the decision pipeline over the Koszul machinery.
 
 golod_certificate runs a fixed rule ladder on a homogeneous proper ideal
-given with a term order:
+given with a term order, the proof rules 2-5 (_proof) before rule 1:
 
   1. a nonzero homology product or nonzero Massey product (found while
-     attempting a trivial Massey operation; by the singleton lemma the first
-     unsolvable tuple exhibits a genuinely nonzero product) -> NotGolod;
+     attempting a trivial Massey operation on R/I; by the singleton lemma
+     the first unsolvable tuple exhibits a genuinely nonzero product)
+     -> NotGolod;
   2. rainbow monomial ideal with linear resolution -> GolodProven, carrying
      a fully verified Massey table on the valid tuples;
   3. a recognizable power J^t, t >= 2, of a monomial ideal -> GolodProven;
-  4. fiber invariant Betti numbers -> the verdict transfers to and from the
-     initial ideal, so recurse on in(I) and wrap the proven outcome;
-  5. non-squarefree monomial ideals recurse on the polarization, whose
-     construction is checked generator by generator and whose
-     regular-sequence hypothesis is certified by equal Betti tables of R/I
-     and the polarized quotient;
-  6. otherwise GolodUpTo(N): trivial products, a trivial Massey operation
-     through p_max (or through the last length the tuple cap let the
-     search finish), and Serre-bound equality through t^N, as evidence
-     only.
+  4. fiber invariant Betti numbers -> Golodness transfers from the initial
+     ideal, so the proof rules recurse on in(I) and a proof there is
+     wrapped as the inner certificate;
+  5. non-squarefree monomial ideals recurse the same way on the
+     polarization, whose construction is checked generator by generator
+     and whose regular-sequence hypothesis is certified by equal Betti
+     tables of R/I and the polarized quotient;
+  6. otherwise a strict gap in the Serre block -> NotGolod(SerreGap), or
+     GolodUpTo(N): trivial products, a trivial Massey operation through
+     p_max (or through the last length the tuple cap let the search
+     finish), and Serre-bound equality through t^N, as evidence only.
+
+NotGolod comes only from R/I's own direct search or from a Serre gap; the
+transfers carry proofs of Golodness only.
 
 Every certificate carries the Poincare/Serre coefficient block, as far as
 its work budget reaches, and the Serre inequality is asserted on it;
@@ -28,7 +33,7 @@ since only an implementation fault can produce either.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .betti import has_linear_resolution
@@ -56,8 +61,8 @@ class AnalyzerConfig:
 
     N is the length of the Poincare/Serre block, which stops short of it
     when the resolution of k uses up resolution.POINCARE_BUDGET.
-    with_serre turns off the Poincare block; inner certificates built by the
-    transfer rules run without it, the wrapping certificate has its own.
+    with_serre turns off the Poincare block; the minors battery
+    (determinantal.certificate_config) runs without it.
     p_max is the longest Massey tuple searched; the direct search stops
     short of it once it would visit more than massey.TUPLE_CAP candidate
     tuples, and its evidence then reports the last length it finished.  The tuple cap,
@@ -204,8 +209,6 @@ def _witness_json(w):
             out[k] = [_class_json(h) for h in v]
         elif k == "product":
             out[k] = v.to_text()
-        elif k == "inner":
-            out[k] = _witness_json(v)
         elif k == "tuple":
             out[k] = [list(x) if isinstance(x, tuple) else x for x in v]
         else:
@@ -246,29 +249,16 @@ def _check_polarization(pol, quot, pol_quot):
         )
 
 
-def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None):
-    """Run the rule ladder on the ideal presented by a Groebner basis."""
-    config = config or AnalyzerConfig()
+def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list):
+    """Rules 2-5 on the ideal presented by gb: (rule, evidence) when a proof
+    rule's exactly checked hypotheses hold, else None.  Rules 4 and 5
+    recurse here on their inner ideal.  The names of the caps hit are
+    appended to caps."""
     quot = gb.quotient()
-    _check_input(gb)
-    ring = gb.ring
-    caps = []
-
-    verdict = rule = witness = None
-    evidence = {}
-    pending = None  # NotGolod transfer waiting on the direct-witness search
-
     I_mono = gb.initial_ideal() if quot.is_monomial and gb.lts else None
 
-    # Rules fire by verdict priority, but the expensive direct search of
-    # rule 1 is deferred: when a proof rule's exactly-checked hypotheses
-    # hold, the theorem behind it makes the ring Golod, so every homology
-    # product and Massey product vanishes and the search cannot produce a
-    # witness.  A NotGolod verdict arriving through a transfer rule still
-    # waits for the direct search, which outranks it.
-
-    # rule 2: rainbow with linear resolution
     if I_mono is not None:
+        # rule 2: rainbow with linear resolution
         det = detect_rainbow(I_mono)
         if det.status == "bound_exceeded":
             caps.append("rainbow color search bound")
@@ -280,87 +270,92 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
                 caps.append("rainbow label cap")
             if table is not None and table.cut:
                 caps.append("rainbow tuple cap")
-            verdict, rule = "GolodProven", "RainbowLinear"
-            evidence = {
+            return "RainbowLinear", {
                 "structure": det.structure.describe(),
                 "generator_degree": I_mono.gen_degrees()[0],
                 "linear_resolution": True,
                 "massey_table": _table_summary(table),
             }
 
-    # rule 3: power of a monomial ideal
-    if verdict is None and I_mono is not None:
+        # rule 3: power of a monomial ideal
         rec = recognize_monomial_power(I_mono)
         if rec is not None:
             J, t = rec
-            verdict, rule = "GolodProven", "MonomialPower"
-            evidence = {
-                "root_generators": [ring.mono_str(m) for m in J.gens],
+            return "MonomialPower", {
+                "root_generators": [gb.ring.mono_str(m) for m in J.gens],
                 "exponent": t,
             }
 
-    # rules 4 and 5 each pick a transfer: the rule, what the inner ideal
-    # is, its Groebner basis and the evidence for the hypotheses
-    transfer = None
-    # rule 4: fiber-invariant transfer to the initial ideal
-    if verdict is None and not quot.is_monomial:
+    # rules 4 and 5 each pick a transfer: the rule, the inner ideal's
+    # Groebner basis and the evidence for the hypotheses
+    if not quot.is_monomial:
+        # rule 4: fiber-invariant transfer to the initial ideal
         fi = fiber_invariant(gb)
-        if fi.invariant:
-            transfer = (
-                "FiberInvariantTransfer",
-                "initial ideal",
-                gb.initial_quotient().gb,
-                {"fiber_invariance": fi.fast_path or "entrywise Betti comparison"},
-            )
-
-    # rule 5: polarization transfer for non-squarefree monomial ideals
-    if verdict is None and I_mono is not None and not I_mono.is_squarefree():
+        if not fi.invariant:
+            return None
+        rule, inner_gb = "FiberInvariantTransfer", gb.initial_quotient().gb
+        ev = {"fiber_invariance": fi.fast_path or "entrywise Betti comparison"}
+    elif I_mono is not None and not I_mono.is_squarefree():
+        # rule 5: polarization transfer for non-squarefree monomial ideals
         pol = polarize(I_mono)
         # minimal monomial generators are already a reduced basis
-        pol_gb = GroebnerBasis(pol.ring, lex(pol.ring), pol.ideal.polys(), reduce=False)
-        _check_polarization(pol, quot, pol_gb.quotient())
+        inner_gb = GroebnerBasis(pol.ring, lex(pol.ring), pol.ideal.polys(), reduce=False)
+        _check_polarization(pol, quot, inner_gb.quotient())
         # the check covers every degree; the evidence reports the fixed
         # degree max deg(I) + s + 2, s the number of differences
         verified_to = max(I_mono.gen_degrees()) + len(pol.differences) + 2
-        transfer = (
-            "PolarizationTransfer",
-            "polarization",
-            pol_gb,
-            {"polarized_variables": pol.ring.nvars, "regular_sequence_verified_to": verified_to},
-        )
+        rule = "PolarizationTransfer"
+        ev = {"polarized_variables": pol.ring.nvars, "regular_sequence_verified_to": verified_to}
+    else:
+        return None
 
-    if transfer is not None:
-        t_rule, via, inner_gb, ev = transfer
-        inner_cert = golod_certificate(inner_gb, replace(config, with_serre=False))
-        if inner_cert.caps_exceeded:
-            caps.append("inner certificate caps")
-        ev["inner"] = inner_cert.to_json()
-        if inner_cert.verdict == "GolodProven":
-            verdict, rule, evidence = "GolodProven", t_rule, ev
-        elif inner_cert.verdict == "NotGolod":
-            pending = (t_rule, ev, {"kind": "transfer", "via": via, "inner": inner_cert.witness})
+    inner_caps = []
+    inner = _proof(inner_gb, config, inner_caps)
+    if inner_caps:
+        caps.append("inner certificate caps")
+    if inner is None:
+        return None
+    inner_rule, inner_evidence = inner
+    ev["inner"] = GolodCertificate(
+        "GolodProven", inner_rule, None, inner_evidence, None, config, bool(inner_caps)
+    ).to_json()
+    return rule, ev
 
-    # rule 1: the direct search for a nonzero product or Massey product,
-    # attempted whenever no proof rule has already decided
-    if verdict is None:
+
+def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None):
+    """Run the rule ladder on the ideal presented by a Groebner basis."""
+    config = config or AnalyzerConfig()
+    quot = gb.quotient()
+    _check_input(gb)
+    caps = []
+
+    # when a proof rule's exactly checked hypotheses hold, the theorem
+    # behind it makes every homology product and Massey product vanish, so
+    # the expensive direct search of rule 1 could not produce a witness
+    witness = None
+    proof = _proof(gb, config, caps)
+    if proof is not None:
+        verdict = "GolodProven"
+        rule, evidence = proof
+    else:
+        verdict = rule = None
+        evidence = {}
+        # rule 1: the direct search for a nonzero product or Massey
+        # product on R/I, the one place a witness of non-Golodness is found
         outcome = build_trivial_table(quot, p_max=config.p_max)
         if outcome.table is not None and outcome.table.cut:
             caps.append("massey tuple cap")
-        if outcome.witness is not None:
-            w = outcome.witness
+        witness = outcome.witness
+        if witness is not None:
             verdict = "NotGolod"
-            rule = "HomologyProduct" if w["kind"] == "product" else "MasseyProduct"
-            witness = w
+            rule = "HomologyProduct" if witness["kind"] == "product" else "MasseyProduct"
             evidence = {
                 "note": "first unsolvable tuple of the trivial-Massey recursion; "
                 "with all shorter products zero its right-hand side represents "
                 "the (singleton) Massey product of the tuple"
-                if w["kind"] == "massey"
+                if witness["kind"] == "massey"
                 else "nonzero product of two Koszul homology classes",
             }
-        elif pending is not None:
-            rule, evidence, witness = pending
-            verdict = "NotGolod"
 
     # Poincare/Serre block, with its hard assertions; it reaches t^pdata.N,
     # short of t^config.N when it runs out of work budget

@@ -4,12 +4,15 @@ Vectors are dicts mapping an arbitrary hashable, orderable index to a nonzero
 field element, so strand bases (wedge set, monomial) can be used directly
 without integer reindexing.  `axpy` is the one sparse accumulate kernel:
 every "add a multiple of one vector into another, dropping zeros" in the
-package goes through it, except `resolution._shift_by_var`, a deliberate
-inlined copy that multiplies by a variable without building a vector per
-term: its keys are negated packed ints, and each term moves its key by an
-offset read from a table of x_v times the packed standard monomials.  It
-serves the resolution of k over quotients that are not monomial only; over
-a monomial quotient a column's image is a restricted scalar row.
+package goes through it, except two deliberate inlined copies in
+`resolution`.  `_shift_by_var` multiplies by a variable without building a
+vector per term: its keys are negated packed ints, and each term moves its
+key by an offset read from a table of x_v times the packed standard
+monomials.  It serves the resolution of k over quotients that are not
+monomial only; over a monomial quotient a column's image is a restricted
+scalar row.  `_series`'s inner `add` accumulates shifted integer series
+coefficients, keyed by packed grades, optionally dropping the terms
+outside the box.
 
 The Eliminator keeps its rows in echelon form with combination tracking.
 `insert` is its one operation: inserting a vector either extends the basis

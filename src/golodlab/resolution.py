@@ -92,7 +92,11 @@ for generators, with the exactness count, where (s, g) is nonzero, which
 is where step s-1 recorded it.  Either way every step that finishes is
 complete.  The exactness check runs in every slice searched; the Serre
 inequality is checked once, on the finished series: in every bidegree,
-and for a monomial quotient in every multidegree of the expansion.  What
+and for a monomial quotient in every multidegree of the expansion.  Both
+bound the counts from above.  The Euler characteristic checks them from
+below and above at once: P(u, -1) K(u) = (1 - u)^n through u^N, with K(u)
+= sum (-1)^i beta_{i,j} u^j read off the quotient's Betti table, catches
+a lost kernel vector that no later slice reaches (_euler_check).  What
 bounds the whole walk is work: the steps share POINCARE_BUDGET Eliminator
 inserts, a count rather than a time so the result is deterministic, and
 the walk stops where they run out, keeping every step whose generators
@@ -106,6 +110,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 from .errors import InconsistencyError, InputError
@@ -531,8 +536,9 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
     s+1) was left, else 0..s-1.  N and the bound are cut to the steps kept.
     The Serre inequality is asserted in every bidegree, and for a monomial
     quotient in every multidegree, where each coefficient must also be
-    nonnegative; a violation raises InconsistencyError since it can only
-    come from a computation bug.
+    nonnegative, and so is the Euler characteristic through u^N; a
+    violation raises InconsistencyError since it can only come from a
+    computation bug.
     """
     if N < 0:
         raise InputError("negative homological bound")
@@ -615,4 +621,28 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
             graded[(step, j)] = c
         coefficients.append(sum(by_degree.values()))
     N = len(coefficients) - 1
+    _euler_check(graded, table, nvars, N)
     return PoincareData(tuple(coefficients), bound[: N + 1], N, graded)
+
+
+def _euler_check(graded, table, nvars, N):
+    """P(u, -1) K(u) = (1 - u)^n through u^N, where P(u, -1) = sum_s (-1)^s
+    P_{s,j} u^j is the Euler characteristic of the resolution of k, and
+    K(u) = sum (-1)^i beta_{i,j} u^j that of A's resolution over R, so that
+    H_A = K / (1 - u)^n and P(u, -1) H_A = 1.  P_{s,j} = 0 for j < s, so
+    the steps kept fix P(u, -1) through u^N.  One wrong count P_{s,j} with
+    j <= N, such as the shortfall a kernel vector lost in a slice that no
+    later image reaches leaves, moves the coefficient of u^j and raises
+    InconsistencyError; counts in degrees above N go unchecked."""
+    euler = [0] * (N + 1)
+    for (s, j), c in graded.items():
+        for (i, a), b in table.entries.items():
+            if j + a <= N:
+                euler[j + a] += (-1) ** (s + i) * c * b
+    for j, e in enumerate(euler):
+        if e != (-1) ** j * comb(nvars, j):
+            raise InconsistencyError(
+                "resolution of k fails its Euler characteristic in degree %d: "
+                "P(u, -1) K(u) has coefficient %d where (1 - u)^%d has %d"
+                % (j, e, nvars, (-1) ** j * comb(nvars, j))
+            )

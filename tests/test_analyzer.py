@@ -1,6 +1,7 @@
 """The consistency check between a NotGolod witness and the Serre block,
-and the Serre-gap verdict."""
+the Serre-gap verdict, and the one direct Massey search of each job."""
 
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from golodlab import analyzer, cli, massey, resolution
+from golodlab import GF, QQ, GroebnerBasis, PolyRing, analyzer, cli, grevlex, lex, massey, resolution
+from golodlab.massey import build_trivial_table
+from golodlab.monomial import MonomialIdeal, polarize
+from golodlab.parsing import parse_ideal_text
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_monomial, seeded
 
 GORENSTEIN3 = str(FIXTURES / "gorenstein3.txt")
 SCHEMAS = Path(cli.__file__).resolve().parent / "schemas"
@@ -121,3 +125,87 @@ def test_golod_upto_reports_the_lengths_the_direct_search_finished(cap, finished
         table = ev["massey_table"]
         assert (table["p_max"], table["verified"]) == (finished, True)
         assert sorted(table["tuples_by_length"]) == [str(p) for p in range(1, finished + 1)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # monomial, not squarefree: rule 5 tries its polarization, which
+        # no proof rule decides
+        "ring: QQ[x,y,z]\nideal: x*y^2, x*z^2",
+        # fiber invariant: rule 4 tries in(I), and rule 5 its polarization
+        "ring: QQ[p,h,y]\nideal: 6*p*h*y - 9*p^2*y, -12*h*y - 8*p*y",
+    ],
+    ids=["polarized", "fiber_invariant"],
+)
+def test_each_golod_job_runs_one_direct_search_on_its_own_quotient(text, monkeypatch):
+    """Rules 4 and 5 recurse through the proof rules only, so the direct
+    Massey search runs once, on R/I, however deep the transfers go."""
+    searched = []
+    real = analyzer.build_trivial_table
+
+    def counted(quot, *args, **kwargs):
+        searched.append(quot)
+        return real(quot, *args, **kwargs)
+
+    monkeypatch.setattr(analyzer, "build_trivial_table", counted)
+    f = parse_ideal_text(text)
+    gb = GroebnerBasis(f.ring, grevlex(f.ring), f.gens)
+    cert = analyzer.golod_certificate(gb)
+    assert cert.verdict == "GolodUpTo"
+    assert len(searched) == 1 and searched[0] is gb.quotient()
+
+
+def _nonsquarefree_monomial_ideals(field, seed, count):
+    rng = seeded(seed)
+    while count:
+        nvars = rng.choice((3, 4))
+        ring = PolyRing(tuple("xyzw"[:nvars]), field)
+        I = MonomialIdeal.from_monos(
+            ring, {random_monomial(rng, ring, 3) for _ in range(rng.randint(2, 4))}
+        )
+        if min(I.gen_degrees()) >= 2 and not I.is_squarefree():
+            count -= 1
+            yield I
+
+
+def _search(ring, order, polys):
+    out = build_trivial_table(GroebnerBasis(ring, order, polys, reduce=False).quotient())
+    if out.witness is not None:
+        return out.witness["kind"], out.witness["length"]
+    return "finished", out.table.p_max
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["QQ", "F2", "F3"])
+def test_direct_search_agrees_on_a_ring_and_its_polarization(field):
+    """The polarization rule no longer searches its inner ring.  The
+    variable differences are a regular sequence of linear forms on R'/J,
+    so K^{R'/J} -> K^{R/I} is a quasi-isomorphism of DG algebras and both
+    rings have the same products and Massey products: the direct search
+    finds a witness of the same kind and length on both, or finishes the
+    same lengths on both."""
+    kinds = set()
+    for I in _nonsquarefree_monomial_ideals(field, 2604, 50):
+        pol = polarize(I)
+        direct = _search(I.ring, grevlex(I.ring), I.polys())
+        assert _search(pol.ring, lex(pol.ring), pol.ideal.polys()) == direct, I.gens
+        kinds.add(direct[0])
+    assert kinds == {"product", "finished"}
+
+
+def test_the_polarized_cubic_job_is_bounded(capsys):
+    """x*y - z^2 plus every degree-9 monomial: in(I) is fiber invariant and
+    its polarization has 27 variables, whose direct search once ran for
+    minutes.  Only R/I is searched now, and every length through 4
+    vanishes."""
+    ninth = [
+        "*".join("%s^%d" % (v, e) for v, e in zip("xyz", t) if e)
+        for t in itertools.product(range(10), repeat=3)
+        if sum(t) == 9
+    ]
+    assert len(ninth) == 55
+    ideal = ",".join(["x*y-z^2"] + ninth)
+    code, cert, _ = _golod([ideal, "--order", "grevlex", "--N", "2"], capsys)
+    assert code == 0
+    assert (cert["verdict"], cert["rule"]) == ("GolodUpTo", None)
+    assert cert["evidence"]["massey_vanish_to"] == 4
