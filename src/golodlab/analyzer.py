@@ -114,7 +114,7 @@ def fiber_invariant(gb: GroebnerBasis):
     I (Conca-Varbaro, Invent. Math. 221, 2020), so it is d-linear too.
     """
     quot = gb.quotient()
-    if quot.is_monomial:
+    if gb.is_monomial:
         return FiberInvariantResult(True, fast_path="monomial ideal equals its initial ideal")
     binit = quotient_betti(gb.initial_quotient())
     if has_linear_resolution(binit):
@@ -237,7 +237,7 @@ def _check_polarization(pol, quot, pol_quot):
     (Herzog-Hibi, Monomial Ideals, Prop. 1.6.2; Peeva, Graded Syzygies,
     Sec. 21).
     """
-    back = sorted(pol.depolarize.apply_mono(g) for g in pol.ideal.gens)
+    back = sorted(pol.depolarize(g) for g in pol.ideal.gens)
     if back != sorted(pol.source.gens):
         raise InconsistencyError(
             "polarized generators do not depolarize onto the generators of I"
@@ -255,7 +255,7 @@ def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list):
     recurse here on their inner ideal.  The names of the caps hit are
     appended to caps."""
     quot = gb.quotient()
-    I_mono = gb.initial_ideal() if quot.is_monomial and gb.lts else None
+    I_mono = gb.initial_ideal() if gb.is_monomial and gb.lts else None
 
     if I_mono is not None:
         # rule 2: rainbow with linear resolution
@@ -288,7 +288,7 @@ def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list):
 
     # rules 4 and 5 each pick a transfer: the rule, the inner ideal's
     # Groebner basis and the evidence for the hypotheses
-    if not quot.is_monomial:
+    if not gb.is_monomial:
         # rule 4: fiber-invariant transfer to the initial ideal
         fi = fiber_invariant(gb)
         if not fi.invariant:
@@ -298,12 +298,11 @@ def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list):
     elif I_mono is not None and not I_mono.is_squarefree():
         # rule 5: polarization transfer for non-squarefree monomial ideals
         pol = polarize(I_mono)
-        # minimal monomial generators are already a reduced basis
-        inner_gb = GroebnerBasis(pol.ring, lex(pol.ring), pol.ideal.polys(), reduce=False)
+        inner_gb = GroebnerBasis(pol.ring, lex(pol.ring), pol.ideal.polys())
         _check_polarization(pol, quot, inner_gb.quotient())
         # the check covers every degree; the evidence reports the fixed
         # degree max deg(I) + s + 2, s the number of differences
-        verified_to = max(I_mono.gen_degrees()) + len(pol.differences) + 2
+        verified_to = max(I_mono.gen_degrees()) + pol.ring.nvars - gb.ring.nvars + 2
         rule = "PolarizationTransfer"
         ev = {"polarized_variables": pol.ring.nvars, "regular_sequence_verified_to": verified_to}
     else:

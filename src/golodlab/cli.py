@@ -163,7 +163,7 @@ def run_job(args) -> Report:
             payload["betti_initial"] = _betti_json(b_initial)
         return Report("\n".join(lines), payload)
     if args.command == "rainbow":
-        if not all(g.is_monomial() for g in gb.gens):
+        if not gb.is_monomial:
             raise InputError("rainbow detection works on monomial ideals; run `initial` first")
         det = detect_rainbow(gb.initial_ideal())
         payload = dict(header, status=det.status)

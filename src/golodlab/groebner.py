@@ -4,6 +4,10 @@ forms, initial ideals, and standard-monomial bases of quotient rings.
 Reduced Groebner bases are unique for (ideal, order), so downstream
 serialization and equality tests lean on that.
 
+Monomial bases.  `GroebnerBasis` runs no Buchberger pass on monomial
+generators (every in(I), every polarization), and it alone decides
+whether a basis is monomial: every other layer reads `is_monomial`.
+
 Leading data.  A basis element's leading monomial and coefficient are found
 once: `GroebnerBasis.leads` holds (leading monomial, leading coefficient,
 element) for each member of the reduced basis, beside `lts`.  `buchberger`
@@ -170,19 +174,29 @@ def _interreduce(leads, key, F):
 
 class GroebnerBasis:
     """A reduced Groebner basis with its ring and order; it owns in(I), R/I
-    and R/in(I), each built on first request."""
+    and R/in(I), each built on first request.  Non-constant monomial
+    generators need no Buchberger pass: their minimal ones, monic and by
+    ascending leading term, are the reduced basis.  `is_monomial` holds
+    when the reduced basis, and so the ideal, is monomial."""
 
-    def __init__(self, ring: PolyRing, order: TermOrder, gens, reduce: bool = True):
+    def __init__(self, ring: PolyRing, order: TermOrder, gens):
         self.ring = ring
         self.order = order
         gens = list(gens)
         for g in gens:
             if g.ring != ring:
                 raise InputError("generator from a different ring")
-        self.gens = buchberger(gens, order) if reduce else tuple(gens)
+        gens = [g for g in gens if g.terms]
+        monos = [m for g in gens for m in g.terms]
+        self._initial_ideal = None
+        if len(monos) == len(gens) and all(map(any, monos)):  # one non-constant term each
+            self._initial_ideal = MonomialIdeal.from_monos(ring, monos)
+            self.gens = tuple(ring.monomial(m) for m in sorted(self._initial_ideal.gens, key=order.key))
+        else:
+            self.gens = buchberger(gens, order)
+        self.is_monomial = all(len(g.terms) == 1 for g in self.gens)
         self.lts = tuple(order.leading_mono(g) for g in self.gens)
         self.leads = tuple((m, g.terms[m], g) for m, g in zip(self.lts, self.gens))
-        self._initial_ideal = None
         self._quotient = None
         self._initial_quotient = None
 
@@ -201,15 +215,14 @@ class GroebnerBasis:
         return self._quotient
 
     def initial_quotient(self) -> "QuotientRing":
-        """R/in(I).  The minimal monomial generators of in(I) are a reduced
-        basis for any order, so no Buchberger pass is run; the quotient is
-        that basis's own `quotient()`.  A basis of monomials spans in(I)
-        itself, so its R/in(I) is R/I, and one table serves both."""
+        """R/in(I), the quotient of the basis that the minimal generators of
+        in(I) form for any order.  A monomial basis spans in(I) itself, so
+        its R/in(I) is R/I, and one table serves both."""
         if self._initial_quotient is None:
-            if all(g.is_monomial() for g in self.gens):
+            if self.is_monomial:
                 self._initial_quotient = self.quotient()
             else:
-                gb = GroebnerBasis(self.ring, self.order, self.initial_ideal().polys(), reduce=False)
+                gb = GroebnerBasis(self.ring, self.order, self.initial_ideal().polys())
                 self._initial_quotient = gb.quotient()
         return self._initial_quotient
 
@@ -248,7 +261,7 @@ class QuotientRing:
         self._std = {}
         self._mult = {}
         self._mono_nf = {}
-        self.is_monomial = all(g.is_monomial() for g in gb.gens)
+        self.is_monomial = gb.is_monomial
         self._koszul = None
         self._betti = None
 

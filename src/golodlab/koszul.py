@@ -32,8 +32,8 @@ H_i(K tensor A) is Tor_i^R(A, k)_key, whose dimension is the Betti number
 beta_{i,key} of A over R.  So the support of the Betti table that A owns
 (`quotient_betti`) is exactly the set of strands with homology, and
 `homology_basis` visits only those.  Koszul strands compute such a table
-only for a quotient that is not monomial (`koszul_betti`, scanning the
-support of the table of R/in(I), a superset by upper-semicontinuity); a
+only for a quotient that is not monomial (`koszul_betti`, on the strands
+of R/in(I)'s table that a consecutive cancellation could lower); a
 monomial quotient's table comes from `taylor.taylor_betti`, strand by strand
 of the Taylor complex, so tabulating it builds no Koszul strand.
 """
@@ -308,7 +308,8 @@ class KoszulComplex:
         The strands are the support of the quotient's Betti table, visited
         in (deg alpha, alpha, i) order when multigraded and in (i, j) order
         otherwise; each strand's dimension must match its table entry, and
-        a multigraded table must sum to its (i, j) entries.
+        a multigraded table must sum to its (i, j) entries, which checks
+        the entries koszul_betti copies from R/in(I)'s table too.
         """
         B = quotient_betti(self.quot)
         if self.multigraded:
@@ -352,13 +353,12 @@ class KoszulComplex:
 def quotient_betti(quot) -> BettiTable:
     """Betti table of A = R/I over R: the one place an engine is chosen.
 
-    A multigraded quotient, which is exactly a monomial one, is tabulated
-    by taylor_betti from its minimal generators; every other quotient by
-    koszul_betti.  The table is kept on the quotient; the engines keep
-    nothing.
+    A monomial quotient is tabulated by taylor_betti from its minimal
+    generators; every other quotient by koszul_betti.  The table is kept on
+    the quotient; the engines keep nothing.
     """
     if quot._betti is None:
-        if quot.koszul().multigraded:
+        if quot.is_monomial:
             quot._betti = taylor_betti(quot.gb.initial_ideal())
         else:
             quot._betti = koszul_betti(quot)
@@ -366,16 +366,18 @@ def quotient_betti(quot) -> BettiTable:
 
 
 def koszul_betti(quot) -> BettiTable:
-    """Betti table of a quotient A = R/I that is not monomial, read off
-    from Koszul strand homology on A's own complex, so strands already
-    built for A are reused.  It scans the support of the table of R/in(I),
-    which contains the support of R/I's table by upper-semicontinuity of
-    Betti numbers."""
-    kz = quot.koszul()
-    if kz.multigraded:
+    """Betti table of a quotient A = R/I that is not monomial.  It is
+    R/in(I)'s after consecutive cancellations, each lowering beta_{i,j} and
+    beta_{i+1,j} together (Peeva, Proc. AMS 132, 2004), so an entry of
+    R/in(I)'s table with no nonzero beta_{i-1,j} or beta_{i+1,j} is R/I's;
+    only the others are read off strand homology of A's own complex."""
+    if quot.is_monomial:
         raise InputError("koszul_betti takes a quotient that is not monomial")
+    kz = quot.koszul()
+    init = quotient_betti(quot.gb.initial_quotient()).entries
     entries = {(0, 0): 1}
-    for i, j in quotient_betti(quot.gb.initial_quotient()).support():
+    for (i, j), b in sorted(init.items()):
         if i >= 1:
-            entries[(i, j)] = kz.betti_entry(i, j)
+            cancels = init.get((i - 1, j)) or init.get((i + 1, j))
+            entries[(i, j)] = kz.betti_entry(i, j) if cancels else b
     return BettiTable(entries)

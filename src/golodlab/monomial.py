@@ -1,5 +1,5 @@
-"""Monomial ideals and the combinatorial toolkit around them: polarization,
-variable-identification surjections and rainbow structure detection.
+"""Monomial ideals and the combinatorial toolkit around them: polarization
+and rainbow structure detection.
 """
 from __future__ import annotations
 
@@ -101,32 +101,22 @@ class MonomialIdeal:
         return "<MonomialIdeal (%s)>" % ", ".join(self.ring.mono_str(g) for g in self.gens)
 
 
-@dataclass(frozen=True)
-class RingSurjection:
-    """Variable identification map between polynomial rings."""
-
-    source: PolyRing
-    target: PolyRing
-    var_map: tuple  # source variable index -> target variable index
-
-    def apply_mono(self, m: Mono) -> Mono:
-        out = [0] * self.target.nvars
-        for i, e in enumerate(m):
-            if e:
-                out[self.var_map[i]] += e
-        return tuple(out)
-
-
 @dataclass
 class Polarization:
     source: MonomialIdeal
     ideal: MonomialIdeal  # the squarefree polarized ideal
-    depolarize: RingSurjection  # polarized ring -> source ring
-    differences: tuple  # pairs (i, j) of polarized-ring variable indices
+    owners: tuple  # polarized-ring variable index -> source variable index
 
     @property
     def ring(self) -> PolyRing:
         return self.ideal.ring
+
+    def depolarize(self, m: Mono) -> Mono:
+        """m with each copy of a variable sent back to its owner."""
+        out = [0] * self.source.ring.nvars
+        for j, e in enumerate(m):
+            out[self.owners[j]] += e
+        return tuple(out)
 
 
 def _polar_names(ring: PolyRing, heights):
@@ -152,9 +142,9 @@ def polarize(I: MonomialIdeal) -> Polarization:
 
     The variable differences (copy_k - copy_1) cut the polarized quotient
     back down to R/I and form a regular sequence on it (Herzog-Hibi,
-    Monomial Ideals, Prop. 1.6.2).  The construction is checked where the
-    transfer uses it (analyzer rule 5), against the Betti tables of both
-    quotients.
+    Monomial Ideals, Prop. 1.6.2), one per copy beyond the first.  The
+    construction is checked where the transfer uses it (analyzer rule 5),
+    against the Betti tables of both quotients.
     """
     ring = I.ring
     heights = [max((g[i] for g in I.gens), default=0) for i in range(ring.nvars)]
@@ -171,12 +161,7 @@ def polarize(I: MonomialIdeal) -> Polarization:
             for k in range(e):
                 m[slot[i][k]] = 1
         polar_gens.append(tuple(m))
-    polarized = MonomialIdeal.from_monos(polar_ring, polar_gens)
-    depolarize = RingSurjection(polar_ring, ring, tuple(owners))
-    differences = tuple(
-        (slot[i][k], slot[i][0]) for i in range(ring.nvars) for k in range(1, heights[i])
-    )
-    return Polarization(I, polarized, depolarize, differences)
+    return Polarization(I, MonomialIdeal.from_monos(polar_ring, polar_gens), tuple(owners))
 
 
 @dataclass(frozen=True)

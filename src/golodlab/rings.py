@@ -200,9 +200,6 @@ class Polynomial:
             return True
         return len({mono_deg(m) for m in self.terms}) == 1
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def sorted_terms(self, key=None):
         """Terms sorted descending; default key is plain lex on exponents."""
         if key is None:

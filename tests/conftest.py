@@ -19,6 +19,7 @@ from golodlab import (
 )
 from golodlab.linalg import rank_of
 from golodlab.monomial import lcm_lattice
+from golodlab.parsing import parse_ideal_text
 from golodlab.rings import mono_deg, mono_lcm, monomials_of_degree
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -50,6 +51,13 @@ def gorenstein_initial_quot(gorenstein_gb):
     ring = gorenstein_gb.ring
     gb = GroebnerBasis(ring, gorenstein_gb.order, gorenstein_gb.initial_ideal().polys())
     return QuotientRing(gb)
+
+
+def rp2_cubics(field):
+    """The ring of fixtures/rp2.txt over field, and the exponent tuples of
+    the fixture's 10 squarefree cubics: the Stanley-Reisner ideal of RP^2."""
+    f = parse_ideal_text((FIXTURES / "rp2.txt").read_text())
+    return PolyRing(f.ring.names, field), [next(iter(g.terms)) for g in f.gens]
 
 
 def random_monomial(rng, ring, max_deg):

@@ -170,7 +170,7 @@ def _nonsquarefree_monomial_ideals(field, seed, count):
 
 
 def _search(ring, order, polys):
-    out = build_trivial_table(GroebnerBasis(ring, order, polys, reduce=False).quotient())
+    out = build_trivial_table(GroebnerBasis(ring, order, polys).quotient())
     if out.witness is not None:
         return out.witness["kind"], out.witness["length"]
     return "finished", out.table.p_max

@@ -24,6 +24,9 @@ XYZ4 = "x^4,x^3*y,x^3*z,x^2*y^2,x^2*y*z,x^2*z^2,x*y^3,x*y^2*z,x*y*z^2,x*z^3,y^4,
 
 TCF_CUBICS = "4*t*f^2+2*t*c*f, -c^2*f, 6*c*f^2-3*t*c*f, -3*t*c*f+9*f^3"
 
+# the RP^2 fixture over F2, where its Betti table has two more entries
+RP2_F2 = (FIXTURES / "rp2.txt").read_text().replace("QQ[", "F2[")
+
 # golden file stem -> argv (without --json); each job but the budget case
 # runs in under a second
 CASES = {
@@ -56,6 +59,8 @@ CASES = {
     "golod_graded_fractions": [
         "golod", "--ideal", "3*x^2-2*y*z+w^2,y^2-5*x*z,z^2-x*y+7*w^2,x*w", "--N", "4",
     ],
+    "golod_rp2": ["golod", "--ideal", str(FIXTURES / "rp2.txt")],
+    "golod_rp2_f2": ["golod", "--ideal", RP2_F2],
 }
 
 # verdict and rule each golod golden file must show
@@ -71,6 +76,8 @@ RULES = {
     "golod_tcf_cubics_budget": ("GolodUpTo", None),
     "golod_graded_fractions": ("NotGolod", "HomologyProduct"),
     "golod_x3_y3_z3_xyz": ("NotGolod", "HomologyProduct"),
+    "golod_rp2": ("GolodUpTo", None),
+    "golod_rp2_f2": ("GolodUpTo", None),
 }
 
 
@@ -120,6 +127,17 @@ def test_json_matches_golden_bytes_and_schema(name, capsys):
         assert top["caps_exceeded"] is (name == "golod_tcf_cubics_budget")
         if name == "golod_tcf_cubics_budget":
             assert top["serre"]["N"] == 10
+
+
+@pytest.mark.parametrize("name, t4", [("golod_rp2", 361), ("golod_rp2_f2", 362)])
+def test_rp2_series_meets_the_bound_in_each_characteristic(name, t4):
+    """RP^2 is Golod up to t^8 over QQ and over F2 alike; over F2 the two
+    extra Betti numbers raise the series from t^4 on, and the Serre bound
+    with it."""
+    cert = json.loads((GOLDEN / (name + ".json")).read_text())["certificate"]
+    serre = cert["serre"]
+    assert (serre["N"], serre["poincare"][4], cert["evidence"]["massey_vanish_to"]) == (8, t4, 4)
+    assert serre["poincare"] == serre["bound"]
 
 
 def test_golden_cases_cover_every_golden_file():

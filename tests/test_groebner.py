@@ -20,11 +20,12 @@ from golodlab import (
     parse_poly,
     weight_order,
 )
-from golodlab.groebner import normal_form, s_polynomial
+from golodlab import groebner
+from golodlab.groebner import buchberger, normal_form, s_polynomial
 from golodlab.monomial import display_sorted
 from golodlab.rings import mono_deg, mono_divides, monomials_of_degree
 
-from conftest import random_homogeneous_ideal, random_monomial_ideal
+from conftest import random_homogeneous_ideal, random_monomial, random_monomial_ideal
 
 
 def corpus(seed=4201, count=12):
@@ -160,6 +161,70 @@ def test_monomial_input_is_its_own_basis():
         I = random_monomial_ideal(rng, 3, 3)
         gb = GroebnerBasis(I.ring, grevlex(I.ring), I.polys())
         assert set(gb.lts) == set(I.gens)
+
+
+def _monomial_input(rng, ring):
+    """Monomial generators as a user may write them: scaled, repeated, and
+    with zero generators among them (a multiple of the characteristic
+    scales a monomial to zero)."""
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        gens.append(ring.monomial(random_monomial(rng, ring, 3), rng.choice([1, -1, 2, 3, 5, -7])))
+        if rng.random() < 0.3:
+            gens.append(gens[-1])
+    if rng.random() < 0.3:
+        gens.insert(rng.randrange(len(gens) + 1), ring.zero)
+    return gens
+
+
+def _random_order(rng, ring):
+    priority = rng.sample(range(ring.nvars), ring.nvars)
+    return rng.choice([
+        lex(ring),
+        grevlex(ring),
+        lex(ring, priority),
+        weight_order(ring, [rng.randint(1, 4) for _ in range(ring.nvars)], priority),
+    ])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(32003)], ids=["QQ", "F2", "F3", "F32003"])
+def test_monomial_generators_skip_buchberger(field, monkeypatch):
+    """Non-constant monomial generators are their own Groebner basis: the
+    basis is the one buchberger returns on them, in every field and order,
+    and buchberger never runs."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return buchberger(*args)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    rng = random.Random(2704)
+    for _ in range(150):
+        ring = PolyRing(tuple("x%d" % v for v in range(rng.randint(1, 5))), field)
+        order = _random_order(rng, ring)
+        gens = _monomial_input(rng, ring)
+        gb = GroebnerBasis(ring, order, gens)
+        assert gb.gens == buchberger(gens, order)
+        assert gb.is_monomial
+        assert gb.initial_ideal() == MonomialIdeal.from_monos(ring, gb.lts)
+    assert calls == []
+
+
+def test_is_monomial_reads_the_reduced_basis():
+    """A constant generator goes through buchberger; a basis is monomial
+    when its reduced basis is, whatever the generators look like."""
+    ring = PolyRing(("x", "y"), QQ)
+    order = grevlex(ring)
+    gb = GroebnerBasis(ring, order, [parse_poly(t, ring) for t in ("x^2+x*y", "x*y")])
+    assert gb.is_monomial and gb.quotient().is_monomial
+    assert [ring.mono_str(m) for m in gb.lts] == ["x*y", "x^2"]
+    assert gb.initial_quotient() is gb.quotient()
+    unit = GroebnerBasis(ring, order, [parse_poly("x", ring), ring.const(3)])
+    assert unit.gens == (ring.one,)
+    gb = GroebnerBasis(ring, order, [parse_poly("x^2-y^2", ring)])
+    assert not gb.is_monomial
+    assert gb.initial_quotient().is_monomial
 
 
 def test_zero_ideal_and_unit_ideal():

@@ -8,12 +8,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from golodlab import (
+    GF,
+    QQ,
     BettiTable,
+    FiberInvariantResult,
     GroebnerBasis,
     KoszulComplex,
     KoszulElement,
     MonomialIdeal,
+    PolyRing,
     QuotientRing,
+    fiber_invariant,
     grevlex,
     koszul_betti,
     parse_poly,
@@ -36,7 +41,7 @@ from conftest import (
 
 
 def quotient_of(I):
-    gb = GroebnerBasis(I.ring, grevlex(I.ring), I.polys(), reduce=False)
+    gb = GroebnerBasis(I.ring, grevlex(I.ring), I.polys())
     return QuotientRing(gb)
 
 
@@ -216,6 +221,76 @@ def test_koszul_betti_non_monomial(gorenstein_gb):
     for (i, _), b in B.entries.items():
         totals[i] = totals.get(i, 0) + b
     assert totals == {0: 1, 1: 5, 2: 5, 3: 1}
+
+
+def _counted_betti_entries(monkeypatch):
+    calls = []
+    betti_entry = KoszulComplex.betti_entry
+
+    def counted(self, i, key):
+        calls.append((i, key))
+        return betti_entry(self, i, key)
+
+    monkeypatch.setattr(KoszulComplex, "betti_entry", counted)
+    return calls
+
+
+def _no_consecutive_pair():
+    """6*p*h*y - 9*p^2*y, -12*h*y - 8*p*y, with in(I) = (h^2*y, p*y)."""
+    ring = PolyRing(("p", "h", "y"), QQ)
+    gens = [parse_poly(t, ring) for t in ("6*p*h*y - 9*p^2*y", "-12*h*y - 8*p*y")]
+    return GroebnerBasis(ring, grevlex(ring), gens)
+
+
+def test_an_entry_no_cancellation_reaches_builds_no_strand(monkeypatch):
+    """in(I) = (h^2*y, p*y) has Betti entries (1, 2), (1, 3) and (2, 4): not
+    linear, and no two in one internal degree at consecutive homological
+    degrees, so no consecutive cancellation can occur.  R/I's table is
+    in(I)'s, read with no Koszul strand, and fiber invariance follows from
+    the entrywise comparison; homology_basis then checks every entry."""
+    calls = _counted_betti_entries(monkeypatch)
+    gb = _no_consecutive_pair()
+    want = {(0, 0): 1, (1, 2): 1, (1, 3): 1, (2, 4): 1}
+    assert quotient_betti(gb.initial_quotient()).entries == want
+    assert fiber_invariant(gb) == FiberInvariantResult(True)
+    assert quotient_betti(gb.quotient()).entries == want
+    assert calls == []
+    assert len(gb.quotient().koszul().homology_basis()) == 3
+
+
+def test_an_entry_taken_from_the_initial_table_is_checked():
+    """The entries koszul_betti copies from R/in(I) are checked against
+    computed homology: a wrong copy fails homology_basis."""
+    gb = _no_consecutive_pair()
+    init = gb.initial_quotient()
+    init._betti = BettiTable({**quotient_betti(init).entries, (1, 3): 2})
+    with pytest.raises(InconsistencyError, match="H_1 on strand 3 has dimension 1, the Betti table says 2"):
+        gb.quotient().koszul().homology_basis()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["QQ", "F2", "F3"])
+def test_koszul_betti_matches_every_strand(field, monkeypatch):
+    """koszul_betti equals the table read off every strand of the support of
+    R/in(I)'s table; over the sample some entries are copied and some are
+    computed."""
+    calls = _counted_betti_entries(monkeypatch)
+    rng = seeded(2705)
+    copied = computed = 0
+    for _ in range(40):
+        ring = PolyRing(tuple("xyzw"[: rng.randint(3, 4)]), field)
+        gens = random_homogeneous_ideal(rng, ring, max_deg=3, n_gens=rng.randint(2, 4))
+        gb = GroebnerBasis(ring, grevlex(ring), gens)
+        if gb.is_monomial or not all(any(m) for m in gb.lts):
+            continue
+        quot = gb.quotient()
+        support = [(i, j) for i, j in quotient_betti(gb.initial_quotient()).support() if i]
+        calls.clear()
+        B = koszul_betti(quot)
+        copied += len(support) - len(calls)
+        computed += len(calls)
+        kz = KoszulComplex(quot)
+        assert B == BettiTable({(0, 0): 1, **{s: kz.betti_entry(*s) for s in support}})
+    assert copied and computed
 
 
 def test_homology_basis_with_a_twenty_generator_initial_ideal():

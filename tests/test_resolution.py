@@ -2,7 +2,6 @@
 bound, the work budget, and agreement with a straightforward stepwise
 resolution kept here as an oracle."""
 
-import itertools
 import re
 from math import comb
 
@@ -34,8 +33,14 @@ from golodlab.resolution import (
 )
 from golodlab.rings import mono_deg
 
-from conftest import koszul_oracle, random_homogeneous_ideal, random_monomial_ideal, seeded
-from test_taylor import RP2_FACES
+from conftest import (
+    koszul_oracle,
+    random_homogeneous_ideal,
+    random_homogeneous_poly,
+    random_monomial_ideal,
+    rp2_cubics,
+    seeded,
+)
 
 F2, F3, F32003 = GF(2), GF(3), GF(32003)
 # the oracle comparisons draw every field kind, small characteristic included
@@ -347,6 +352,38 @@ def test_graded_quotients_match_oracle(seed, N, field):
     _compare(quot, N)
 
 
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "F2", "F3"])
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 10 ** 9),
+    nvars=st.integers(3, 5),
+    N=st.integers(1, 6),
+    monomial=st.booleans(),
+)
+def test_resolution_of_k_inverts_the_hilbert_series(field, seed, nvars, N, monomial):
+    """H_A(u) P(u, -1) = 1 through u^N: for every j <= N, sum_s sum_j'
+    (-1)^s P_{s,j'} dim A_{j-j'} = [j = 0], the Euler characteristic of the
+    resolution of k in internal degree j.  dim A_d is read off the standard
+    monomials, so this oracle does not use the Betti table that the walk's
+    own Euler check reads."""
+    rng = seeded(seed)
+    ring = PolyRing(tuple("x%d" % v for v in range(1, nvars + 1)), field)
+    # generators of degree 2 and 3, one term each or up to three
+    gens = [
+        random_homogeneous_poly(rng, ring, rng.randint(2, 3), 1 if monomial else 3)
+        for _ in range(rng.randint(2, 6))
+    ]
+    quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), gens))
+    pdata = poincare_coeffs(quot, N)
+    for j in range(pdata.N + 1):
+        euler = sum(
+            (-1) ** s * c * len(quot.std_monomials(j - jp))
+            for (s, jp), c in pdata.graded.items()
+            if jp <= j
+        )
+        assert euler == (j == 0), j
+
+
 # ---------------------------------------------------------------------------
 # the two slicings against each other: a transvection x_i -> x_i + x_j is a
 # graded automorphism of R, so it keeps the Poincare series of k, and it
@@ -656,17 +693,12 @@ def test_no_slice_outside_the_box_is_visited(text, top, monkeypatch):
     ids=["QQ", "F3", "F2"],
 )
 def test_rp2_series_depends_on_the_characteristic(field, coefficients):
-    """The Stanley-Reisner ring of RP^2 (its 10 non-face cubics, see
-    test_taylor.py) through t^6: over F2 its Koszul homology has two more
-    classes, beta_{3,6} and beta_{4,6}, and the series is larger from t^4
-    on.  The box (1, ..., 1) is all the walk visits."""
-    ring = PolyRing(tuple("x%d" % v for v in range(1, 7)), field)
-    faces = {frozenset(map(int, f)) for f in RP2_FACES}
-    cubics = [
-        ring.monomial(tuple(int(v in t) for v in range(1, 7)))
-        for t in itertools.combinations(range(1, 7), 3)
-        if frozenset(t) not in faces
-    ]
+    """The Stanley-Reisner ring of RP^2 (fixtures/rp2.txt) through t^6:
+    over F2 its Koszul homology has two more classes, beta_{3,6} and
+    beta_{4,6}, and the series is larger from t^4 on.  The box (1, ..., 1)
+    is all the walk visits."""
+    ring, monos = rp2_cubics(field)
+    cubics = [ring.monomial(m) for m in monos]
     P = poincare_coeffs(QuotientRing(GroebnerBasis(ring, grevlex(ring), cubics)), 6)
     assert P.coefficients == P.bound == coefficients
 
