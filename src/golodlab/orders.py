@@ -4,7 +4,9 @@ order used for minors of a generic matrix.
 An order exposes key(mono) -> tuple, a function fixed when the order is
 built; bigger key means bigger monomial, and key comparison is
 multiplicative because every kind here is realized by a (sequence of)
-linear functionals on exponent vectors.
+linear functionals on exponent vectors.  A new kind must keep key linear:
+the walk by total degree in `resolution` reads the functionals off the
+key's values at the unit vectors to pack monomials in term order.
 
 The diagonal order on an n x m matrix of variables is lex with row-major
 priority x11 > x12 > ... > x1m > x21 > ...; under it the leading term of

@@ -37,7 +37,14 @@ in every multidegree.  Every coefficient of that expansion must be
 nonnegative and within the multigraded bound, and its sums by degree
 within the bigraded bound; any other outcome raises InconsistencyError.
 So no step's cost grows with the grades past the box, and no formula for
-b (Berglund's homology of lattice intervals) is needed.
+b (Berglund's homology of lattice intervals) is needed.  The expansion is
+made only when the series leaves the Golod bound.  The multigraded bound
+is expanded in the box alone, which is all that slice selection reads.
+Where every finished step's box counts equal it, b is the Golod
+denominator 1 - D, as D's terms, the Koszul-homology grades, all lie in
+the box; P is then the Golod series in every multidegree, and its sums
+by degree are the bigraded bound, read as they are.  Only otherwise are
+the full multigraded bound, b and P expanded and checked.
 
 Every other quotient is sliced by total degree, and walked in full: its
 Poincare series need not even be rational (Anick, Ann. of Math. 115,
@@ -45,13 +52,33 @@ Poincare series need not even be rational (Anick, Ann. of Math. 115,
 x_v times the image of the column one degree lower, x_v the first variable
 of its monomial, so every degree from the lowest up is visited.  A column
 m * g_t of F_s is keyed by the int t * U + pack(m), and an entry m' * g_t'
-of F_{s-1} in an image by minus that int: pack is the Multidegrees packing
-in a base above the top degree the bigraded bound reaches, and U the first
-place above every packed monomial.  Within a slice the monomials paired
-with one generator share a degree, and packed monomials of one degree sort
-as their exponent tuples, so the ints sort as the (t, m) pairs, in the
-order the columns are inserted.  The normal form of x_v * m is kept per
-packed standard monomial m as the key offsets a shift moves keys by.
+of F_{s-1} in an image by minus that int.  pack follows the Groebner
+basis's term order: its digits are the linear components of the order's
+key, each offset to be nonnegative, in a base above its range on the
+monomials up to the top degree the bigraded bound reaches; U is the first
+place above every packed monomial.  So the ints sort as (t, m) in term
+order, the order the columns are inserted, and pack is affine: a shift by
+x_v adds one constant, and 1 * g_t is keyed t * U + pack(1).  The normal
+form of x_v * m is kept per packed standard monomial m as the key offsets
+a shift moves keys by.
+
+The walk by total degree skips each column m * g_t with a parent
+(m / x_w) * g_t that was dependent on earlier columns one degree down:
+x_w times that dependency is m * g_t plus multiples of earlier columns,
+since every term of the normal form of x_w * m' lies at or below x_w * m'
+in the term order.  So the column is dependent in its own slice, and its
+image lies in the span of the earlier images; it gets no image, no insert
+and no kernel vector, and its children are skipped in turn.  A slice with
+no kernel, which the walk passes over, has only zero images, so all its
+columns count as dependent.  The tag of a skipped column is still handed
+on, with None for its vector, and it is always a pivot in the next step:
+x_w times the parent's dependency lies in (x_1..x_n) * ker d_s, which the
+next step's images span, and its largest column is the tag.  A skipped
+tag left over as a generator raises InconsistencyError, so a wrong skip
+cannot pass silently.  A packing that did not follow the term order would
+break the argument: a normal-form term past the column could make the
+skip wrong.
+
 In both walks the Eliminator returns each QQ dependency as a primitive int
 vector: a nonzero multiple of a kernel vector is one, and a generator
 scaled by a unit changes no count.  So the kernel vectors and generator
@@ -63,7 +90,8 @@ The new generators are read off the pivots.  Each kernel vector is kept
 with its tag, the column whose insert returned it ({col: 1} for a zero
 image).  Columns are inserted in increasing order, so the dependency d_c
 lies on c and smaller columns, and the largest column of sum a_c d_c is
-the largest tag with a_c != 0.  Image entries are keyed by negated
+the largest tag with a_c != 0 (a skipped column's tag alike, through
+its parent's dependency).  Image entries are keyed by negated
 columns, so a pivot, the Eliminator's smallest key, is a row's largest
 column: a negated tag, since the images lie in ker d_{s-1}.  With the d_c
 at the tags that are not pivots the rows form a triangular basis of the
@@ -92,18 +120,18 @@ for generators, with the exactness count, where (s, g) is nonzero, which
 is where step s-1 recorded it.  Either way every step that finishes is
 complete.  The exactness check runs in every slice searched; the Serre
 inequality is checked once, on the finished series: in every bidegree,
-and for a monomial quotient in every multidegree of the expansion.  Both
-bound the counts from above.  The Euler characteristic checks them from
-below and above at once: P(u, -1) K(u) = (1 - u)^n through u^N, with K(u)
-= sum (-1)^i beta_{i,j} u^j read off the quotient's Betti table, catches
-a lost kernel vector that no later slice reaches (_euler_check).  What
-bounds the whole walk is work: the steps share POINCARE_BUDGET Eliminator
-inserts, a count rather than a time so the result is deterministic, and
-the walk stops where they run out, keeping every step whose generators
-were all found; a monomial series is expanded through those steps.  The
-bounds read the Betti table that the quotient owns
-(`koszul.quotient_betti`), so the Serre block and the ladder rules before
-it share one table.
+and for a monomial quotient that leaves the Golod bound in every
+multidegree of the expansion.  Both bound the counts from above.  The
+Euler characteristic checks them from below and above at once: P(u, -1)
+K(u) = (1 - u)^n through u^N, with K(u) = sum (-1)^i beta_{i,j} u^j read
+off the quotient's Betti table, catches a lost kernel vector that no
+later slice reaches (_euler_check).  What bounds the whole walk is work:
+the steps share POINCARE_BUDGET Eliminator inserts, a count rather than
+a time so the result is deterministic, and the walk stops where they run
+out, keeping every step whose generators were all found; a monomial
+series is read or expanded through those steps.  The bounds read the
+Betti table that the quotient owns (`koszul.quotient_betti`), so the
+Serre block and the ladder rules before it share one table.
 """
 from __future__ import annotations
 
@@ -111,7 +139,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import InconsistencyError, InputError
 from .koszul import quotient_betti
@@ -128,7 +156,7 @@ __all__ = [
 ]
 
 # Eliminator inserts that one poincare_coeffs call may make, over all its
-# steps; every corpus job needs far fewer: at most 17,987 on a walk by
+# steps; every corpus job needs far fewer: at most 13,570 on a walk by
 # total degree, and at most 65 on a monomial quotient
 POINCARE_BUDGET = 200_000
 
@@ -183,7 +211,7 @@ def _series(weights, denom, N: int, inside=None):
     return series
 
 
-def _golod_series(weights, entries, N: int):
+def _golod_series(weights, entries, N: int, inside=None):
     """Coefficients of prod_v (1 + u^{w_v} t) / (1 - sum_{i>=1} b_{i,a} u^a t^{i+1})
     through t^N, one {grade: coefficient} dict per homological degree.
 
@@ -194,13 +222,13 @@ def _golod_series(weights, entries, N: int):
     positive coefficient past t^0, so here, unlike in the denominators of
     monomial Poincare series that _MonomialSlices.series expands, nothing
     cancels: every coefficient is a positive integer, and every term met
-    has a grade the result has.
+    has a grade the result has.  `inside` is as in _series.
     """
     denom = [{} for _ in range(N + 1)]
     for (i, a), b in entries.items():
         if 1 <= i < N:
             denom[i + 1][a] = -b
-    return _series(weights, denom, N)
+    return _series(weights, denom, N, inside)
 
 
 def bigraded_golod_series(nvars: int, table, N: int):
@@ -246,13 +274,14 @@ class Multidegrees:
         return lambda g: (high - g) & guard == guard
 
 
-def multigraded_golod_series(table, grades: Multidegrees, N: int):
+def multigraded_golod_series(table, grades: Multidegrees, N: int, inside=None):
     """The Golod series graded by packed multidegree, from `table`'s
-    multigraded entries.  The base of `grades` must exceed every exponent
-    any term reaches; the top total degree of the bigraded series through
-    t^N does."""
+    multigraded entries, or only its terms where `inside` holds, as in
+    _series.  The base of `grades` must exceed every exponent any term
+    reaches; the top total degree of the bigraded series through t^N
+    does."""
     entries = {(i, grades.pack(a)): b for (i, a), b in table.multigraded.items()}
-    return _golod_series(grades.weights, entries, N)
+    return _golod_series(grades.weights, entries, N, inside)
 
 
 def serre_bound(quot, N: int) -> tuple:
@@ -316,7 +345,7 @@ class _MonomialSlices:
     the box below the lcm of its generators where the multigraded Golod
     bound allows them."""
 
-    def __init__(self, quot, table, N):
+    def __init__(self, quot, table, big, N):
         nvars = quot.ring.nvars
         lts = quot.gb.lts
         top = tuple(max((m[v] for m in lts), default=0) for v in range(nvars))
@@ -327,17 +356,15 @@ class _MonomialSlices:
         reach = max(N, 2) * max(top) + 1
         grades = self.grades = Multidegrees(nvars, 2 << reach.bit_length())
         inside = self.inside = grades.below(top)
-        self.mbig = multigraded_golod_series(table, grades, N)
-        self.bound = [{g for g in coeffs if inside(g)} for coeffs in self.mbig]
-        self.bound.append(set())  # step N records no kernel
+        self.table, self.big = table, big
+        # the Golod series in the box, which is all that slice selection reads
+        self.box = multigraded_golod_series(table, grades, N, inside)
+        self.box.append({})  # step N records no kernel
         self.std = _StandardSets(quot, grades)
 
     def last(self, step):
         """The last slice in which step searches for generators."""
-        return max(self.bound[step], default=-1)
-
-    def degree(self, g):
-        return self.grades.degree(g)
+        return max(self.box[step], default=-1)
 
     def label(self, g):
         return self.grades.unpack(g)
@@ -347,16 +374,17 @@ class _MonomialSlices:
         self.rows.append(vec)
 
     def __call__(self, step, prev, gens, kernels):
-        """(degree, grade, columns, images, track, check) per slice of step,
-        in order: the columns t, and the nonzero images by column."""
+        """(degree, grade, columns, images, dead, track, check) per slice of
+        step, in order: the columns t, and the nonzero images by column;
+        no column is skipped, so each dead set starts empty."""
         rows = self.rows = [{} for _ in gens]  # d of each generator: F_0's is 0
-        here, track = self.bound[step], self.bound[step + 1]
+        here, track = self.box[step], self.box[step + 1]
         degree, std = self.grades.degree, self.std
         targets = [(p.grade, p.deg) for p in prev]
         # grade -> (degree, first, last + 1) of the generators of F_step in
         # it; those of one slice are found together, so their indices run
         runs = {gen.grade: (gen.deg, t, t + 1) for t, gen in enumerate(gens)}
-        for g in sorted(track | kernels.keys()):
+        for g in sorted(track.keys() | kernels.keys()):
             j = degree(g)
             cols, images = [], {}
             ok = {}  # grade h of F_{step-1} -> g - h is standard
@@ -377,20 +405,30 @@ class _MonomialSlices:
                     if img:
                         images[t] = img
             n = len(gens)
-            yield j, g, cols, images, g in track, g in here
+            yield j, g, cols, images, set(), g in track, g in here
             if len(gens) > n:
                 runs[g] = (j, n, len(gens))
 
     def series(self, counts):
-        """The multigraded Poincare series through the steps counted, from
-        the counts {grade: generators} in the box: b = prod_v (1 + u^{w_v} t)
-        / P there, then P = prod_v (1 + u^{w_v} t) / b in every grade.  Each
-        coefficient must be nonnegative and within the multigraded bound."""
+        """The Poincare series through the steps counted, graded by internal
+        degree, from the counts {grade: generators} in the box.  Where every
+        step's counts are the Golod series' in the box, the series is the
+        Golod series: the denominator b that the counts give there is then
+        the Golod denominator 1 - D, whose terms all lie in the box, so P =
+        prod_v (1 + u^{w_v} t) / b is the Golod series in every grade, and
+        its sums by degree are the bigraded bound.  Otherwise b = prod_v (1
+        + u^{w_v} t) / P in the box, then P = prod_v (1 + u^{w_v} t) / b in
+        every grade, each coefficient nonnegative and within the multigraded
+        bound."""
         N = len(counts) - 1
-        weights, mbig, label = self.grades.weights, self.mbig, self.label
+        if all(c == b for c, b in zip(counts, self.box)):
+            return self.big[: N + 1]
+        weights, degree, label = self.grades.weights, self.grades.degree, self.label
+        mbig = multigraded_golod_series(self.table, self.grades, N)
         series = _series(weights, _series(weights, counts, N, self.inside), N)
+        out = []
         for step, coeffs in enumerate(series):
-            bound = mbig[step]
+            bound, by_degree = mbig[step], Counter()
             for g, c in coeffs.items():
                 if c < 0:
                     raise InconsistencyError(
@@ -398,7 +436,36 @@ class _MonomialSlices:
                         % (step, label(g), c)
                     )
                 _serre_check(c, bound.get(g, 0), step, g, label)
-        return series
+                by_degree[degree(g)] += c
+            out.append(by_degree)
+        return out
+
+
+class _TermPacking:
+    """Monomials of degree at most `top` packed into ints that sort as the
+    term order sorts them.  Each digit is one component of the order's key,
+    offset to be nonnegative, in a base one above that component's range on
+    those monomials.  The components are linear forms, so pack is affine:
+    pack(x_v * m) = pack(m) + weights[v], and pack(1) = one.  `unit` is the
+    first place above every packed monomial, and `monos` maps each packed
+    monomial back to its exponent tuple."""
+
+    def __init__(self, order, nvars, top):
+        # a linear key's values at the unit vectors are its coefficients
+        units = [order.key(tuple(int(i == v) for i in range(nvars))) for v in range(nvars)]
+        weights, one, place = [0] * nvars, 0, 1
+        for coeffs in reversed(tuple(zip(*units))):
+            lo, hi = top * min(0, *coeffs), top * max(0, *coeffs)
+            weights = [w + c * place for w, c in zip(weights, coeffs)]
+            one -= lo * place
+            place *= hi - lo + 1
+        self.weights, self.one, self.unit = weights, one, place
+        self.monos = {}
+
+    def pack(self, m) -> int:
+        g = self.one + sum(map(mul, m, self.weights))
+        self.monos[g] = m
+        return g
 
 
 class _Times(dict):
@@ -406,13 +473,14 @@ class _Times(dict):
     ((pack(m2) - m, c2), ...) of its normal form, each built on first use:
     an image key k = -(t * U + m) moves to k - (pack(m2) - m)."""
 
-    def __init__(self, quot, grades, v):
+    def __init__(self, quot, packing, v):
         super().__init__()
-        self.quot, self.grades, self.v = quot, grades, v
+        self.quot, self.packing, self.v = quot, packing, v
 
     def __missing__(self, m):
-        terms = self.quot.mult_var(self.v, self.grades.unpack(m)).items()
-        out = self[m] = tuple((self.grades.pack(m2) - m, c2) for m2, c2 in terms)
+        pack = self.packing.pack
+        terms = self.quot.mult_var(self.v, self.packing.monos[m]).items()
+        out = self[m] = tuple((pack(m2) - m, c2) for m2, c2 in terms)
         return out
 
 
@@ -441,17 +509,18 @@ class _DegreeSlices:
     """The slices of any other quotient, one per total degree, with column
     images shifted up from the degree below.  The column m * g_t is keyed by
     the int t * U + pack(m), and the entry m * g_t of an image by minus it,
-    U the first place above every packed monomial the walk meets."""
+    pack the _TermPacking of the basis's term order and U its unit."""
 
     def __init__(self, quot, big):
         self.quot = quot
         # provable ceiling on internal degrees of step-i generators
         self.tops = [max(d, default=-1) for d in big] + [-1]
         # every monomial the walk meets has degree at most the top ceiling
-        grades = self.grades = Multidegrees(quot.ring.nvars, max(self.tops) + 1)
-        self.U = grades.base * grades.unit
-        self.times = [_Times(quot, grades, v) for v in range(quot.ring.nvars)]
-        self.splits = {}  # degree -> (m, v, m / x_v) per packed standard monomial m
+        nvars = quot.ring.nvars
+        packing = self.packing = _TermPacking(quot.gb.order, nvars, max(self.tops))
+        self.U = packing.unit
+        self.times = [_Times(quot, packing, v) for v in range(nvars)]
+        self.splits = {}  # degree -> (m, times of x_v, parents) per standard monomial m
 
     def last(self, step):
         return self.tops[step]
@@ -459,52 +528,64 @@ class _DegreeSlices:
     def label(self, g):
         return g
 
-    degree = label
-
     def series(self, counts):
         return counts
 
     def found(self, t, vec):
         """Generator t of the current step has image vec: the column 1 * g_t,
         from which the columns one degree up shift."""
-        self.images[t * self.U] = {-k: c for k, c in vec.items()}
+        self.images[t * self.U + self.packing.one] = {-k: c for k, c in vec.items()}
 
     def __call__(self, step, prev, gens, kernels):
         jmax, jnext = self.tops[step], self.tops[step + 1]
-        self.images = {}
+        self.images, dead = {}, set()
         for j in range(prev[0].deg + 1 if prev else 1, max(jmax, jnext) + 1):
-            self.images, cols = self._columns(gens, self.images, j)
-            yield j, j, cols, self.images, j <= jnext, j <= jmax
+            self.images, cols, dead = self._columns(gens, self.images, dead, j)
+            yield j, j, cols, self.images, dead, j <= jnext, j <= jmax
 
-    def _columns(self, gens, prev_images, j):
+    def _split(self, d):
+        """(pack(m), times of x_v, parents) per standard monomial m of degree
+        d, in term order: x_v is the first variable of m, and parents holds
+        pack(m) - pack(m / x_w) for each variable x_w of m, x_v's first."""
+        out = self.splits.get(d)
+        if out is None:
+            pack, weights = self.packing.pack, self.packing.weights
+            out = []
+            for m in self.quot.std_monomials(d):
+                vs = [w for w, e in enumerate(m) if e]
+                out.append((pack(m), self.times[vs[0]], tuple(weights[w] for w in vs)))
+            out.sort(key=itemgetter(0))
+            self.splits[d] = out
+        return out
+
+    def _columns(self, gens, prev_images, prev_dead, j):
         """Images of the degree-j columns m * gen_t with deg gen_t < j, each
-        x_v times the image of the degree j-1 column (m / x_v) * gen_t.
-        Returns the nonzero images by column, from which the next degree
-        shifts, and the columns in order."""
-        quot, splits, U, times = self.quot, self.splits, self.U, self.times
-        pack, weights = self.grades.pack, self.grades.weights
-        p = quot.field.char
-        images, cols = {}, []
+        x_v times the image of the degree j-1 column (m / x_v) * gen_t.  A
+        column with a parent (m / x_w) * gen_t in prev_dead, the columns of
+        degree j-1 found dependent on earlier ones, is dependent on earlier
+        columns too, and is skipped: it gets no image, and starts the dead
+        set of degree j.  Returns the nonzero images by column, from which
+        the next degree shifts, the columns in order, and that dead set."""
+        U, p = self.U, self.quot.field.char
+        images, cols, dead = {}, [], set()
         for t, gen in enumerate(gens):
             if gen.deg >= j:
                 break
-            d = j - gen.deg
-            if d not in splits:
-                splits[d] = []
-                for m in quot.std_monomials(d):
-                    v = next(i for i, e in enumerate(m) if e)
-                    g = pack(m)  # packing is additive: m / x_v packs to g - weights[v]
-                    splits[d].append((g, v, g - weights[v]))
             base = t * U
-            for m, v, m1 in splits[d]:
+            for m, times, parents in self._split(j - gen.deg):
                 col = base + m
-                prev = prev_images.get(base + m1)
-                if prev:
-                    img = _shift_by_var(prev, times[v], U, p)
-                    if img:
-                        images[col] = img
                 cols.append(col)
-        return images, cols
+                for w in parents:
+                    if col - w in prev_dead:
+                        dead.add(col)
+                        break
+                else:
+                    prev = prev_images.get(col - parents[0])
+                    if prev:
+                        img = _shift_by_var(prev, times, U, p)
+                        if img:
+                            images[col] = img
+        return images, cols, dead
 
 
 class _BudgetSpent(Exception):
@@ -528,9 +609,11 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
     can lie, so every step is computed completely: a monomial quotient is
     walked by multidegree, keyed by generator, in the slices of the box
     below the lcm of its generators where the multigraded bound is nonzero,
-    and the rest of its series is expanded from the denominator those
-    slices give; any other quotient is walked by total degree up to the
-    bigraded ceilings.  The steps share POINCARE_BUDGET Eliminator inserts.
+    and the rest of its series is the Golod series where those slices meet
+    the bound, and is expanded from the denominator they give elsewhere;
+    any other quotient is walked by total degree up to the bigraded
+    ceilings, skipping the columns a dependent parent one degree down
+    decides.  The steps share POINCARE_BUDGET Eliminator inserts.
     When these run out during step s, the result keeps the steps whose
     generators were all found: 0..s if only the kernel of d_s (read by step
     s+1) was left, else 0..s-1.  N and the bound are cut to the steps kept.
@@ -550,7 +633,7 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
     big = bigraded_golod_series(nvars, table, N)
     bound = tuple(sum(d.values()) for d in big)
     if quot.is_monomial:
-        slices = _MonomialSlices(quot, table, N)
+        slices = _MonomialSlices(quot, table, big, N)
     else:
         slices = _DegreeSlices(quot, big)
     spent = 0
@@ -568,7 +651,9 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
         counts.append(Counter(gen.grade for gen in gens))
 
     gens = [_Gen(0, 0)]  # generators of F_0; F_{-1} has none
-    kernels = {}  # slice grade -> {tag: kernel vector of d_{step-1}}
+    # slice grade -> {tag: kernel vector of d_{step-1}}, None for a tag
+    # whose column was skipped
+    kernels = {}
 
     try:
         for step in range(N + 1):
@@ -576,20 +661,26 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
             if step:  # F_0 is given
                 prev, gens = gens, []  # generators of F_step, found slice by slice
             new_kernels = {}
-            for j, g, cols, images, track, check in slices(step, prev, gens, kernels):
+            for j, g, cols, images, dead, track, check in slices(step, prev, gens, kernels):
+                # dead holds the columns skipped as dependent; every column
+                # found dependent here joins it, for the slice one degree up
                 kvecs = kernels.pop(g, {})
-                if not (track or kvecs):
+                if not (track or kvecs):  # no kernel here, so every image is 0
+                    dead.update(cols)
                     continue
                 elim = Eliminator(field_)
                 deps = {}  # tag -> the dependency its insert returned
                 for col in cols:
+                    if col in dead:
+                        if track:
+                            deps[col] = None
+                        continue
                     img = images.get(col)
-                    if img:
-                        dep = insert(elim, img, col if track else None)
-                        if track and dep is not None:
+                    dep = insert(elim, img, col if track else None) if img else {col: one_c}
+                    if dep is not None:
+                        dead.add(col)
+                        if track:
                             deps[col] = dep
-                    elif track:
-                        deps[col] = {col: one_c}
                 if deps:
                     new_kernels[g] = deps
                 # the images lie in ker d_{step-1}, so each pivot is a negated
@@ -603,6 +694,12 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
                     )
                 for c, vec in kvecs.items():
                     if -c not in elim.rows:
+                        if vec is None:
+                            raise InconsistencyError(
+                                "resolution of k not exact at step %d, degree %d, grade %s: "
+                                "a column skipped as dependent in step %d is no pivot"
+                                % (step, j, slices.label(g), step - 1)
+                            )
                         slices.found(len(gens), vec)
                         gens.append(_Gen(j, g))
             kernels = new_kernels
@@ -612,10 +709,7 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
             close(gens)
 
     coefficients, graded = [], {}
-    for step, coeffs in enumerate(slices.series(counts)):
-        by_degree = Counter()
-        for g, c in coeffs.items():
-            by_degree[slices.degree(g)] += c
+    for step, by_degree in enumerate(slices.series(counts)):
         for j, c in sorted(by_degree.items()):
             _serre_check(c, big[step].get(j, 0), step, j)
             graded[(step, j)] = c

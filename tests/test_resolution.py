@@ -18,6 +18,8 @@ from golodlab import (
     PolyRing,
     QuotientRing,
     grevlex,
+    lex,
+    weight_order,
 )
 from golodlab import resolution
 from golodlab.koszul import koszul_betti, quotient_betti
@@ -51,6 +53,17 @@ def quotient(text, field=QQ):
     ring = infer_ring_from_text(text, field)
     gens = [parse_poly(s, ring) for s in text.split(",")]
     return QuotientRing(GroebnerBasis(ring, grevlex(ring), gens))
+
+
+# a term order of each kind, none with the identity priority but the
+# default grevlex, keyed by name, on a ring in 3 variables or more
+ORDERS = {
+    "lex_priority": lambda ring: lex(ring, (2, 0, 1) + tuple(range(3, ring.nvars))),
+    "weight": lambda ring: weight_order(
+        ring, range(ring.nvars, 0, -1), (1, 2, 0) + tuple(range(3, ring.nvars))
+    ),
+    "grevlex": grevlex,
+}
 
 
 def ci_series(n, c, N):
@@ -269,26 +282,46 @@ def test_multigraded_series_sums_to_the_bigraded_one(seed, nvars, N):
     assert summed == big
 
 
-@settings(max_examples=50, deadline=None)
+def _any_order(ring, data):
+    """A lex, grevlex or weight order on ring, with a drawn priority."""
+    n = ring.nvars
+    priority = data.draw(st.permutations(range(n)))
+    kind = data.draw(st.sampled_from(["lex", "grevlex", "weight"]))
+    if kind == "weight":
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        return weight_order(ring, weights, priority)
+    return (lex if kind == "lex" else grevlex)(ring, priority)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     nvars=st.integers(1, 4),
     top=st.integers(0, 6),
     data=st.data(),
 )
-def test_walk_keys_sort_as_generator_then_degree_then_exponents(nvars, top, data):
-    """The total-degree walk keys m * g_t by t * U + pack(m), U the base
-    times the degree digit's place: below U for every m of degree at most
-    `top`, and in (t, degree, exponent tuple) order."""
-    grades = Multidegrees(nvars, top + 1)
-    U = grades.base * grades.unit
+def test_walk_keys_sort_as_generator_then_term_order(nvars, top, data):
+    """The total-degree walk keys m * g_t by t * U + pack(m), U the packing's
+    unit: below U for every m of degree at most `top`, in (t, term order)
+    order under every kind of order, and affine, pack(x_v * m) = pack(m) +
+    weights[v], so a shift by x_v moves every key by one constant."""
+    ring = PolyRing(tuple("x%d" % v for v in range(nvars)), QQ)
+    order = _any_order(ring, data)
+    packing = resolution._TermPacking(order, nvars, top)
+    U = packing.unit
     exps = st.lists(st.integers(0, top), min_size=nvars, max_size=nvars).filter(
         lambda m: sum(m) <= top
     )
-    pairs = data.draw(st.lists(st.tuples(st.integers(0, 5), exps.map(tuple)), max_size=8))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, 2), exps.map(tuple)), max_size=8))
+    assert packing.pack((0,) * nvars) == packing.one
     for _, m in pairs:
-        assert 0 <= grades.pack(m) < U and grades.unpack(grades.pack(m)) == m
-    keyed = sorted(pairs, key=lambda tm: tm[0] * U + grades.pack(tm[1]))
-    assert keyed == sorted(pairs, key=lambda tm: (tm[0], sum(tm[1]), tm[1]))
+        g = packing.pack(m)
+        assert 0 <= g < U and packing.monos[g] == m
+        for v in range(nvars):
+            if sum(m) < top:
+                xm = tuple(e + (w == v) for w, e in enumerate(m))
+                assert packing.pack(xm) == g + packing.weights[v]
+    keyed = sorted(pairs, key=lambda tm: tm[0] * U + packing.pack(tm[1]))
+    assert keyed == sorted(pairs, key=lambda tm: (tm[0], order.key(tm[1])))
 
 
 def sympy_golod_series(nvars, entries, N):
@@ -349,6 +382,51 @@ def test_graded_quotients_match_oracle(seed, N, field):
     quot = QuotientRing(GroebnerBasis(ring, grevlex(ring), gens))
     if not quot.gb.gens or any(mono_deg(l) == 0 for l in quot.gb.lts):
         return
+    _compare(quot, N)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=["QQ", "F2", "F3"])
+@pytest.mark.parametrize("order", list(ORDERS))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), N=st.integers(1, 5))
+def test_graded_quotients_match_oracle_under_each_order(order, field, seed, N):
+    """The walk by total degree orders each generator's columns as the
+    Groebner basis's term order does, and skips those with a parent
+    dependent one degree down; under lex with a permuted priority, a weight
+    order and grevlex it agrees with the oracle, which uses no column
+    order."""
+    rng = seeded(seed)
+    ring = PolyRing(("x", "y", "z"), field)
+    gens = random_homogeneous_ideal(rng, ring, max_deg=3, n_gens=3)
+    if not gens:
+        return
+    quot = QuotientRing(GroebnerBasis(ring, ORDERS[order](ring), gens))
+    if quot.is_monomial or any(mono_deg(l) == 0 for l in quot.gb.lts):
+        return
+    _compare(quot, N)
+
+
+@pytest.mark.parametrize(
+    "text, order, field, N",
+    [
+        ("x*y, -x^2*z+2*z^3, 3*x^3+3*x*y^2+y^3", "grevlex", QQ, 3),
+        ("x*y, -x^2*z+2*z^3, 3*x^3+3*x*y^2+y^3", "weight", QQ, 3),
+        ("x*z^2+y^2*z+y*z^2, 2*x^2*y+z^3, x^2*z+2*x*y^2", "grevlex", F3, 4),
+        ("x*y+y*z+z^2, x^3+y^2*z", "grevlex", F2, 5),
+        ("-2*x*y+2*y*z-z^2, -2*x^2*y+x*z^2-2*y^2*z", "lex_priority", QQ, 5),
+    ],
+    ids=["grevlex-QQ", "weight-QQ", "grevlex-F3", "grevlex-F2", "lex_priority-QQ"],
+)
+def test_the_columns_follow_the_term_order(text, order, field, N):
+    """Inputs on which a walk that packs its columns in lex order with the
+    identity priority, whatever the basis's order, skips a column that is
+    not dependent on the columns before it: some multiple of an earlier
+    column has a normal-form term past it.  The walk raises there; packed
+    in the basis's own order it agrees with the oracle."""
+    ring = PolyRing(("x", "y", "z"), field)
+    gens = [parse_poly(s, ring) for s in text.split(",")]
+    quot = QuotientRing(GroebnerBasis(ring, ORDERS[order](ring), gens))
+    assert not quot.is_monomial
     _compare(quot, N)
 
 
@@ -522,11 +600,12 @@ def test_inserts_only_nonzero_column_images(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, F32003], ids=["QQ", "F32003"])
 def test_degree_walk_insert_count(field, monkeypatch):
-    """The walk by total degree on four cubics, keyed by packed ints and,
-    over QQ, handing on integral kernel vectors, makes the same inserts in
-    both fields.  Inserting kernel vectors until each slice's count of new
-    generators was met, in place of reading them off the pivots, took
-    25116."""
+    """The walk by total degree on four cubics, keyed by ints packed in
+    term order, skipping each column with a parent dependent one degree
+    down and, over QQ, handing on integral kernel vectors, makes the same
+    inserts in both fields.  Inserting every nonzero column image took
+    17728, and inserting kernel vectors until each slice's count of new
+    generators was met, in place of reading them off the pivots, 25116."""
     quot = quotient(TCF_CUBICS, field)
     assert not quot.is_monomial
     quotient_betti(quot)
@@ -542,7 +621,7 @@ def test_degree_walk_insert_count(field, monkeypatch):
     monkeypatch.setattr(Eliminator, "insert", counting)
     P = poincare_coeffs(quot, 8)
     assert P.coefficients == P.bound == (1, 3, 7, 17, 41, 99, 239, 577, 1393)
-    assert calls[0] == 17728
+    assert calls[0] == 14034
     assert values == {int}  # the reduced basis has 2/3, yet no kernel vector a Fraction
 
 
@@ -571,19 +650,27 @@ def test_monomial_walk_insert_count(monkeypatch):
 
 def test_a_lowered_multigraded_coefficient_breaks_the_serre_check(monkeypatch):
     """x^2, x*y is Golod, so its resolution of k meets the multigraded bound
-    in every multidegree; one coefficient lowered from c >= 2 to c - 1
-    keeps every slice of the walk and fails the check on the expanded
-    series."""
+    in every multidegree.  The first coefficient c >= 2 of the bound in the
+    box (2, 1), lowered to c - 1 in every expansion of the bound, keeps
+    every slice of the walk; the counts then differ from the bound in the
+    box, so the series is expanded in every grade and fails the check."""
     real = resolution.multigraded_golod_series
     lowered = []
 
-    def lower(table, grades, N):
-        series = real(table, grades, N)
-        for step, coeffs in enumerate(series):
-            for g, c in sorted(coeffs.items()):
-                if c >= 2 and not lowered:
-                    coeffs[g] = c - 1
-                    lowered.append((step, grades.unpack(g), c))
+    def lower(table, grades, N, inside=None):
+        series = real(table, grades, N, inside)
+        if not lowered:  # the first expansion is the box's
+            step, g, c = next(
+                (step, g, c)
+                for step, coeffs in enumerate(series)
+                for g, c in sorted(coeffs.items())
+                if c >= 2
+            )
+            lowered.extend((step, g, c, grades.unpack(g)))
+        step, g, c, _ = lowered
+        if step < len(series):
+            assert series[step][g] == c
+            series[step][g] = c - 1
         return series
 
     quot = quotient("x^2, x*y")
@@ -591,7 +678,8 @@ def test_a_lowered_multigraded_coefficient_breaks_the_serre_check(monkeypatch):
     monkeypatch.setattr(resolution, "multigraded_golod_series", lower)
     with pytest.raises(InconsistencyError, match="Serre bound violated") as err:
         poincare_coeffs(quot, 5)
-    step, alpha, c = lowered[0]
+    step, _, c, alpha = lowered
+    assert all(a <= b for a, b in zip(alpha, (2, 1)))
     assert "at step %d, grade %s: %d > %d" % (step, alpha, c, c - 1) in str(err.value)
 
 
@@ -664,8 +752,9 @@ def test_a_corrupted_box_count_breaks_the_expansion(step, delta, message, monkey
 )
 def test_no_slice_outside_the_box_is_visited(text, top, monkeypatch):
     """Every slice the walk yields lies below the lcm of the generators, the
-    box test agrees with the unpacked exponents on every grade of the
-    bound, and the series still meets the oracle's through t^6."""
+    box test agrees with the unpacked exponents on every grade of the full
+    multigraded bound, the bound the walk expands is that bound's terms in
+    the box, and the series still meets the oracle's through t^6."""
     visited = []
     walk = resolution._MonomialSlices.__call__
 
@@ -673,10 +762,12 @@ def test_no_slice_outside_the_box_is_visited(text, top, monkeypatch):
         for item in walk(self, step, prev, gens, kernels):
             visited.append(self.label(item[1]))
             yield item
-        for coeffs in self.mbig:
+        full = multigraded_golod_series(self.table, self.grades, 6)
+        for coeffs, box in zip(full, self.box):
             for g in coeffs:
                 inside = all(a <= b for a, b in zip(self.label(g), top))
                 assert self.inside(g) is inside
+            assert box == {g: c for g, c in coeffs.items() if self.inside(g)}
 
     monkeypatch.setattr(resolution._MonomialSlices, "__call__", watched)
     _compare(quotient(text), 6)
@@ -719,7 +810,7 @@ def test_an_image_outside_the_kernel_breaks_exactness(text, walk, monkeypatch):
 
     def bent(self, step, prev, gens, kernels):
         for item in call(self, step, prev, gens, kernels):
-            j, g, cols, images, _, check = item
+            j, g, cols, images, _, _, check = item
             n, dim, hit = len(gens), len(kernels.get(g, ())), any(c in images for c in cols)
             if grew and grew[0] == (step, g):
                 col = next(c for c in cols if c in images)
@@ -740,6 +831,40 @@ def test_an_image_outside_the_kernel_breaks_exactness(text, walk, monkeypatch):
     assert "not exact at step %d, degree %d, grade %s" % (step, j, grade) in str(err.value)
     rank = int(re.search(r"rank (\d+) in a kernel of dimension %d" % dim, str(err.value))[1])
     assert rank <= dim
+
+
+def test_a_column_wrongly_skipped_breaks_exactness(monkeypatch):
+    """The walk by total degree skips every column with a parent found
+    dependent one degree down, and hands its tag on with no kernel vector:
+    x_v times the parent's dependency shows that the next step's images
+    pivot there.  Mark the first column of step 1 that extends the basis in
+    degree 2 as dependent too.  Its multiples in degree 3 are skipped
+    though not all are dependent, so step 2 finds a skipped tag that is no
+    pivot, and the tag has no vector to become a generator with."""
+    call = resolution._DegreeSlices.__call__
+    marked = []
+
+    def marking(self, step, prev, gens, kernels):
+        for item in call(self, step, prev, gens, kernels):
+            j, _, cols, images, dead, _, _ = item
+            yield item
+            # the caller has added every column it found dependent to dead
+            if (step, j) == (1, 2):
+                col = next(c for c in cols if c not in dead)
+                assert col in images
+                dead.add(col)
+                marked.append(col)
+
+    quot = quotient("x*y - z^2, x^3")
+    poincare_coeffs(quot, 4)
+    monkeypatch.setattr(resolution._DegreeSlices, "__call__", marking)
+    with pytest.raises(
+        InconsistencyError,
+        match=r"not exact at step 2, degree 3, grade 3: "
+        r"a column skipped as dependent in step 1 is no pivot",
+    ):
+        poincare_coeffs(quot, 4)
+    assert marked
 
 
 @pytest.mark.parametrize("text", ["x*y, z^2", "x*y - z^2, x^3"], ids=["monomial", "total_degree"])
