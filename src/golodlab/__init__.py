@@ -5,6 +5,7 @@ from .analyzer import (
     AnalyzerConfig,
     FiberInvariantResult,
     GolodCertificate,
+    degree_vanishing,
     fiber_invariant,
     golod_certificate,
     recognize_monomial_power,
@@ -93,6 +94,7 @@ __all__ = [
     "build_trivial_table",
     "detect_rainbow",
     "diagonal_order",
+    "degree_vanishing",
     "display_sorted",
     "fiber_invariant",
     "golod_certificate",

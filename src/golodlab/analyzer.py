@@ -1,7 +1,7 @@
 """Golod certificates: the decision pipeline over the Koszul machinery.
 
 golod_certificate runs a fixed rule ladder on a homogeneous proper ideal
-given with a term order, the proof rules 2-5 (_proof) before rule 1:
+given with a term order, the proof rules 2-6 (_proof) before rule 1:
 
   1. a nonzero homology product or nonzero Massey product (found while
      attempting a trivial Massey operation on R/I; by the singleton lemma
@@ -17,7 +17,18 @@ given with a term order, the proof rules 2-5 (_proof) before rule 1:
      polarization, whose construction is checked generator by generator
      and whose regular-sequence hypothesis is certified by equal Betti
      tables of R/I and the polarized quotient;
-  6. otherwise a strict gap in the Serre block -> NotGolod(SerreGap), or
+  6. degree vanishing, tried once rules 2-5 miss: no target (sum i_k +
+     p - 2, sum of grades) of a p-tuple of classes of H_{>=1} has homology,
+     for any p -> GolodProven(DegreeVanishing) (Golod 1962; every linear
+     resolution passes, Herzog-Reiner-Welker 1999).  The grading is the
+     multidegree when the Betti table has one (every monomial quotient),
+     the internal degree otherwise; on in(I) inside rule 4 it is in(I)'s
+     multidegree read as a weight of the degeneration, and on the
+     polarization of that in(I) it is not tried (degree_vanishing).  The
+     search prunes partial sums past the top homological degree or not
+     below the top grade; the evidence names the grading and the largest
+     p tested;
+  7. otherwise a strict gap in the Serre block -> NotGolod(SerreGap), or
      GolodUpTo(N): trivial products, a trivial Massey operation through
      p_max (or through the last length the tuple cap let the search
      finish), and Serre-bound equality through t^N, as evidence only.
@@ -36,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .betti import has_linear_resolution
+from .betti import BettiTable, has_linear_resolution
 from .errors import CapExceededError, InconsistencyError, InputError
 from .groebner import GroebnerBasis
 from .koszul import STRAND_BUDGET, quotient_betti
@@ -50,6 +61,7 @@ __all__ = [
     "FiberInvariantResult",
     "fiber_invariant",
     "recognize_monomial_power",
+    "degree_vanishing",
     "GolodCertificate",
     "golod_certificate",
 ]
@@ -153,6 +165,94 @@ def recognize_monomial_power(I: MonomialIdeal):
 
 
 # ---------------------------------------------------------------------------
+# degree vanishing
+
+
+def degree_vanishing(table: BettiTable, order=None):
+    """(grading, largest p tested) when no Massey equation can have homology
+    at its target, else None.  Without order, table is R/I's own Betti
+    table, and the answer proves R/I Golod; with order, table is R/in(I)'s
+    for a fiber-invariant I with initial ideal in(I) under order, and the
+    answer proves R/I Golod through the degeneration.
+
+    Koszul homology H_i is supported where table is, so a product or Massey
+    product of classes of bidegrees (i_k, a_k), k = 1..p, lies in bidegree
+    (sum i_k + p - 2, sum a_k).  When no such target of a p-tuple from the
+    support of H_{>=1} has homology, every cycle the trivial Massey
+    operation must bound is a cycle in a zero homology group, for every p,
+    so the ring is Golod (Golod 1962).  Multidegrees are used when the table
+    has them, internal degrees otherwise.
+
+    Through the degeneration.  Let w be a weight that sorts the monomials of
+    degree at most the table's top degree as order does, so in_w(I) =
+    in(I).  Equal Betti tables of R/I and R/in(I) make the Koszul homology
+    of the family R[t]/I~ (t of weight 1, I~ homogenized by w) a free
+    k[t]-module, with a basis in the tridegrees (i, deg a, w.a) of R/in(I)'s
+    classes; its fiber at t = 1 is R/I's, and at t = 0 R/in(I)'s.  The family
+    has homology in tridegree (h, d, w.c) exactly when R/in(I) has a class
+    (h, b) with deg b = d and w.b <= w.c, that is b <= c in order.  When no
+    target (h, c) has such a class, a trivial Massey operation exists on
+    the family, and setting t = 1 gives one on R/I.  A target that merely
+    misses in(I)'s multidegrees proves nothing for R/I: products of R/I
+    that vanish at t = 0 can be t times a class.
+
+    The partial sums (sum i_k + k - 1, sum a_k) of k-tuples grow one length
+    at a time, repeats allowed; a p-tuple's target is its (p-1)-prefix's
+    partial sum plus (i_p, a_p).  A partial sum is dropped once every target
+    it could reach lies past the support's top homological degree, or when
+    its grade is not below the support's top grade componentwise, since a
+    further class adds a nonzero grade; through the degeneration the grade
+    compared is the internal degree.  Each length adds at least 2 to the
+    homological degree, so the loop ends.
+    """
+    if table.multigraded is not None:
+        grading = "multidegree"
+        support = {(i, a) for (i, a) in table.multigraded if i >= 1}
+    else:
+        grading = "internal degree"
+        support = {(i, (j,)) for (i, j) in table.entries if i >= 1}
+    if order is None:
+        hit = support.__contains__
+        coarse = tuple
+    else:
+        grading = "multidegree in term order"
+        least = {}
+        for i, a in support:
+            k = order.key(a)
+            least[i, sum(a)] = min(least.get((i, sum(a)), k), k)
+
+        def hit(target):
+            h, c = target
+            low = least.get((h, sum(c)))
+            return low is not None and low <= order.key(c)
+
+        def coarse(a):
+            return (sum(a),)
+
+    top_i = max((i for i, _ in support), default=0)
+    top = tuple(map(max, zip(*(coarse(a) for _, a in support))))
+
+    def alive(h, a):
+        g = coarse(a)
+        return h < top_i and g != top and all(x <= t for x, t in zip(g, top))
+
+    level = {(i, a) for i, a in support if alive(i, a)}
+    p = 1
+    while level:
+        p += 1
+        grown = set()
+        for h, a in level:
+            for i, b in support:
+                c = tuple(x + y for x, y in zip(a, b))
+                if hit((h + i, c)):
+                    return None
+                if alive(h + i + 1, c):
+                    grown.add((h + i + 1, c))
+        level = grown
+    return grading, p
+
+
+# ---------------------------------------------------------------------------
 # certificates
 
 
@@ -249,11 +349,13 @@ def _check_polarization(pol, quot, pol_quot):
         )
 
 
-def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list):
-    """Rules 2-5 on the ideal presented by gb: (rule, evidence) when a proof
+def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list, degeneration=None, vanishing=True):
+    """Rules 2-6 on the ideal presented by gb: (rule, evidence) when a proof
     rule's exactly checked hypotheses hold, else None.  Rules 4 and 5
-    recurse here on their inner ideal.  The names of the caps hit are
-    appended to caps."""
+    recurse here on their inner ideal.  Rule 6 reads gb's Betti table, in
+    the weights of degeneration, the term order of rule 4's degeneration
+    when gb presents its in(I); it is not tried when vanishing is False.
+    The names of the caps hit are appended to caps."""
     quot = gb.quotient()
     I_mono = gb.initial_ideal() if gb.is_monomial and gb.lts else None
 
@@ -287,14 +389,17 @@ def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list):
             }
 
     # rules 4 and 5 each pick a transfer: the rule, the inner ideal's
-    # Groebner basis and the evidence for the hypotheses
+    # Groebner basis, the evidence for the hypotheses and how the inner
+    # ideal's rule 6 runs
+    transfer = None
     if not gb.is_monomial:
-        # rule 4: fiber-invariant transfer to the initial ideal
+        # rule 4: fiber-invariant transfer to the initial ideal, whose
+        # multidegrees count for R/I only as weights of the degeneration
         fi = fiber_invariant(gb)
-        if not fi.invariant:
-            return None
-        rule, inner_gb = "FiberInvariantTransfer", gb.initial_quotient().gb
-        ev = {"fiber_invariance": fi.fast_path or "entrywise Betti comparison"}
+        if fi.invariant:
+            ev = {"fiber_invariance": fi.fast_path or "entrywise Betti comparison"}
+            inner_rule6 = {"degeneration": gb.order}
+            transfer = "FiberInvariantTransfer", gb.initial_quotient().gb, ev, inner_rule6
     elif I_mono is not None and not I_mono.is_squarefree():
         # rule 5: polarization transfer for non-squarefree monomial ideals
         pol = polarize(I_mono)
@@ -303,22 +408,31 @@ def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list):
         # the check covers every degree; the evidence reports the fixed
         # degree max deg(I) + s + 2, s the number of differences
         verified_to = max(I_mono.gen_degrees()) + pol.ring.nvars - gb.ring.nvars + 2
-        rule = "PolarizationTransfer"
         ev = {"polarized_variables": pol.ring.nvars, "regular_sequence_verified_to": verified_to}
-    else:
-        return None
+        # the weights of a degeneration do not carry over to the polarized
+        # ring, so below rule 4 its degree vanishing is not tried
+        inner_rule6 = {"vanishing": vanishing and degeneration is None}
+        transfer = "PolarizationTransfer", inner_gb, ev, inner_rule6
 
-    inner_caps = []
-    inner = _proof(inner_gb, config, inner_caps)
-    if inner_caps:
-        caps.append("inner certificate caps")
-    if inner is None:
+    if transfer is not None:
+        rule, inner_gb, ev, inner_rule6 = transfer
+        inner_caps = []
+        inner = _proof(inner_gb, config, inner_caps, **inner_rule6)
+        if inner_caps:
+            caps.append("inner certificate caps")
+        if inner is not None:
+            inner_rule, inner_evidence = inner
+            ev["inner"] = GolodCertificate(
+                "GolodProven", inner_rule, None, inner_evidence, None, config, bool(inner_caps)
+            ).to_json()
+            return rule, ev
+
+    # rule 6: no Massey equation has a target with homology
+    found = degree_vanishing(quotient_betti(quot), degeneration) if vanishing else None
+    if found is None:
         return None
-    inner_rule, inner_evidence = inner
-    ev["inner"] = GolodCertificate(
-        "GolodProven", inner_rule, None, inner_evidence, None, config, bool(inner_caps)
-    ).to_json()
-    return rule, ev
+    grading, tested_to = found
+    return "DegreeVanishing", {"grading": grading, "tested_to": tested_to}
 
 
 def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None):
@@ -381,7 +495,7 @@ def golod_certificate(gb: GroebnerBasis, config: Optional[AnalyzerConfig] = None
                 "Serre bound at coefficient %d" % (rule, pdata.first_gap())
             )
 
-    # rule 6: evidence-only verdicts
+    # rule 7: evidence-only verdicts
     if verdict is None:
         if pdata is not None and not pdata.is_equality():
             i = pdata.first_gap()

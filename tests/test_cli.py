@@ -31,6 +31,10 @@ RP2_F2 = (FIXTURES / "rp2.txt").read_text().replace("QQ[", "F2[")
 # runs in under a second
 CASES = {
     "golod_gorenstein3": ["golod", "--ideal", str(FIXTURES / "gorenstein3.txt")],
+    # gorenstein3 is not Golod and not fiber invariant; its initial ideal
+    # is Golod, so Golodness does not pass from in(I) to I without fiber
+    # invariance
+    "golod_gorenstein3_initial": ["golod", "--ideal", str(FIXTURES / "gorenstein3_initial.txt")],
     "golod_x2_y2": ["golod", "--ideal", "x^2,y^2"],
     "golod_x2": ["golod", "--ideal", "x^2"],
     "golod_x2_xy": ["golod", "--ideal", "x^2,xy"],
@@ -42,6 +46,7 @@ CASES = {
     "golod_gorenstein3_f32003": ["golod", "--ideal", GORENSTEIN3_F32003],
     "minors_2x4": ["minors", "--shape", "2x4"],
     "minors_3x4": ["minors", "--shape", "3x4"],
+    # GolodUpTo until degree vanishing on its polarization decided it
     "golod_graded_upto": ["golod", "--ideal", "2*x^2*y-6*x*y*z-2*x*z^2,9*x*y,-6*x^2*z"],
     # (x,y,z)^4: the Serre block resolves k only below x^4 y^4 z^4
     "golod_xyz4": ["golod", "--ideal", XYZ4],
@@ -66,18 +71,19 @@ CASES = {
 # verdict and rule each golod golden file must show
 RULES = {
     "golod_gorenstein3": ("NotGolod", "HomologyProduct"),
+    "golod_gorenstein3_initial": ("GolodProven", "PolarizationTransfer"),
     "golod_x2_y2": ("NotGolod", "HomologyProduct"),
     "golod_x2": ("GolodProven", "MonomialPower"),
     "golod_x2_xy": ("GolodProven", "PolarizationTransfer"),
     "golod_xy_z2": ("GolodProven", "FiberInvariantTransfer"),
     "golod_gorenstein3_f32003": ("NotGolod", "HomologyProduct"),
-    "golod_graded_upto": ("GolodUpTo", None),
+    "golod_graded_upto": ("GolodProven", "PolarizationTransfer"),
     "golod_xyz4": ("GolodProven", "MonomialPower"),
-    "golod_tcf_cubics_budget": ("GolodUpTo", None),
+    "golod_tcf_cubics_budget": ("GolodProven", "DegreeVanishing"),
     "golod_graded_fractions": ("NotGolod", "HomologyProduct"),
     "golod_x3_y3_z3_xyz": ("NotGolod", "HomologyProduct"),
-    "golod_rp2": ("GolodUpTo", None),
-    "golod_rp2_f2": ("GolodUpTo", None),
+    "golod_rp2": ("GolodProven", "DegreeVanishing"),
+    "golod_rp2_f2": ("GolodProven", "DegreeVanishing"),
 }
 
 
@@ -131,12 +137,13 @@ def test_json_matches_golden_bytes_and_schema(name, capsys):
 
 @pytest.mark.parametrize("name, t4", [("golod_rp2", 361), ("golod_rp2_f2", 362)])
 def test_rp2_series_meets_the_bound_in_each_characteristic(name, t4):
-    """RP^2 is Golod up to t^8 over QQ and over F2 alike; over F2 the two
-    extra Betti numbers raise the series from t^4 on, and the Serre bound
-    with it."""
+    """RP^2 is Golod over QQ and over F2 alike, by degree vanishing on its
+    multidegrees; over F2 the two extra Betti numbers raise the series
+    from t^4 on, and the Serre bound with it."""
     cert = json.loads((GOLDEN / (name + ".json")).read_text())["certificate"]
     serre = cert["serre"]
-    assert (serre["N"], serre["poincare"][4], cert["evidence"]["massey_vanish_to"]) == (8, t4, 4)
+    assert (serre["N"], serre["poincare"][4], cert["rule"]) == (8, t4, "DegreeVanishing")
+    assert cert["evidence"]["grading"] == "multidegree"
     assert serre["poincare"] == serre["bound"]
 
 
