@@ -10,9 +10,9 @@ given with a term order, the proof rules 2-6 (_proof) before rule 1:
   2. rainbow monomial ideal with linear resolution -> GolodProven, carrying
      a fully verified Massey table on the valid tuples;
   3. a recognizable power J^t, t >= 2, of a monomial ideal -> GolodProven;
-  4. fiber invariant Betti numbers -> Golodness transfers from the initial
-     ideal, so the proof rules recurse on in(I) and a proof there is
-     wrapped as the inner certificate;
+  4. fiber invariant Betti numbers -> the Groebner degeneration carries
+     Golodness from the initial ideal: rules 2 and 6 recurse on in(I), and
+     a proof there is wrapped as the inner certificate;
   5. non-squarefree monomial ideals recurse the same way on the
      polarization, whose construction is checked generator by generator
      and whose regular-sequence hypothesis is certified by equal Betti
@@ -23,9 +23,8 @@ given with a term order, the proof rules 2-6 (_proof) before rule 1:
      resolution passes, Herzog-Reiner-Welker 1999).  The grading is the
      multidegree when the Betti table has one (every monomial quotient),
      the internal degree otherwise; on in(I) inside rule 4 it is in(I)'s
-     multidegree read as a weight of the degeneration, and on the
-     polarization of that in(I) it is not tried (degree_vanishing).  The
-     search prunes partial sums past the top homological degree or not
+     multidegree read as a weight of the degeneration (degree_vanishing).
+     The search prunes partial sums past the top homological degree or not
      below the top grade; the evidence names the grading and the largest
      p tested;
   7. otherwise a strict gap in the Serre block -> NotGolod(SerreGap), or
@@ -45,6 +44,7 @@ since only an implementation fault can produce either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .betti import BettiTable, has_linear_resolution
@@ -180,8 +180,7 @@ def degree_vanishing(table: BettiTable, order=None):
     (sum i_k + p - 2, sum a_k).  When no such target of a p-tuple from the
     support of H_{>=1} has homology, every cycle the trivial Massey
     operation must bound is a cycle in a zero homology group, for every p,
-    so the ring is Golod (Golod 1962).  Multidegrees are used when the table
-    has them, internal degrees otherwise.
+    so the ring is Golod (Golod 1962).
 
     Through the degeneration.  Let w be a weight that sorts the monomials of
     degree at most the table's top degree as order does, so in_w(I) =
@@ -196,13 +195,21 @@ def degree_vanishing(table: BettiTable, order=None):
     misses in(I)'s multidegrees proves nothing for R/I: products of R/I
     that vanish at t = 0 can be t times a class.
 
-    The partial sums (sum i_k + k - 1, sum a_k) of k-tuples grow one length
-    at a time, repeats allowed; a p-tuple's target is its (p-1)-prefix's
-    partial sum plus (i_p, a_p).  A partial sum is dropped once every target
-    it could reach lies past the support's top homological degree, or when
-    its grade is not below the support's top grade componentwise, since a
-    further class adds a nonzero grade; through the degeneration the grade
-    compared is the internal degree.  Each length adds at least 2 to the
+    A class is read as (homological degree, grade, weight): without order
+    the grade is its multidegree, or internal degree, and the weight ();
+    with order the grade is the internal degree and the weight order.key of
+    the multidegree.  A target has homology when a class of its homological
+    degree and grade weighs at most as much.  The partial sums (sum i_k + k
+    - 1, sum of grades, sum of weights) of k-tuples grow one length at a
+    time, repeats allowed; a p-tuple's target is its (p-1)-prefix's partial
+    sum plus the p-th class.  Of the partial sums of one homological degree
+    and grade only the heaviest is kept.  That is exact: order.key is linear
+    (`orders`) and lexicographic comparison is translation invariant, so a
+    continuation that takes any of them to a target with homology takes the
+    heaviest to one too.  A partial sum is dropped once every target it
+    could reach lies past the support's top homological degree, or when its
+    grade is not below the support's top grade componentwise, since a
+    further class adds a nonzero grade.  Each length adds at least 2 to the
     homological degree, so the loop ends.
     """
     if table.multigraded is not None:
@@ -212,42 +219,35 @@ def degree_vanishing(table: BettiTable, order=None):
         grading = "internal degree"
         support = {(i, (j,)) for (i, j) in table.entries if i >= 1}
     if order is None:
-        hit = support.__contains__
-        coarse = tuple
+        classes = {(i, a, ()) for i, a in support}
     else:
         grading = "multidegree in term order"
-        least = {}
-        for i, a in support:
-            k = order.key(a)
-            least[i, sum(a)] = min(least.get((i, sum(a)), k), k)
+        classes = {(i, (sum(a),), order.key(a)) for i, a in support}
+    # the last write to a key wins: the lightest class of each homological
+    # degree and grade, and below the heaviest partial sum
+    least = {(i, g): w for i, g, w in sorted(classes, reverse=True)}
 
-        def hit(target):
-            h, c = target
-            low = least.get((h, sum(c)))
-            return low is not None and low <= order.key(c)
+    top_i = max((i for i, _, _ in classes), default=0)
+    top = tuple(map(max, zip(*(g for _, g, _ in classes))))
 
-        def coarse(a):
-            return (sum(a),)
-
-    top_i = max((i for i, _ in support), default=0)
-    top = tuple(map(max, zip(*(coarse(a) for _, a in support))))
-
-    def alive(h, a):
-        g = coarse(a)
+    def alive(h, g):
         return h < top_i and g != top and all(x <= t for x, t in zip(g, top))
 
-    level = {(i, a) for i, a in support if alive(i, a)}
+    level = {(i, g): w for i, g, w in sorted(classes) if alive(i, g)}
     p = 1
     while level:
         p += 1
-        grown = set()
-        for h, a in level:
-            for i, b in support:
-                c = tuple(x + y for x, y in zip(a, b))
-                if hit((h + i, c)):
+        grown = {}
+        for (h, g), w in level.items():
+            for i, b, v in classes:
+                c = tuple(map(add, g, b))
+                u = tuple(map(add, w, v))
+                low = least.get((h + i, c))
+                if low is not None and low <= u:
                     return None
-                if alive(h + i + 1, c):
-                    grown.add((h + i + 1, c))
+                k = (h + i + 1, c)
+                if alive(*k) and grown.get(k, u) <= u:
+                    grown[k] = u
         level = grown
     return grading, p
 
@@ -349,13 +349,16 @@ def _check_polarization(pol, quot, pol_quot):
         )
 
 
-def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list, degeneration=None, vanishing=True):
+def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list, degeneration=None):
     """Rules 2-6 on the ideal presented by gb: (rule, evidence) when a proof
     rule's exactly checked hypotheses hold, else None.  Rules 4 and 5
-    recurse here on their inner ideal.  Rule 6 reads gb's Betti table, in
-    the weights of degeneration, the term order of rule 4's degeneration
-    when gb presents its in(I); it is not tried when vanishing is False.
-    The names of the caps hit are appended to caps."""
+    recurse here on their inner ideal.  degeneration is the term order of
+    rule 4's degeneration when gb presents its in(I), else None.  There
+    only rule 2 (a linear resolution of in(I) is one of I) and rule 6 (in
+    the degeneration's weights, one partial sum per homological and
+    internal degree) prove R/I Golod; a power of in(I) or its polarization
+    says nothing of I, so rules 3 and 5 are not tried.  The names of the
+    caps hit are appended to caps."""
     quot = gb.quotient()
     I_mono = gb.initial_ideal() if gb.is_monomial and gb.lts else None
 
@@ -380,7 +383,7 @@ def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list, degeneration=N
             }
 
         # rule 3: power of a monomial ideal
-        rec = recognize_monomial_power(I_mono)
+        rec = recognize_monomial_power(I_mono) if degeneration is None else None
         if rec is not None:
             J, t = rec
             return "MonomialPower", {
@@ -389,18 +392,16 @@ def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list, degeneration=N
             }
 
     # rules 4 and 5 each pick a transfer: the rule, the inner ideal's
-    # Groebner basis, the evidence for the hypotheses and how the inner
-    # ideal's rule 6 runs
+    # Groebner basis, the evidence for the hypotheses and the inner
+    # ideal's degeneration
     transfer = None
     if not gb.is_monomial:
-        # rule 4: fiber-invariant transfer to the initial ideal, whose
-        # multidegrees count for R/I only as weights of the degeneration
+        # rule 4: fiber-invariant transfer to the initial ideal
         fi = fiber_invariant(gb)
         if fi.invariant:
             ev = {"fiber_invariance": fi.fast_path or "entrywise Betti comparison"}
-            inner_rule6 = {"degeneration": gb.order}
-            transfer = "FiberInvariantTransfer", gb.initial_quotient().gb, ev, inner_rule6
-    elif I_mono is not None and not I_mono.is_squarefree():
+            transfer = "FiberInvariantTransfer", gb.initial_quotient().gb, ev, gb.order
+    elif degeneration is None and I_mono is not None and not I_mono.is_squarefree():
         # rule 5: polarization transfer for non-squarefree monomial ideals
         pol = polarize(I_mono)
         inner_gb = GroebnerBasis(pol.ring, lex(pol.ring), pol.ideal.polys())
@@ -409,15 +410,12 @@ def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list, degeneration=N
         # degree max deg(I) + s + 2, s the number of differences
         verified_to = max(I_mono.gen_degrees()) + pol.ring.nvars - gb.ring.nvars + 2
         ev = {"polarized_variables": pol.ring.nvars, "regular_sequence_verified_to": verified_to}
-        # the weights of a degeneration do not carry over to the polarized
-        # ring, so below rule 4 its degree vanishing is not tried
-        inner_rule6 = {"vanishing": vanishing and degeneration is None}
-        transfer = "PolarizationTransfer", inner_gb, ev, inner_rule6
+        transfer = "PolarizationTransfer", inner_gb, ev, None
 
     if transfer is not None:
-        rule, inner_gb, ev, inner_rule6 = transfer
+        rule, inner_gb, ev, inner_degeneration = transfer
         inner_caps = []
-        inner = _proof(inner_gb, config, inner_caps, **inner_rule6)
+        inner = _proof(inner_gb, config, inner_caps, inner_degeneration)
         if inner_caps:
             caps.append("inner certificate caps")
         if inner is not None:
@@ -428,7 +426,7 @@ def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list, degeneration=N
             return rule, ev
 
     # rule 6: no Massey equation has a target with homology
-    found = degree_vanishing(quotient_betti(quot), degeneration) if vanishing else None
+    found = degree_vanishing(quotient_betti(quot), degeneration)
     if found is None:
         return None
     grading, tested_to = found

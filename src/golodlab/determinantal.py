@@ -247,8 +247,9 @@ def verify_sparse_theorems(
     invariant.  Under the diagonal order: in(I^t) = in(I)^t for t <= t_max,
     each in(I)^t has linear resolution, in(I) is rainbow with colors the
     matrix rows, and golod_certificate(I^t) yields a Golod verdict class
-    (t = 1 through the rainbow rule on the initial side, t > 1 through the
-    power rule).  Everything is exact; the order list is reported as a
+    (t = 1 through the rainbow rule on the initial side, t > 1 through
+    degree vanishing on the initial side, read in the weights of the
+    degeneration).  Everything is exact; the order list is reported as a
     sample, universal statements stay with the theorems.
 
     One Groebner basis is built per ideal and per key function of the

@@ -134,6 +134,60 @@ def koszul_oracle(quot):
     return BettiTable(entries, multigraded)
 
 
+def degree_vanishing_oracle(table, order=None):
+    """analyzer.degree_vanishing with every partial sum kept by its full
+    multidegree: the partial sums of k-tuples grow one length at a time, a
+    target hits a class of its homological degree in the support (without
+    order) or one of its internal degree whose order.key is at most the
+    target's (with order), and a partial sum is dropped past the top
+    homological degree or when its grade is not below the top grade."""
+    if table.multigraded is not None:
+        grading = "multidegree"
+        support = {(i, a) for (i, a) in table.multigraded if i >= 1}
+    else:
+        grading = "internal degree"
+        support = {(i, (j,)) for (i, j) in table.entries if i >= 1}
+    if order is None:
+        hit = support.__contains__
+        coarse = tuple
+    else:
+        grading = "multidegree in term order"
+        least = {}
+        for i, a in support:
+            k = order.key(a)
+            least[i, sum(a)] = min(least.get((i, sum(a)), k), k)
+
+        def hit(target):
+            h, c = target
+            low = least.get((h, sum(c)))
+            return low is not None and low <= order.key(c)
+
+        def coarse(a):
+            return (sum(a),)
+
+    top_i = max((i for i, _ in support), default=0)
+    top = tuple(map(max, zip(*(coarse(a) for _, a in support))))
+
+    def alive(h, a):
+        g = coarse(a)
+        return h < top_i and g != top and all(x <= t for x, t in zip(g, top))
+
+    level = {(i, a) for i, a in support if alive(i, a)}
+    p = 1
+    while level:
+        p += 1
+        grown = set()
+        for h, a in level:
+            for i, b in support:
+                c = tuple(x + y for x, y in zip(a, b))
+                if hit((h + i, c)):
+                    return None
+                if alive(h + i + 1, c):
+                    grown.add((h + i + 1, c))
+        level = grown
+    return grading, p
+
+
 def valid_tuples_oracle(quot, labels, p):
     """The valid length-p tuples of labels, found by checking every one of
     the |labels|^p tuples in itertools.product order: the labels share no

@@ -11,13 +11,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
-from golodlab import GF, QQ, BettiTable, GroebnerBasis, PolyRing, analyzer, cli, grevlex, lex, massey, resolution
+from golodlab import (
+    GF,
+    QQ,
+    BettiTable,
+    GroebnerBasis,
+    PolyRing,
+    analyzer,
+    cli,
+    grevlex,
+    lex,
+    massey,
+    resolution,
+    taylor_betti,
+    weight_order,
+)
 from golodlab.koszul import quotient_betti
 from golodlab.massey import build_trivial_table
 from golodlab.monomial import MonomialIdeal, polarize
 from golodlab.parsing import parse_ideal_text
 
-from conftest import FIXTURES, random_homogeneous_poly, random_monomial, seeded
+from conftest import (
+    FIXTURES,
+    degree_vanishing_oracle,
+    random_homogeneous_poly,
+    random_monomial,
+    seeded,
+)
 
 GORENSTEIN3 = str(FIXTURES / "gorenstein3.txt")
 SCHEMAS = Path(cli.__file__).resolve().parent / "schemas"
@@ -327,6 +347,67 @@ def test_a_fiber_invariant_ring_needs_the_degeneration_weights(capsys):
     assert cert["serre"]["poincare"][3] == cert["serre"]["bound"][3] - 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # MonomialPower on in(I) = (a^2, a*d, d^2) = (a, d)^2
+        "ring: QQ[a,b,c,d]\nideal: -2*a*d, a*d + d^2, a^2 + 3*a*c",
+        # PolarizationTransfer/RainbowLinear on in(I) = (a^2, a*b)
+        "ring: QQ[a,b,c]\nideal: 2*a^2 + 2*a*b - a*c, 3*a^2",
+    ],
+    ids=["power", "polarized"],
+)
+def test_rule_4_carries_only_what_the_degeneration_proves(text, capsys):
+    """A power of in(I) and the polarization of in(I) say nothing of I, so
+    below rule 4 neither is tried; degree vanishing in the degeneration's
+    weights decides both initial ideals instead."""
+    code, cert, _ = _golod([text, "--order", "lex"], capsys)
+    assert code == 0
+    assert (cert["verdict"], cert["rule"]) == ("GolodProven", "FiberInvariantTransfer")
+    inner = cert["evidence"]["inner"]
+    assert (inner["rule"], inner["evidence"]["grading"]) == ("DegreeVanishing", "multidegree in term order")
+
+
+def test_degree_vanishing_keeps_one_partial_sum_per_degree():
+    """Keeping only the heaviest partial sum of each homological and
+    internal degree decides exactly what keeping every multidegree does,
+    on the Taylor tables of random monomial ideals, with and without a
+    term order."""
+    rng = seeded(30)
+    outcomes = set()
+    for _ in range(200):
+        nvars = rng.randint(3, 6)
+        ring = PolyRing(tuple("x%d" % v for v in range(1, nvars + 1)), QQ)
+        gens = set()
+        while len(gens) < rng.randint(3, 8):
+            m = random_monomial(rng, ring, 3)
+            if sum(m) >= 2:
+                gens.add(m)
+        table = taylor_betti(MonomialIdeal.from_monos(ring, gens))
+        priority = list(range(nvars))
+        rng.shuffle(priority)
+        weights = [rng.randint(1, 3) for _ in range(nvars)]
+        for order in (None, lex(ring, priority), grevlex(ring, priority), weight_order(ring, weights, priority)):
+            found = analyzer.degree_vanishing(table, order)
+            assert found == degree_vanishing_oracle(table, order), (gens, order)
+            outcomes.add((order is None, found is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_only_the_heaviest_partial_sum_meets_the_target():
+    """A table whose two H_1 classes, at y and x, have equal internal
+    degree.  Under lex y > x the 3-tuple (y, y, y) targets H_4 at y^3,
+    where the table has a class; the prefixes (x, y) and (x, x), in the
+    degrees of (y, y) but lighter, reach only x y^2 and lighter monomials.
+    Keeping a lighter prefix would miss the class."""
+    multigraded = {(0, (0, 0)): 1, (1, (0, 1)): 1, (1, (1, 0)): 1, (3, (3, 3)): 1, (4, (0, 3)): 1}
+    entries = {(0, 0): 1, (1, 1): 2, (3, 6): 1, (4, 3): 1}
+    table = BettiTable(entries, multigraded)
+    ring = PolyRing(("x", "y"), QQ)
+    assert analyzer.degree_vanishing(table, lex(ring, (1, 0))) is None
+    assert degree_vanishing_oracle(table, lex(ring, (1, 0))) is None
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["QQ", "F2", "F3"])
 @settings(max_examples=30, deadline=None)
 @given(
@@ -339,7 +420,8 @@ def test_degree_vanishing_never_meets_a_witness(field, seed, nvars, monomial, or
     """Random monomial and graded quotients: wherever degree vanishing
     decides a certificate, on R/I, on a polarization or on in(I) through
     the degeneration, the direct search on R/I finds no nonzero product or
-    Massey product, and the Poincare series of k meets the Serre bound."""
+    Massey product, and the Poincare series of k meets the Serre bound.
+    Below rule 4 only rainbow linear and degree vanishing proofs appear."""
     rng = seeded(seed)
     ring = PolyRing(tuple("x%d" % v for v in range(1, nvars + 1)), field)
     gens = [
@@ -350,7 +432,10 @@ def test_degree_vanishing_never_meets_a_witness(field, seed, nvars, monomial, or
     if not gb.lts:
         return
     cert = analyzer.golod_certificate(gb, analyzer.AnalyzerConfig(N=5)).to_json()
-    if "DegreeVanishing" not in _rules(cert):
+    rules = _rules(cert)
+    if rules[0] == "FiberInvariantTransfer":
+        assert rules[1:] in (["RainbowLinear"], ["DegreeVanishing"])
+    if "DegreeVanishing" not in rules:
         return
     assert cert["verdict"] == "GolodProven"
     assert build_trivial_table(gb.quotient(), p_max=3).witness is None
