@@ -4,15 +4,18 @@ Vectors are dicts mapping an arbitrary hashable, orderable index to a nonzero
 field element, so strand bases (wedge set, monomial) can be used directly
 without integer reindexing.  `axpy` is the one sparse accumulate kernel:
 every "add a multiple of one vector into another, dropping zeros" in the
-package goes through it, except two deliberate inlined copies in
+package goes through it, except three deliberate inlined copies in
 `resolution`.  `_shift_by_var` multiplies by a variable without building a
 vector per term: its keys are negated packed ints, and each term moves its
 key by an offset read from a table of x_v times the packed standard
-monomials.  It serves the resolution of k over quotients that are not
-monomial only; over a monomial quotient a column's image is a restricted
-scalar row.  `_series`'s inner `add` accumulates shifted integer series
-coefficients, keyed by packed grades, optionally dropping the terms
-outside the box.
+monomials.  `_shift_scaled` does the same over QQ for a basis with
+fractional coefficients, each normal form kept as integral numerators
+over the lcm of its denominators, and returns the image times the lcm of
+those it met, so that no Fraction is formed.  Both serve the resolution
+of k over quotients that are not monomial only; over a monomial quotient
+a column's image is a restricted scalar row.
+`_series`'s inner `add` accumulates shifted integer series coefficients,
+keyed by packed grades, optionally dropping the terms outside the box.
 
 The Eliminator keeps its rows in echelon form with combination tracking.
 `insert` is its one operation: inserting a vector either extends the basis
@@ -25,21 +28,28 @@ is itself a pivot is pushed and eliminated in turn.  A pivot step with
 residual entry c and row entry r is residual = a*residual - b*row.  Over
 F_p every row has pivot entry 1, so a = 1 and b = c.  Over QQ a row and its
 history are int vectors of content 1 with a positive pivot entry; the
-input's denominators are cleared once, by their lcm, which starts the
+input's denominators are cleared once, by their lcm s, which starts the
 history at the tag, and each step takes g = gcd(c, r), a = r/g and
-b = c/g.  The one step that depends on the field is how `insert` scales a
-new row: by the inverse of its pivot entry over F_p, by its content and
-sign over QQ.
+b = c/g.  A vector none of whose indices is a pivot is its own residual:
+`insert` stores it, so scaled, as a row at its smallest index with the
+history {tag: s}, without the heap.  The one step that depends on the
+field is how `insert` scales a new row: by the inverse of its pivot entry
+over F_p, by its content and sign over QQ.
 
 A dependency has one form: over QQ the primitive int vector with a
 positive tag entry, over F_p the vector with tag entry 1.  Callers that
 need only the line it spans, as the resolution of k does, take it as it
-is.  `kernel_basis` divides each dependency by its tag entry, and
+is; that walk inserts only int vectors, so no Fraction enters or leaves
+it.  `kernel_basis` divides each dependency by its tag entry, and
 `solve_columns` inserts b under a tag of its own and divides by minus
-that entry; these two are where Fractions leave the Eliminator.  Once the
-vectors that extend the basis are fixed, the line of each dependency is
-unique, so results are deterministic for a fixed insertion order and the
-same for any row scaling.
+that entry; these two, which serve Koszul homology and the Massey solves,
+are where Fractions leave the Eliminator.  Fractions still enter it from
+the Koszul strands, whose columns hold normal forms as they are: through
+`kernel_basis`, `solve_columns`, `rank_of` and the inserts of
+`KoszulComplex.homology`.  Once the vectors that extend the basis are
+fixed, the line of each dependency is unique, so results are
+deterministic for a fixed insertion order and the same for any row
+scaling.
 """
 from __future__ import annotations
 
@@ -89,27 +99,14 @@ class Eliminator:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec, tag):
-        """Fraction-free reduction: returns (residual, hist) with residual =
-        s * (vec reduced), zero at every pivot, and hist = s * (its
-        history, tag -> coefficient), where s = hist[tag].  Over F_p s = 1;
-        over QQ s > 0, starting at the lcm of vec's denominators.  Without
-        a tag hist is None."""
-        if tag is not None and self._untagged:
-            raise ValueError("history asked after an untagged vector extended the basis")
+    def _reduce(self, residual, hist):
+        """Fraction-free reduction in place: afterwards residual is s * (its
+        input reduced), zero at every pivot, and hist, unless None, is s *
+        (its input plus the history of the rows subtracted), where s > 0 is
+        the product of the steps' scalings; over F_p s = 1."""
         F = self.field
         qq = not F.char
         rows = self.rows
-        s = 1  # over QQ: the lcm of the denominators
-        if qq:
-            for v in vec.values():
-                if v.__class__ is Fraction:
-                    s = lcm(s, v.denominator)
-        if s == 1:
-            residual = dict(vec)
-        else:
-            residual = {k: v.numerator * (s // v.denominator) for k, v in vec.items()}
-        hist = None if tag is None else {tag: s}
         heap = [p for p in residual if p in rows]
         heapify(heap)
         while heap:
@@ -137,7 +134,6 @@ class Eliminator:
             axpy(residual, -c, row, F)
             if hist is not None:
                 axpy(hist, -c, rhist, F)
-        return residual, hist
 
     def insert(self, vec: dict, tag=None):
         """Insert a vector.  Returns None if it extended the basis, else the
@@ -147,9 +143,16 @@ class Eliminator:
 
         Without a tag no history is kept: a dependent vector returns {}, and
         a row it adds carries none, so no tagged vector may follow it."""
-        residual, hist = self._reduce(vec, tag)
+        if tag is not None and self._untagged:
+            raise ValueError("history asked after an untagged vector extended the basis")
         F = self.field
         p = F.char
+        # over QQ the denominators are cleared by their lcm s, which starts
+        # the history at the tag
+        residual, s = (dict(vec), 1) if p else cleared(vec)
+        hist = None if tag is None else {tag: s}
+        if not self.rows.keys().isdisjoint(residual):
+            self._reduce(residual, hist)
         if not residual:
             if hist is None:
                 return {}
@@ -174,6 +177,17 @@ class Eliminator:
             self._untagged = True
         self.rows[pivot] = (row, hist)
         return None
+
+
+def cleared(vec: dict):
+    """(s * vec, s) over QQ: a new int dict, s the lcm of vec's denominators."""
+    s = 1
+    for v in vec.values():
+        if v.__class__ is Fraction:
+            s = lcm(s, v.denominator)
+    if s == 1:
+        return dict(vec), 1
+    return {k: v.numerator * (s // v.denominator) for k, v in vec.items()}, s
 
 
 def _unscale(vec: dict, s: int) -> dict:

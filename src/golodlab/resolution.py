@@ -79,12 +79,23 @@ cannot pass silently.  A packing that did not follow the term order would
 break the argument: a normal-form term past the column could make the
 skip wrong.
 
-In both walks the Eliminator returns each QQ dependency as a primitive int
-vector: a nonzero multiple of a kernel vector is one, and a generator
-scaled by a unit changes no count.  So the kernel vectors and generator
-images the steps hand on carry no Fraction; only a normal form with
-fractional coefficients brings one into a column's image, and the
-Eliminator clears it on insertion.
+Over QQ neither walk does Fraction arithmetic.  The Eliminator returns
+each dependency as a primitive int vector: a nonzero multiple of a kernel
+vector is one, and a generator scaled by a unit changes no count.  In the
+walk by total degree the normal form of x_v * m is kept as integral
+numerators over q_m, the lcm of its denominators.  Reducing by a monic
+basis with integral coefficients leaves every q_m at 1, as over F_p, and
+the images are the columns' own.  For a basis with fractional
+coefficients a column's image is kept as S(col) times itself: a shift
+meeting the q_m has them all divide Q, their lcm, so S(col) = S(parent) *
+Q, with S = 1 on the columns 1 * g_t.  A positive scale changes neither
+an image's support nor its residual's pivot, so the pivots, the skipped
+columns and the checks below are those of the images themselves.
+A dependency among the scaled images, entry c times S(c) and divided by
+the gcd, is the one among the images: the columns that extend the basis
+are unchanged, and so is each dependency's line.  So the kernel vectors
+and generator images the steps hand on are the primitive int vectors with
+a positive tag entry.
 
 The new generators are read off the pivots.  Each kernel vector is kept
 with its tag, the column whose insert returned it ({col: 1} for a zero
@@ -137,13 +148,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import itemgetter, mul
 
 from .errors import InconsistencyError, InputError
 from .koszul import quotient_betti
-from .linalg import Eliminator
+from .linalg import Eliminator, cleared
 
 __all__ = [
     "POINCARE_BUDGET",
@@ -361,6 +371,7 @@ class _MonomialSlices:
         self.box = multigraded_golod_series(table, grades, N, inside)
         self.box.append({})  # step N records no kernel
         self.std = _StandardSets(quot, grades)
+        self.scale = {}  # the images are inserted as they are
 
     def last(self, step):
         """The last slice in which step searches for generators."""
@@ -470,23 +481,31 @@ class _TermPacking:
 
 class _Times(dict):
     """x_v times each packed standard monomial m, as the terms
-    ((pack(m2) - m, c2), ...) of its normal form, each built on first use:
-    an image key k = -(t * U + m) moves to k - (pack(m2) - m)."""
+    ((pack(m2) - m, q * c2), ...) of its normal form scaled by q, the lcm
+    of its denominators, so that they are integral; each built on first
+    use.  `denominators` maps m to q where q is not 1, which happens only
+    over QQ, for a basis with fractional coefficients.  An image key
+    k = -(t * U + m) moves to k - (pack(m2) - m)."""
 
     def __init__(self, quot, packing, v):
         super().__init__()
         self.quot, self.packing, self.v = quot, packing, v
+        self.denominators = {}
 
     def __missing__(self, m):
         pack = self.packing.pack
-        terms = self.quot.mult_var(self.v, self.packing.monos[m]).items()
-        out = self[m] = tuple((pack(m2) - m, c2) for m2, c2 in terms)
+        nf, q = cleared(self.quot.mult_var(self.v, self.packing.monos[m]))
+        if q != 1:
+            self.denominators[m] = q
+        out = self[m] = tuple((pack(m2) - m, c2) for m2, c2 in nf.items())
         return out
 
 
 def _shift_by_var(vec: dict, times: _Times, U: int, p: int) -> dict:
     """x_v * vec, vec an image keyed by negated ints and times the _Times of
-    x_v, accumulated term by term as axpy would, without a vector per term."""
+    x_v, accumulated term by term as axpy would, without a vector per term:
+    over F_p, and over QQ for a monic basis with integral coefficients,
+    whose normal forms are integral."""
     out = {}
     get, pop = out.get, out.pop
     for k, c in vec.items():
@@ -496,8 +515,6 @@ def _shift_by_var(vec: dict, times: _Times, U: int, p: int) -> dict:
                 s = (get(k2, 0) + c * c2) % p
             else:
                 s = get(k2, 0) + c * c2
-                if s.__class__ is Fraction and s.denominator == 1:
-                    s = s.numerator
             if s:
                 out[k2] = s
             else:
@@ -505,11 +522,43 @@ def _shift_by_var(vec: dict, times: _Times, U: int, p: int) -> dict:
     return out
 
 
+def _shift_scaled(vec: dict, times: _Times, U: int):
+    """(Q * x_v * vec, Q) over QQ, as _shift_by_var, for a basis with
+    fractional coefficients: Q is the lcm of the denominators of the
+    normal forms met, so the image is integral, and 1 where they have
+    none."""
+    out = {}
+    get, pop = out.get, out.pop
+    qget = times.denominators.get
+    Q = 1
+    for k, c in vec.items():
+        m = -k % U
+        terms = times[m]  # sets m's denominator
+        q = qget(m, 1)
+        if q != Q:  # bring c over the common denominator Q
+            if Q % q:  # raise Q to lcm(Q, q), and the terms so far with it
+                f = q // gcd(Q, q)
+                Q *= f
+                for k2 in out:
+                    out[k2] *= f
+            c *= Q // q
+        for d, c2 in terms:
+            k2 = k - d
+            s = get(k2, 0) + c * c2
+            if s:
+                out[k2] = s
+            else:
+                pop(k2, None)
+    return out, Q
+
+
 class _DegreeSlices:
     """The slices of any other quotient, one per total degree, with column
     images shifted up from the degree below.  The column m * g_t is keyed by
     the int t * U + pack(m), and the entry m * g_t of an image by minus it,
-    pack the _TermPacking of the basis's term order and U its unit."""
+    pack the _TermPacking of the basis's term order and U its unit.
+    `scale` holds S(col) of the current slice's images where it is not
+    1 (_columns)."""
 
     def __init__(self, quot, big):
         self.quot = quot
@@ -520,6 +569,11 @@ class _DegreeSlices:
         packing = self.packing = _TermPacking(quot.gb.order, nvars, max(self.tops))
         self.U = packing.unit
         self.times = [_Times(quot, packing, v) for v in range(nvars)]
+        # reducing by a monic basis with integral coefficients keeps every
+        # normal form integral; otherwise images are scaled (_columns)
+        self.scaled = not quot.field.char and any(
+            c.__class__ is not int for g in quot.gb.gens for c in g.terms.values()
+        )
         self.splits = {}  # degree -> (m, times of x_v, parents) per standard monomial m
 
     def last(self, step):
@@ -538,9 +592,9 @@ class _DegreeSlices:
 
     def __call__(self, step, prev, gens, kernels):
         jmax, jnext = self.tops[step], self.tops[step + 1]
-        self.images, dead = {}, set()
+        self.images, self.scale, dead = {}, {}, set()
         for j in range(prev[0].deg + 1 if prev else 1, max(jmax, jnext) + 1):
-            self.images, cols, dead = self._columns(gens, self.images, dead, j)
+            self.images, self.scale, cols, dead = self._columns(gens, self.images, self.scale, dead, j)
             yield j, j, cols, self.images, dead, j <= jnext, j <= jmax
 
     def _split(self, d):
@@ -558,16 +612,21 @@ class _DegreeSlices:
             self.splits[d] = out
         return out
 
-    def _columns(self, gens, prev_images, prev_dead, j):
+    def _columns(self, gens, prev_images, prev_scale, prev_dead, j):
         """Images of the degree-j columns m * gen_t with deg gen_t < j, each
-        x_v times the image of the degree j-1 column (m / x_v) * gen_t.  A
+        x_v times the image of the degree j-1 column (m / x_v) * gen_t.  For
+        a basis with fractional coefficients an image is kept integral, as
+        S(col) times the column's image, where S(col) = S(parent) * Q with
+        the Q of _shift_scaled, and S is 1 on the columns 1 * gen_t; a
+        scale dict holds S where it is not 1, and is empty otherwise.  A
         column with a parent (m / x_w) * gen_t in prev_dead, the columns of
         degree j-1 found dependent on earlier ones, is dependent on earlier
         columns too, and is skipped: it gets no image, and starts the dead
-        set of degree j.  Returns the nonzero images by column, from which
-        the next degree shifts, the columns in order, and that dead set."""
-        U, p = self.U, self.quot.field.char
-        images, cols, dead = {}, [], set()
+        set of degree j.  Returns the nonzero scaled images by column, from
+        which the next degree shifts, their scale dict, the columns in
+        order, and that dead set."""
+        U, p, scaled = self.U, self.quot.field.char, self.scaled
+        images, scale, cols, dead = {}, {}, [], set()
         for t, gen in enumerate(gens):
             if gen.deg >= j:
                 break
@@ -580,12 +639,36 @@ class _DegreeSlices:
                         dead.add(col)
                         break
                 else:
-                    prev = prev_images.get(col - parents[0])
-                    if prev:
+                    parent = col - parents[0]
+                    prev = prev_images.get(parent)
+                    if not prev:
+                        continue
+                    if scaled:
+                        img, Q = _shift_scaled(prev, times, U)
+                        if img:
+                            images[col] = img
+                            S = prev_scale.get(parent, 1) * Q
+                            if S != 1:
+                                scale[col] = S
+                    else:
                         img = _shift_by_var(prev, times, U, p)
                         if img:
                             images[col] = img
-        return images, cols, dead
+        return images, scale, cols, dead
+
+
+def _unscaled(dep, scale):
+    """The dependency among a slice's column images, from dep, the one
+    among the images times scale (S(c) at column c, 1 where it has none):
+    entry c times S(c), divided by the gcd.  Scaling a column leaves each
+    dependency's line alone, so over QQ this is the primitive int vector
+    with a positive tag entry that inserting the images themselves would
+    return."""
+    if scale.keys().isdisjoint(dep):
+        return dep
+    out = {c: v * scale.get(c, 1) for c, v in dep.items()}
+    g = gcd(*out.values())
+    return out if g == 1 else {c: v // g for c, v in out.items()}
 
 
 class _BudgetSpent(Exception):
@@ -636,15 +719,7 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
         slices = _MonomialSlices(quot, table, big, N)
     else:
         slices = _DegreeSlices(quot, big)
-    spent = 0
-
-    def insert(elim, vec, tag=None):
-        nonlocal spent
-        spent += 1
-        if spent > POINCARE_BUDGET:
-            raise _BudgetSpent
-        return elim.insert(vec, tag)
-
+    spent = 0  # Eliminator inserts
     counts = []  # per finished step, {grade: generators found}
 
     def close(gens):
@@ -664,7 +739,7 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
             for j, g, cols, images, dead, track, check in slices(step, prev, gens, kernels):
                 # dead holds the columns skipped as dependent; every column
                 # found dependent here joins it, for the slice one degree up
-                kvecs = kernels.pop(g, {})
+                kvecs, scale = kernels.pop(g, {}), slices.scale
                 if not (track or kvecs):  # no kernel here, so every image is 0
                     dead.update(cols)
                     continue
@@ -676,11 +751,17 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
                             deps[col] = None
                         continue
                     img = images.get(col)
-                    dep = insert(elim, img, col if track else None) if img else {col: one_c}
+                    if img:
+                        spent += 1
+                        if spent > POINCARE_BUDGET:
+                            raise _BudgetSpent
+                        dep = elim.insert(img, col if track else None)
+                    else:
+                        dep = {col: one_c}
                     if dep is not None:
                         dead.add(col)
                         if track:
-                            deps[col] = dep
+                            deps[col] = _unscaled(dep, scale) if scale else dep
                 if deps:
                     new_kernels[g] = deps
                 # the images lie in ker d_{step-1}, so each pivot is a negated

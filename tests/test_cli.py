@@ -27,6 +27,9 @@ TCF_CUBICS = "4*t*f^2+2*t*c*f, -c^2*f, 6*c*f^2-3*t*c*f, -3*t*c*f+9*f^3"
 # the RP^2 fixture over F2, where its Betti table has two more entries
 RP2_F2 = (FIXTURES / "rp2.txt").read_text().replace("QQ[", "F2[")
 
+# the product of ideals of linear forms over F32003
+ILIN_F32003 = (FIXTURES / "ilin.txt").read_text().replace("QQ[", "F32003[")
+
 # golden file stem -> argv (without --json); each job but the budget case
 # runs in under a second
 CASES = {
@@ -66,6 +69,9 @@ CASES = {
     ],
     "golod_rp2": ["golod", "--ideal", str(FIXTURES / "rp2.txt")],
     "golod_rp2_f2": ["golod", "--ideal", RP2_F2],
+    # a product of ideals of linear forms, walked by total degree over a
+    # reduced basis with fractional coefficients
+    "golod_ilin_n5": ["golod", "--ideal", str(FIXTURES / "ilin.txt"), "--N", "5"],
 }
 
 # verdict and rule each golod golden file must show
@@ -84,6 +90,7 @@ RULES = {
     "golod_x3_y3_z3_xyz": ("NotGolod", "HomologyProduct"),
     "golod_rp2": ("GolodProven", "DegreeVanishing"),
     "golod_rp2_f2": ("GolodProven", "DegreeVanishing"),
+    "golod_ilin_n5": ("GolodProven", "FiberInvariantTransfer"),
 }
 
 
@@ -145,6 +152,17 @@ def test_rp2_series_meets_the_bound_in_each_characteristic(name, t4):
     assert (serre["N"], serre["poincare"][4], cert["rule"]) == (8, t4, "DegreeVanishing")
     assert cert["evidence"]["grading"] == "multidegree"
     assert serre["poincare"] == serre["bound"]
+
+
+def test_ilin_series_is_the_same_over_f32003(capsys):
+    """I_lin's Serre block over F32003 equals the QQ golden's: the walk by
+    total degree finds the same generators in each field, though over QQ
+    its normal forms carry denominators and over F_p none."""
+    code, out, _ = _run(["golod", "--ideal", ILIN_F32003, "--N", "5", "--json"], capsys)
+    assert code == 0
+    qq = json.loads((GOLDEN / "golod_ilin_n5.json").read_text())["certificate"]["serre"]
+    assert json.loads(out)["certificate"]["serre"] == qq
+    assert qq["poincare"] == qq["bound"] == [1, 5, 18, 62, 215, 744]
 
 
 def test_golden_cases_cover_every_golden_file():

@@ -3,7 +3,7 @@ bound, the work budget, and agreement with a straightforward stepwise
 resolution kept here as an oracle."""
 
 import re
-from math import comb
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -602,27 +602,42 @@ def test_inserts_only_nonzero_column_images(monkeypatch):
 def test_degree_walk_insert_count(field, monkeypatch):
     """The walk by total degree on four cubics, keyed by ints packed in
     term order, skipping each column with a parent dependent one degree
-    down and, over QQ, handing on integral kernel vectors, makes the same
-    inserts in both fields.  Inserting every nonzero column image took
-    17728, and inserting kernel vectors until each slice's count of new
-    generators was met, in place of reading them off the pivots, 25116."""
+    down, makes the same inserts in both fields.  Inserting every nonzero
+    column image took 17728, and inserting kernel vectors until each
+    slice's count of new generators was met, in place of reading them off
+    the pivots, 25116.  The reduced basis has 2/3, yet over QQ no inserted
+    vector holds a Fraction: each image is kept integral with a scale per
+    column, and the kernel vectors handed on as generator images are the
+    primitive int vectors with a positive tag entry, the tag being their
+    largest column; over F_p that entry is 1."""
     quot = quotient(TCF_CUBICS, field)
     assert not quot.is_monomial
     quotient_betti(quot)
-    calls, values = [0], set()
-    insert = Eliminator.insert
+    calls, values, found = [0], set(), []
+    insert, record = Eliminator.insert, resolution._DegreeSlices.found
 
     def counting(self, vec, tag=None):
         calls[0] += 1
-        dep = insert(self, vec, tag)
-        values.update(type(c) for c in (dep or {}).values())
-        return dep
+        values.update(type(c) for c in vec.values())
+        return insert(self, vec, tag)
+
+    def recording(self, t, vec):
+        found.append(dict(vec))
+        return record(self, t, vec)
 
     monkeypatch.setattr(Eliminator, "insert", counting)
+    monkeypatch.setattr(resolution._DegreeSlices, "found", recording)
     P = poincare_coeffs(quot, 8)
     assert P.coefficients == P.bound == (1, 3, 7, 17, 41, 99, 239, 577, 1393)
     assert calls[0] == 14034
-    assert values == {int}  # the reduced basis has 2/3, yet no kernel vector a Fraction
+    assert values == {int}
+    assert len(found) == sum(P.coefficients[1:])
+    for vec in found:
+        assert {type(c) for c in vec.values()} == {int}
+        if field.char:
+            assert vec[max(vec)] == 1
+        else:
+            assert vec[max(vec)] > 0 and gcd(*vec.values()) == 1
 
 
 def test_monomial_walk_insert_count(monkeypatch):
