@@ -357,8 +357,11 @@ def _proof(gb: GroebnerBasis, config: AnalyzerConfig, caps: list, degeneration=N
     only rule 2 (a linear resolution of in(I) is one of I) and rule 6 (in
     the degeneration's weights, one partial sum per homological and
     internal degree) prove R/I Golod; a power of in(I) or its polarization
-    says nothing of I, so rules 3 and 5 are not tried.  The names of the
-    caps hit are appended to caps."""
+    says nothing of I, so rules 3 and 5 are not tried.  Depolarization
+    maps each target with homology of the polarization onto one of R/I, so
+    rule 6 fires on R/I's table only where it fires on the polarization's:
+    once rule 5's inner proof fails, rule 6 on R/I cannot fire.  The names
+    of the caps hit are appended to caps."""
     quot = gb.quotient()
     I_mono = gb.initial_ideal() if gb.is_monomial and gb.lts else None
 

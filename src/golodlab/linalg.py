@@ -4,18 +4,8 @@ Vectors are dicts mapping an arbitrary hashable, orderable index to a nonzero
 field element, so strand bases (wedge set, monomial) can be used directly
 without integer reindexing.  `axpy` is the one sparse accumulate kernel:
 every "add a multiple of one vector into another, dropping zeros" in the
-package goes through it, except three deliberate inlined copies in
-`resolution`.  `_shift_by_var` multiplies by a variable without building a
-vector per term: its keys are negated packed ints, and each term moves its
-key by an offset read from a table of x_v times the packed standard
-monomials.  `_shift_scaled` does the same over QQ for a basis with
-fractional coefficients, each normal form kept as integral numerators
-over the lcm of its denominators, and returns the image times the lcm of
-those it met, so that no Fraction is formed.  Both serve the resolution
-of k over quotients that are not monomial only; over a monomial quotient
-a column's image is a restricted scalar row.
-`_series`'s inner `add` accumulates shifted integer series coefficients,
-keyed by packed grades, optionally dropping the terms outside the box.
+package goes through it, except in `resolution`, which inlines it in its
+two shift kernels, one per field, and in `_series`'s inner `add`.
 
 The Eliminator keeps its rows in echelon form with combination tracking.
 `insert` is its one operation: inserting a vector either extends the basis
@@ -28,13 +18,16 @@ is itself a pivot is pushed and eliminated in turn.  A pivot step with
 residual entry c and row entry r is residual = a*residual - b*row.  Over
 F_p every row has pivot entry 1, so a = 1 and b = c.  Over QQ a row and its
 history are int vectors of content 1 with a positive pivot entry; the
-input's denominators are cleared once, by their lcm s, which starts the
-history at the tag, and each step takes g = gcd(c, r), a = r/g and
-b = c/g.  A vector none of whose indices is a pivot is its own residual:
-`insert` stores it, so scaled, as a row at its smallest index with the
-history {tag: s}, without the heap.  The one step that depends on the
-field is how `insert` scales a new row: by the inverse of its pivot entry
-over F_p, by its content and sign over QQ.
+input's denominators are cleared once, by their lcm s, and each step
+takes g = gcd(c, r), a = r/g and b = c/g.  `insert` may read its input as
+a positive int `scale` times the vector its tag names, as the resolution
+of k does for an image it keeps integral; the history then starts at
+{tag: s * scale}, and every dependency is one among the named vectors.
+A vector none of whose indices is a pivot is its own residual: `insert`
+stores it, so scaled, as a row at its smallest index with that history,
+without the heap.  The one step that depends on the field is how
+`insert` scales a new row: by the inverse of its pivot entry over F_p,
+by its content and sign over QQ.
 
 A dependency has one form: over QQ the primitive int vector with a
 positive tag entry, over F_p the vector with tag entry 1.  Callers that
@@ -135,22 +128,25 @@ class Eliminator:
             if hist is not None:
                 axpy(hist, -c, rhist, F)
 
-    def insert(self, vec: dict, tag=None):
+    def insert(self, vec: dict, tag=None, scale=1):
         """Insert a vector.  Returns None if it extended the basis, else the
         dependency dict (tag -> coefficient, summing to the zero vector):
         over QQ the primitive int vector with a positive entry at tag, over
         F_p the one with entry 1 at tag.
 
-        Without a tag no history is kept: a dependent vector returns {}, and
-        a row it adds carries none, so no tagged vector may follow it."""
+        `vec` is read as `scale` times the vector its tag names, scale a
+        positive int, so the dependencies are those among the named
+        vectors; over F_p scale must be 1.  Without a tag no history is
+        kept: a dependent vector returns {}, and a row it adds carries none,
+        so no tagged vector may follow it."""
         if tag is not None and self._untagged:
             raise ValueError("history asked after an untagged vector extended the basis")
         F = self.field
         p = F.char
-        # over QQ the denominators are cleared by their lcm s, which starts
-        # the history at the tag
+        # over QQ the denominators are cleared by their lcm s, so residual
+        # is s * scale times the vector the tag names
         residual, s = (dict(vec), 1) if p else cleared(vec)
-        hist = None if tag is None else {tag: s}
+        hist = None if tag is None else {tag: s * scale}
         if not self.rows.keys().isdisjoint(residual):
             self._reduce(residual, hist)
         if not residual:

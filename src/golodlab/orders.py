@@ -95,11 +95,16 @@ def weight_order(ring: PolyRing, wvec, tiebreak_priority=None) -> TermOrder:
 def diagonal_order(ring: PolyRing, rows: int, cols: int) -> TermOrder:
     """Row-major lex on a ring whose variables are matrix entries.
 
-    The ring may omit cells (ladder patterns); priority is the declared
-    variable sequence, which the determinantal builders lay out row-major.
+    The ring may omit cells (ladder patterns), so it has at most rows *
+    cols variables; priority is the declared variable sequence, which the
+    determinantal builders lay out row-major.
     """
     if rows < 1 or cols < 1:
         raise InputError("bad matrix shape")
+    if rows * cols < ring.nvars:
+        raise InputError(
+            "a %dx%d matrix has fewer cells than the ring's %d variables" % (rows, cols, ring.nvars)
+        )
     return TermOrder("diagonal", ring.nvars, tuple(range(ring.nvars)), shape=(rows, cols))
 
 

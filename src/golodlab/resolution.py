@@ -81,21 +81,20 @@ skip wrong.
 
 Over QQ neither walk does Fraction arithmetic.  The Eliminator returns
 each dependency as a primitive int vector: a nonzero multiple of a kernel
-vector is one, and a generator scaled by a unit changes no count.  In the
-walk by total degree the normal form of x_v * m is kept as integral
-numerators over q_m, the lcm of its denominators.  Reducing by a monic
-basis with integral coefficients leaves every q_m at 1, as over F_p, and
-the images are the columns' own.  For a basis with fractional
-coefficients a column's image is kept as S(col) times itself: a shift
-meeting the q_m has them all divide Q, their lcm, so S(col) = S(parent) *
-Q, with S = 1 on the columns 1 * g_t.  A positive scale changes neither
-an image's support nor its residual's pivot, so the pivots, the skipped
-columns and the checks below are those of the images themselves.
-A dependency among the scaled images, entry c times S(c) and divided by
-the gcd, is the one among the images: the columns that extend the basis
-are unchanged, and so is each dependency's line.  So the kernel vectors
-and generator images the steps hand on are the primitive int vectors with
-a positive tag entry.
+vector is one, and a generator scaled by a unit changes no count.  The
+walk by total degree has one shift kernel per field.  Over F_p it reduces
+mod p.  Over QQ the normal form of x_v * m is kept as integral numerators
+over q_m, the lcm of its denominators, and a column's image as S(col)
+times itself: a shift meeting the q_m has them all divide Q, their lcm,
+so S(col) = S(parent) * Q, with S = 1 on the columns 1 * g_t.  Reducing
+by a monic basis with integral coefficients leaves every q_m, and so
+every S, at 1.  A positive scale changes neither an image's support nor
+its residual's pivot, so the pivots, the skipped columns and the checks
+below are those of the images themselves.  Each image is inserted with
+its scale, which the Eliminator reads as S(col) times the vector its tag
+names, so the dependencies it returns are those among the images
+themselves: the kernel vectors and generator images the steps hand on
+are the primitive int vectors with a positive tag entry.
 
 The new generators are read off the pivots.  Each kernel vector is kept
 with its tag, the column whose insert returned it ({col: 1} for a zero
@@ -484,8 +483,8 @@ class _Times(dict):
     ((pack(m2) - m, q * c2), ...) of its normal form scaled by q, the lcm
     of its denominators, so that they are integral; each built on first
     use.  `denominators` maps m to q where q is not 1, which happens only
-    over QQ, for a basis with fractional coefficients.  An image key
-    k = -(t * U + m) moves to k - (pack(m2) - m)."""
+    over QQ, where a normal form has a fractional coefficient.  An image
+    key k = -(t * U + m) moves to k - (pack(m2) - m)."""
 
     def __init__(self, quot, packing, v):
         super().__init__()
@@ -502,19 +501,15 @@ class _Times(dict):
 
 
 def _shift_by_var(vec: dict, times: _Times, U: int, p: int) -> dict:
-    """x_v * vec, vec an image keyed by negated ints and times the _Times of
-    x_v, accumulated term by term as axpy would, without a vector per term:
-    over F_p, and over QQ for a monic basis with integral coefficients,
-    whose normal forms are integral."""
+    """x_v * vec over F_p, vec an image keyed by negated ints and times the
+    _Times of x_v, accumulated term by term as axpy would, without a vector
+    per term."""
     out = {}
     get, pop = out.get, out.pop
     for k, c in vec.items():
         for d, c2 in times[-k % U]:
             k2 = k - d
-            if p:
-                s = (get(k2, 0) + c * c2) % p
-            else:
-                s = get(k2, 0) + c * c2
+            s = (get(k2, 0) + c * c2) % p
             if s:
                 out[k2] = s
             else:
@@ -523,19 +518,18 @@ def _shift_by_var(vec: dict, times: _Times, U: int, p: int) -> dict:
 
 
 def _shift_scaled(vec: dict, times: _Times, U: int):
-    """(Q * x_v * vec, Q) over QQ, as _shift_by_var, for a basis with
-    fractional coefficients: Q is the lcm of the denominators of the
-    normal forms met, so the image is integral, and 1 where they have
-    none."""
+    """(Q * x_v * vec, Q) over QQ, as _shift_by_var: Q is the lcm of the
+    denominators of the normal forms met, so the image is integral.  Where
+    no normal form has a denominator, as for a monic basis with integral
+    coefficients, Q stays 1."""
     out = {}
     get, pop = out.get, out.pop
-    qget = times.denominators.get
+    den = times.denominators
     Q = 1
     for k, c in vec.items():
         m = -k % U
         terms = times[m]  # sets m's denominator
-        q = qget(m, 1)
-        if q != Q:  # bring c over the common denominator Q
+        if den and (q := den.get(m, 1)) != Q:  # bring c over the common denominator Q
             if Q % q:  # raise Q to lcm(Q, q), and the terms so far with it
                 f = q // gcd(Q, q)
                 Q *= f
@@ -554,11 +548,12 @@ def _shift_scaled(vec: dict, times: _Times, U: int):
 
 class _DegreeSlices:
     """The slices of any other quotient, one per total degree, with column
-    images shifted up from the degree below.  The column m * g_t is keyed by
-    the int t * U + pack(m), and the entry m * g_t of an image by minus it,
-    pack the _TermPacking of the basis's term order and U its unit.
-    `scale` holds S(col) of the current slice's images where it is not
-    1 (_columns)."""
+    images shifted up from the degree below, by _shift_by_var over F_p and
+    by _shift_scaled over QQ.  The column m * g_t is keyed by the int
+    t * U + pack(m), and the entry m * g_t of an image by minus it, pack
+    the _TermPacking of the basis's term order and U its unit.  `scale`
+    holds S(col) of the current slice's images where it is not 1, which
+    happens only over QQ (_columns)."""
 
     def __init__(self, quot, big):
         self.quot = quot
@@ -569,11 +564,6 @@ class _DegreeSlices:
         packing = self.packing = _TermPacking(quot.gb.order, nvars, max(self.tops))
         self.U = packing.unit
         self.times = [_Times(quot, packing, v) for v in range(nvars)]
-        # reducing by a monic basis with integral coefficients keeps every
-        # normal form integral; otherwise images are scaled (_columns)
-        self.scaled = not quot.field.char and any(
-            c.__class__ is not int for g in quot.gb.gens for c in g.terms.values()
-        )
         self.splits = {}  # degree -> (m, times of x_v, parents) per standard monomial m
 
     def last(self, step):
@@ -614,18 +604,18 @@ class _DegreeSlices:
 
     def _columns(self, gens, prev_images, prev_scale, prev_dead, j):
         """Images of the degree-j columns m * gen_t with deg gen_t < j, each
-        x_v times the image of the degree j-1 column (m / x_v) * gen_t.  For
-        a basis with fractional coefficients an image is kept integral, as
-        S(col) times the column's image, where S(col) = S(parent) * Q with
-        the Q of _shift_scaled, and S is 1 on the columns 1 * gen_t; a
-        scale dict holds S where it is not 1, and is empty otherwise.  A
+        x_v times the image of the degree j-1 column (m / x_v) * gen_t.
+        Over QQ an image is kept integral, as S(col) times the column's
+        image, where S(col) = S(parent) * Q with the Q of _shift_scaled,
+        and S is 1 on the columns 1 * gen_t; a scale dict holds S where it
+        is not 1, and is empty over F_p or for an integral basis.  A
         column with a parent (m / x_w) * gen_t in prev_dead, the columns of
         degree j-1 found dependent on earlier ones, is dependent on earlier
         columns too, and is skipped: it gets no image, and starts the dead
         set of degree j.  Returns the nonzero scaled images by column, from
         which the next degree shifts, their scale dict, the columns in
         order, and that dead set."""
-        U, p, scaled = self.U, self.quot.field.char, self.scaled
+        U, p = self.U, self.quot.field.char
         images, scale, cols, dead = {}, {}, [], set()
         for t, gen in enumerate(gens):
             if gen.deg >= j:
@@ -643,32 +633,18 @@ class _DegreeSlices:
                     prev = prev_images.get(parent)
                     if not prev:
                         continue
-                    if scaled:
+                    if p:
+                        img = _shift_by_var(prev, times, U, p)
+                        if img:
+                            images[col] = img
+                    else:
                         img, Q = _shift_scaled(prev, times, U)
                         if img:
                             images[col] = img
                             S = prev_scale.get(parent, 1) * Q
                             if S != 1:
                                 scale[col] = S
-                    else:
-                        img = _shift_by_var(prev, times, U, p)
-                        if img:
-                            images[col] = img
         return images, scale, cols, dead
-
-
-def _unscaled(dep, scale):
-    """The dependency among a slice's column images, from dep, the one
-    among the images times scale (S(c) at column c, 1 where it has none):
-    entry c times S(c), divided by the gcd.  Scaling a column leaves each
-    dependency's line alone, so over QQ this is the primitive int vector
-    with a positive tag entry that inserting the images themselves would
-    return."""
-    if scale.keys().isdisjoint(dep):
-        return dep
-    out = {c: v * scale.get(c, 1) for c, v in dep.items()}
-    g = gcd(*out.values())
-    return out if g == 1 else {c: v // g for c, v in out.items()}
 
 
 class _BudgetSpent(Exception):
@@ -755,13 +731,13 @@ def poincare_coeffs(quot, N: int) -> PoincareData:
                         spent += 1
                         if spent > POINCARE_BUDGET:
                             raise _BudgetSpent
-                        dep = elim.insert(img, col if track else None)
+                        dep = elim.insert(img, col if track else None, scale.get(col, 1))
                     else:
                         dep = {col: one_c}
                     if dep is not None:
                         dead.add(col)
                         if track:
-                            deps[col] = _unscaled(dep, scale) if scale else dep
+                            deps[col] = dep
                 if deps:
                     new_kernels[g] = deps
                 # the images lie in ker d_{step-1}, so each pivot is a negated

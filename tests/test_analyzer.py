@@ -266,6 +266,35 @@ def test_direct_search_agrees_on_a_ring_and_its_polarization(field):
     assert kinds == {"product", "finished"}
 
 
+def test_degree_vanishing_on_r_mod_i_implies_it_on_the_polarization():
+    """Depolarization maps the polarization's multidegrees onto R/I's,
+    additively, and R/I's multigraded Betti number in a degree is the sum of
+    the polarization's over the degrees mapped there.  So a tuple of the
+    polarization's classes whose target has homology maps to one of R/I's
+    whose target has homology: when degree vanishing fires on R/I's table it
+    fires on the polarization's.  The converse fails: the finer grading can
+    separate what R/I's table cannot."""
+    rng = seeded(1)
+    outcomes = set()
+    count = 300
+    while count:
+        nvars = rng.randint(2, 5)
+        ring = PolyRing(tuple("xyzwv"[:nvars]), rng.choice((QQ, GF(2), GF(3))))
+        I = MonomialIdeal.from_monos(ring, {random_monomial(rng, ring, 3) for _ in range(rng.randint(2, 5))})
+        if min(I.gen_degrees()) < 2 or I.is_squarefree():
+            continue
+        count -= 1
+        pol = polarize(I)
+        own, polarized = (
+            analyzer.degree_vanishing(quotient_betti(GroebnerBasis(J.ring, lex(J.ring), J.polys()).quotient()))
+            is not None
+            for J in (I, pol.ideal)
+        )
+        assert polarized or not own, I.gens
+        outcomes.add((own, polarized))
+    assert outcomes == {(True, True), (False, False), (False, True)}
+
+
 def test_the_polarized_cubic_job_is_bounded(monkeypatch, capsys):
     """x*y - z^2 plus every degree-9 monomial: in(I) is fiber invariant and
     its polarization has 27 variables, whose direct search once ran for

@@ -267,6 +267,12 @@ def test_unit_ideal_is_rejected_with_one_message(command, capsys):
     assert (code, out, err) == (1, "", "error: unit generator: the ideal is the whole ring\n")
 
 
+def test_diagonal_order_smaller_than_the_ring_is_rejected(capsys):
+    code, out, err = _run(["gb", "--ideal", "x^2,y*z", "--order", "diagonal 1x1", "--json"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: a 1x1 matrix has fewer cells than the ring's 3 variables\n"
+
+
 def test_unit_ideal_basis_is_printed_by_gb(capsys):
     code, out, err = _run(["gb", "--ideal", "ring: QQ[x,y]\nideal: x+1, x"], capsys)
     assert (code, out, err) == (0, "1\n", "")

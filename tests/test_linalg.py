@@ -341,3 +341,52 @@ def test_a_dependency_is_an_int_vector_positive_at_its_tag(data):
         else:
             assert gcd(*got.values()) == 1
         assert same(at_tag_one(got, tag, field), want)
+
+
+def check_scaled_inserts(seq, scales):
+    """insert(S * v, tag, S) reads S * v as S times the vector v its tag
+    names, so it returns the dependencies, rank and pivots of insert(v,
+    tag).  Returns the cases met: "fast" for a vector that meets no pivot,
+    "dependent" for a dependent one and "untagged" for the ValueError."""
+    plain, scaled = Eliminator(QQ), Eliminator(QQ)
+    cases = set()
+    for j, ((vec, tagged), S) in enumerate(zip(seq, scales)):
+        tag = j if tagged else None
+        big = {k: QQ.of(S * v) for k, v in vec.items()}
+        if vec and plain.rows.keys().isdisjoint(vec):
+            cases.add("fast")
+        try:
+            want = plain.insert(vec, tag)
+        except ValueError:
+            with pytest.raises(ValueError):
+                scaled.insert(big, tag, S)
+            cases.add("untagged")
+            continue
+        got = scaled.insert(big, tag, S)
+        if want is None:
+            assert got is None
+        else:
+            cases.add("dependent")
+            assert list(got.items()) == list(want.items())
+        assert scaled.rank == plain.rank and list(scaled.rows) == list(plain.rows)
+    return cases
+
+
+def test_scaled_inserts_meet_every_case():
+    seq = [
+        ({0: 1, 1: Fraction(1, 2)}, True),  # meets no pivot
+        ({1: 3}, True),  # meets none either: the first row's pivot is 0
+        ({0: 2, 1: 4}, True),  # 2 * the first plus the second
+        ({2: Fraction(-1, 3)}, False),
+        ({0: 1}, True),  # after an untagged row
+    ]
+    assert check_scaled_inserts(seq, [6, 1, 35, 4, 9]) == {"fast", "dependent", "untagged"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    insert_sequences(QQ, big_entries, st.fractions(-5, 5, max_denominator=6)),
+    st.lists(st.integers(1, 10 ** 6), min_size=8, max_size=8),
+)
+def test_a_scaled_insert_returns_the_dependency_of_the_named_vector(data, scales):
+    check_scaled_inserts(data[0], scales)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from golodlab import QQ, PolyRing, diagonal_order, grevlex, lex, parse_order, weight_order
+from golodlab import QQ, InputError, PolyRing, diagonal_order, grevlex, lex, parse_order, weight_order
 from golodlab.rings import mono_mul
 
 from conftest import random_monomial
@@ -79,6 +79,17 @@ def test_diagonal_order_picks_main_diagonal():
     m_diag = tuple(1 if n in ("x11", "x22") else 0 for n in S.names)
     m_anti = tuple(1 if n in ("x12", "x21") else 0 for n in S.names)
     assert o.key(m_diag) > o.key(m_anti)
+
+
+def test_diagonal_order_needs_a_cell_per_variable():
+    """A ladder ring may omit cells, but no shape has fewer cells than the
+    ring has variables."""
+    S = PolyRing(tuple("x%d%d" % (r, c) for r, c in ((1, 1), (1, 2), (2, 2))), QQ)
+    assert diagonal_order(S, 2, 2).descriptor(S) == "diagonal 2x2"
+    assert diagonal_order(S, 1, 3).shape == (1, 3)
+    for rows, cols in ((1, 1), (1, 2), (2, 1)):
+        with pytest.raises(InputError, match="fewer cells"):
+            diagonal_order(S, rows, cols)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.descriptor(R))

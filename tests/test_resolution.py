@@ -581,19 +581,23 @@ def test_inserts_only_nonzero_column_images(monkeypatch):
     quot = quotient(GORENSTEIN3)
     quotient_betti(quot)  # its strands insert zero columns of their own
 
-    sizes, tops = [], []
+    sizes, tops, values, scales = [], [], set(), set()
     insert = Eliminator.insert
 
-    def counting(self, vec, tag=None):
+    def counting(self, vec, tag=None, scale=1):
         sizes.append(len(vec))
         tops.append(max(vec, default=0))
-        return insert(self, vec, tag)
+        values.update(type(c) for c in vec.values())
+        scales.add(scale)
+        return insert(self, vec, tag, scale)
 
     monkeypatch.setattr(Eliminator, "insert", counting)
     P = poincare_coeffs(quot, 8)
     assert P.coefficients == (1, 3, 8, 21, 55, 144, 377, 987, 2584)
     assert 0 not in sizes
     assert max(tops) <= 0  # a kernel vector is keyed by positive tags
+    # the reduced basis is integral, so no image is scaled
+    assert values == {int} and scales == {1}
     # inserting every column image and kernel vector took 19887
     assert len(sizes) == 5767
 
@@ -616,10 +620,10 @@ def test_degree_walk_insert_count(field, monkeypatch):
     calls, values, found = [0], set(), []
     insert, record = Eliminator.insert, resolution._DegreeSlices.found
 
-    def counting(self, vec, tag=None):
+    def counting(self, vec, tag=None, scale=1):
         calls[0] += 1
         values.update(type(c) for c in vec.values())
-        return insert(self, vec, tag)
+        return insert(self, vec, tag, scale)
 
     def recording(self, t, vec):
         found.append(dict(vec))
@@ -653,9 +657,9 @@ def test_monomial_walk_insert_count(monkeypatch):
     calls = [0]
     insert = Eliminator.insert
 
-    def counting(self, vec, tag=None):
+    def counting(self, vec, tag=None, scale=1):
         calls[0] += 1
-        return insert(self, vec, tag)
+        return insert(self, vec, tag, scale)
 
     monkeypatch.setattr(Eliminator, "insert", counting)
     P = poincare_coeffs(quot, 8)
@@ -713,8 +717,8 @@ def test_a_dropped_kernel_vector_breaks_exactness(monkeypatch):
             yield item
 
     class Dropping(Eliminator):
-        def insert(self, vec, tag=None):
-            dep = super().insert(vec, tag)
+        def insert(self, vec, tag=None, scale=1):
+            dep = super().insert(vec, tag, scale)
             if dep is not None and where[0] == (3, (1, 2, 2)) and not dropped:
                 dropped.append(dep)
                 return None
@@ -897,8 +901,8 @@ def test_every_dropped_dependency_raises_or_keeps_the_low_degrees(text, monkeypa
     seen, drop = [0], [None]
 
     class Dropping(Eliminator):
-        def insert(self, vec, tag=None):
-            dep = super().insert(vec, tag)
+        def insert(self, vec, tag=None, scale=1):
+            dep = super().insert(vec, tag, scale)
             if dep is not None:
                 seen[0] += 1
                 if seen[0] == drop[0]:
